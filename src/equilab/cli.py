@@ -46,7 +46,7 @@ from .ensemble import (
     run_metadata,
     write_summary_json,
 )
-from .gas import ObservableSeries, fraction_in, positions_at, reverse_at
+from .gas import ObservableSeries, fraction_in, positions_at, reverse_at, trace
 from .kac import (
     KacConfiguration,
     brute_force_expectation,
@@ -584,18 +584,14 @@ def _exec_gas_reverse(cfg: RunConfig, out):
     state = sample_microstate(
         _build_initial(p), p["n"], region.dim, RngStream(cfg.master_seed, 0)
     )
-    forward = TimeGrid(0.0, dt, k).times
-    times = [0.0]
-    values = [fraction_in(state, 0.0, region)]
-    for t in forward:
-        times.append(float(t))
-        values.append(fraction_in(state, t, region))
+    forward = TimeGrid(0.0, dt, k)
     flipped = reverse_at(state, t_rev)
-    for t in forward:
-        times.append(float(t_rev + t))
-        values.append(fraction_in(flipped, t, region))
+    there = trace(state, region, forward)
+    back = trace(flipped, region, forward)
+    times = np.concatenate([[0.0], there.times, t_rev + back.times])
+    values = np.concatenate([[fraction_in(state, 0.0, region)], there.values, back.values])
     path = os.path.join(out, "gas_reverse.csv")
-    ObservableSeries(np.asarray(times), np.asarray(values)).to_csv(path)
+    ObservableSeries(times, values).to_csv(path)
     final_positions = positions_at(flipped, t_rev)
     err = np.abs(final_positions - state.positions)
     err = np.minimum(err, 1.0 - err)  # distance on the circle

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import RngStream, TimeGrid, TorusRegion, format_float
-from .gas import ObservableSeries, trace
+from .gas import BoxCounter, ObservableSeries, trace
 from .kac import sample_markers
 from .sampler import InitialMeasureSpec, sample_microstate
 
@@ -45,6 +45,7 @@ _KAC_CHUNK = 512
 
 
 def _map_chunks(func, payloads, workers: int):
+    workers = min(workers, len(payloads))
     if workers <= 1:
         return [func(p) for p in payloads]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -134,27 +135,35 @@ def _gas_scaling_chunk(payload):
     exceed epsilon on the grid, h[k] those whose first exceedance is at the
     k-th grid time.  Prefix sums of h[1:] then give the deviation count for
     every K at once.
+
+    Each history draws its positions, then its momenta, from its own stream
+    straight into its row of the chunk, exactly the draws of
+    :func:`~equilab.sampler.sample_microstate`.  Live histories are kept in
+    the leading rows; the rows are compacted only on steps where some
+    history exceeded.
     """
     (n, dim, initial, region, times, epsilon, master_seed, stream_base, count) = payload
     measure = region.measure()
-    lo = np.asarray(region.lower)
-    up = np.asarray(region.upper)
     xs = np.empty((count, n, dim))
     ps = np.empty((count, n, dim))
     for i in range(count):
-        state = sample_microstate(initial, n, dim, RngStream(master_seed, stream_base + i))
-        xs[i] = state.positions
-        ps[i] = state.momenta
+        gen = RngStream(master_seed, stream_base + i).generator()
+        xs[i] = initial.positions.sample(n, dim, gen)
+        ps[i] = initial.momenta.sample(n, dim, gen)
+    counter = BoxCounter(region, xs, ps)
     first = np.zeros(count, dtype=np.int64)
     alive = np.arange(count)
     for k, t in enumerate(times, start=1):
-        y = xs[alive] + ps[alive] * t
-        y -= np.floor(y)
-        inside = ((y >= lo) & (y < up)).all(axis=2)
-        frac = inside.sum(axis=1, dtype=np.int64) / n
+        frac = counter.counts(t, alive.size) / n
         exceeded = np.abs(frac - measure) > epsilon
+        if not exceeded.any():
+            continue
         first[alive[exceeded]] = k
-        alive = alive[~exceeded]
+        keep = ~exceeded
+        rows = alive.size
+        alive = alive[keep]
+        xs[: alive.size] = xs[:rows][keep]
+        ps[: alive.size] = ps[:rows][keep]
         if alive.size == 0:
             break
     return np.bincount(first, minlength=len(times) + 1)
@@ -165,15 +174,15 @@ def run_gas_scaling(spec: ScalingExperimentSpec, workers: int = 1) -> ScalingRes
 
     Each history samples one microstate and walks the grid until the first
     time |f - |I|| exceeds epsilon (histories are independent across n via
-    disjoint stream ids).  The fit pools all (n, K) points with nonzero
-    rate; if fewer than two such points exist the fit is omitted.
+    disjoint stream ids).  The chunks of every n go through one worker pool.
+    The fit pools all (n, K) points with nonzero rate; if fewer than two
+    such points exist the fit is omitted.
     """
     times = tuple(float(t) for t in spec.grid.times)
     dim = spec.region.dim
     m = spec.histories
-    dev = np.zeros((len(spec.n_values), len(spec.k_values)), dtype=np.int64)
+    payloads, owners = [], []
     for ni, n in enumerate(spec.n_values):
-        payloads = []
         base = ni * m
         for start in range(0, m, _GAS_CHUNK):
             cnt = min(_GAS_CHUNK, m - start)
@@ -181,12 +190,12 @@ def run_gas_scaling(spec: ScalingExperimentSpec, workers: int = 1) -> ScalingRes
                 (n, dim, spec.initial, spec.region, times, spec.epsilon,
                  spec.master_seed, base + start, cnt)
             )
-        hist = np.zeros(len(times) + 1, dtype=np.int64)
-        for part in _map_chunks(_gas_scaling_chunk, payloads, workers):
-            hist += part
-        by_k = np.cumsum(hist[1:])
-        for j, k in enumerate(spec.k_values):
-            dev[ni, j] = by_k[k - 1]
+            owners.append(ni)
+    hist = np.zeros((len(spec.n_values), len(times) + 1), dtype=np.int64)
+    for ni, part in zip(owners, _map_chunks(_gas_scaling_chunk, payloads, workers)):
+        hist[ni] += part
+    by_k = np.cumsum(hist[:, 1:], axis=1)
+    dev = by_k[:, np.asarray(spec.k_values) - 1]
     p_hat = dev / m
     p_over_k = p_hat / np.asarray(spec.k_values)
     stderr = np.sqrt(p_hat * (1.0 - p_hat) / m)

@@ -1,6 +1,7 @@
 """Ensemble drivers: statistics, fits, and scheduling-independent output."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import time
@@ -8,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+from equilab import ensemble
 from equilab.core import RngStream, TimeGrid, TorusRegion
 from equilab.ensemble import (
     ScalingExperimentSpec,
@@ -18,12 +20,15 @@ from equilab.ensemble import (
     run_metadata,
     write_summary_json,
 )
+from equilab.gas import fraction_in, trace
 from equilab.kac import expected_delta_bar
 from equilab.sampler import (
     GaussianMomenta,
     InitialMeasureSpec,
+    PointPositions,
     TabulatedMomenta,
     UniformPositions,
+    sample_microstate,
     thermal_momenta,
 )
 
@@ -31,6 +36,16 @@ _REGION = TorusRegion.interval(0.0, 0.5)
 _EQUILIBRIUM = InitialMeasureSpec(
     UniformPositions(TorusRegion.interval(0.0, 1.0)), GaussianMomenta(1.0)
 )
+
+
+class _ConstantLaw:
+    """Duck-typed position or momentum law: every coordinate equals ``value``."""
+
+    def __init__(self, value: float):
+        self.value = value
+
+    def sample(self, n, dim, gen):
+        return np.full((n, dim), self.value)
 
 
 def _small_spec(epsilon: float, histories: int = 2000, seed: int = 99):
@@ -94,6 +109,118 @@ def test_scaling_csv_deterministic_across_workers(tmp_path):
     assert paths[0] == paths[1]
     header = paths[0].decode().splitlines()[0]
     assert header == "N,K,deviations,M,p_hat,p_hat_over_K,stderr"
+
+
+@pytest.mark.parametrize(
+    "region, initial",
+    [
+        (_REGION, InitialMeasureSpec(UniformPositions(_REGION), GaussianMomenta(1.0))),
+        (
+            TorusRegion((0.0, 0.25), (0.5, 0.75)),
+            InitialMeasureSpec(
+                UniformPositions(TorusRegion((0.0, 0.0), (0.5, 1.0))), GaussianMomenta(0.8)
+            ),
+        ),
+    ],
+    ids=["1d", "2d"],
+)
+def test_scaling_first_exceedances_match_single_history_traces(region, initial):
+    # Oracle: sample every history on its own, trace f along the grid and
+    # take the first grid index outside the epsilon band.  With every K
+    # requested, the deviation table is the cumulative histogram of those
+    # first exceedances, which 300 histories (two chunks, so the live rows
+    # are compacted on several steps) must reproduce exactly.
+    grid = TimeGrid(0.0, 0.7, 12)
+    spec = ScalingExperimentSpec(
+        n_values=(40, 120),
+        k_values=tuple(range(1, 13)),
+        histories=300,
+        epsilon=0.06,
+        grid=grid,
+        region=region,
+        initial=initial,
+        master_seed=17,
+    )
+    res = run_gas_scaling(spec)
+    for i, n in enumerate(spec.n_values):
+        hist = np.zeros(grid.k_count + 1, dtype=np.int64)
+        for h in range(spec.histories):
+            state = sample_microstate(
+                initial, n, region.dim, RngStream(17, i * spec.histories + h)
+            )
+            values = trace(state, region, grid).values
+            over = np.flatnonzero(np.abs(values - region.measure()) > spec.epsilon)
+            hist[over[0] + 1 if over.size else 0] += 1
+        assert np.array_equal(res.deviations[i], np.cumsum(hist[1:]))
+        assert 0 < res.deviations[i, -1] < spec.histories
+
+
+def test_scaling_folds_a_wrap_onto_one_back_to_zero():
+    # x = 1e-17, p = -2e-17, t = 1: y = -1e-17 and y - floor(y) rounds to
+    # exactly 1.0, which is the point 0.0 of the torus and so inside [0, 0.9).
+    spec = ScalingExperimentSpec(
+        n_values=(1,),
+        k_values=(1,),
+        histories=1,
+        epsilon=0.5,
+        grid=TimeGrid(0.0, 1.0, 1),
+        region=TorusRegion.interval(0.0, 0.9),
+        initial=InitialMeasureSpec(PointPositions((1e-17,)), _ConstantLaw(-2e-17)),
+        master_seed=0,
+    )
+    state = sample_microstate(spec.initial, 1, 1, RngStream(0, 0))
+    assert fraction_in(state, 1.0, spec.region) == 1.0
+    with pytest.warns(UserWarning):
+        res = run_gas_scaling(spec)
+    assert res.deviations[0, 0] == 0
+
+
+@pytest.mark.parametrize(
+    "initial, message",
+    [
+        (InitialMeasureSpec(_ConstantLaw(1.0), GaussianMomenta(1.0)), r"\[0, 1\)"),
+        (InitialMeasureSpec(_ConstantLaw(0.5), _ConstantLaw(math.nan)), "finite"),
+        (InitialMeasureSpec(_ConstantLaw(math.inf), GaussianMomenta(1.0)), "finite"),
+    ],
+    ids=["position-on-upper-face", "nan-momentum", "infinite-position"],
+)
+def test_scaling_rejects_invalid_sampled_states(initial, message):
+    spec = dataclasses.replace(_small_spec(0.04, histories=300), initial=initial)
+    with pytest.raises(ValueError, match=message):
+        run_gas_scaling(spec)
+
+
+class _RecordingPool:
+    """In-process stand-in for ProcessPoolExecutor that records its size."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, func, payloads):
+        return map(func, payloads)
+
+
+def test_one_pool_per_run_never_larger_than_the_chunk_count(monkeypatch):
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(ensemble, "ProcessPoolExecutor", _RecordingPool)
+    # One 512-history ring chunk runs in process, whatever the worker count.
+    single = run_kac_ensemble(64, 0.3, 512, 8, 0.2, seed=1, workers=8)
+    assert _RecordingPool.sizes == []
+    assert np.array_equal(single.mean, run_kac_ensemble(64, 0.3, 512, 8, 0.2, seed=1).mean)
+    # Three ring chunks: three processes, not eight.
+    run_kac_ensemble(64, 0.3, 1100, 8, 0.2, seed=1, workers=8)
+    assert _RecordingPool.sizes == [3]
+    # Two n values of two gas chunks each share one pool of four.
+    run_gas_scaling(_small_spec(0.04, histories=300), workers=8)
+    assert _RecordingPool.sizes == [3, 4]
 
 
 def test_fit_exponential_recovers_exact_parameters():

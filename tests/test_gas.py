@@ -15,6 +15,7 @@ from equilab.core import (
     fractional_part,
 )
 from equilab.gas import (
+    BoxCounter,
     ObservableSeries,
     density_profile,
     fraction_in,
@@ -94,6 +95,52 @@ def test_fraction_is_multiple_of_one_over_n(seed: int):
     state = _random_state(seed, n=97)
     f = fraction_in(state, 2.5, TorusRegion.interval(0.2, 0.6))
     assert (f * 97) == pytest.approx(round(f * 97), abs=1e-12)
+
+
+def test_box_counter_matches_contains_on_a_batch():
+    # 2-D box with a zero lower face on the first axis only; 70 histories of
+    # 500 particles span several scratch tiles.
+    rng = np.random.default_rng(8)
+    xs = rng.random((70, 500, 2))
+    ps = rng.standard_normal((70, 500, 2))
+    region = TorusRegion((0.0, 0.3), (0.6, 0.9))
+    counter = BoxCounter(region, xs, ps)
+    for t in (0.0, 0.3, -2.5, 17.0):
+        expected = [
+            np.count_nonzero(region.contains(fractional_part(xs[i] + ps[i] * t)))
+            for i in range(70)
+        ]
+        assert counter.counts(t).tolist() == expected
+        assert counter.counts(t, 33).tolist() == expected[:33]
+
+
+@pytest.mark.parametrize(
+    "lower, upper, count",
+    [(0.0, 0.9, 1), (0.0, 1.0, 1), (0.5, 1.0, 0), (0.0, 0.0, 0)],
+)
+def test_box_counter_folds_a_wrap_onto_one_to_zero(lower, upper, count):
+    # x + p t = -1e-17, whose fractional part rounds to exactly 1.0: the
+    # point 0.0 of the torus, inside a box only if its lower face is 0.
+    xs = np.full((1, 1, 1), 1e-17)
+    ps = np.full((1, 1, 1), -2e-17)
+    region = TorusRegion.interval(lower, upper)
+    assert fractional_part(xs[0] + ps[0])[0, 0] == 0.0
+    assert BoxCounter(region, xs, ps).counts(1.0)[0] == count
+
+
+def test_box_counter_rejects_non_finite_coordinates():
+    state = GasMicrostate(np.array([0.1, 0.6]), np.array([1e300, -1.0]))
+    counter = BoxCounter(TorusRegion.interval(0.0, 0.5), state.positions[None], state.momenta[None])
+    assert counter.counts(1.0)[0] in (0, 1, 2)
+    for t in (1e10, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            counter.counts(t)
+    with pytest.raises(ValueError):
+        fraction_in(state, 1e10, TorusRegion.interval(0.0, 0.5))
+    with pytest.raises(ValueError):
+        BoxCounter(TorusRegion.interval(0.0, 0.5), np.ones((1, 2, 1)), np.zeros((1, 2, 1)))
+    with pytest.raises(ValueError):
+        BoxCounter(TorusRegion.interval(0.0, 0.5), np.zeros((1, 2, 1)), np.full((1, 2, 1), math.nan))
 
 
 @pytest.mark.parametrize("seed,t", [(0, 0.0), (1, 0.3), (2, 5.0), (3, 123.0)])
