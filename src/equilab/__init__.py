@@ -30,7 +30,6 @@ from .core import (
     TorusRegion,
     format_float,
     fractional_part,
-    region_contains,
 )
 from .sampler import (
     GaussianMomenta,
@@ -111,7 +110,6 @@ __all__ = [
     "TorusRegion",
     "format_float",
     "fractional_part",
-    "region_contains",
     # sampler
     "GaussianMomenta",
     "InitialMeasureSpec",

@@ -149,11 +149,16 @@ def _conv_int_list(increasing=False):
     return conv
 
 
-def _conv_float_list(s: str):
-    vals = tuple(float(part) for part in s.split(",") if part.strip())
-    if not vals:
-        raise ValueError("list must not be empty")
-    return vals
+def _conv_float_list(minimum=None):
+    inner = _conv_float(minimum=minimum)
+
+    def conv(s: str):
+        vals = tuple(inner(part) for part in s.split(",") if part.strip())
+        if not vals:
+            raise ValueError("list must not be empty")
+        return vals
+
+    return conv
 
 
 def _conv_region(s: str):
@@ -214,8 +219,8 @@ _MOMENTUM_BLOCK = {
     "momentum": _Param(_conv_choice("gaussian", "tabulated"), default="gaussian"),
     "sigma": _Param(_conv_float(minimum=0.0, exclusive=True)),
     "mean_speed": _Param(_conv_float(minimum=0.0, exclusive=True)),
-    "momentum_grid": _Param(_conv_float_list),
-    "momentum_density": _Param(_conv_float_list),
+    "momentum_grid": _Param(_conv_float_list()),
+    "momentum_density": _Param(_conv_float_list()),
 }
 
 
@@ -335,7 +340,7 @@ _SCHEMAS = {
     "gas-mean": (
         {
             "region": _Param(_conv_region, required=True),
-            "t_values": _Param(_conv_float_list, required=True),
+            "t_values": _Param(_conv_float_list(minimum=0.0), required=True),
             "tail_tol": _Param(_conv_float(minimum=0.0, exclusive=True), default=1e-12),
             "fit": _Param(_conv_bool, default=False),
             "fit_epsilon": _Param(_conv_float(minimum=0.0, exclusive=True), default=0.04),

@@ -123,11 +123,6 @@ class TorusRegion:
         return inside.all(axis=-1)
 
 
-def region_contains(region: TorusRegion, point) -> bool:
-    """Functional alias for :meth:`TorusRegion.contains` on a single point."""
-    return bool(region.contains(point))
-
-
 def _boxes_disjoint(a: TorusRegion, b: TorusRegion) -> bool:
     # Half-open boxes are disjoint iff they separate along some axis.
     for (alo, aup, blo, bup) in zip(a.lower, a.upper, b.lower, b.upper):

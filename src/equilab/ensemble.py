@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import RngStream, TimeGrid, TorusRegion, format_float
 from .gas import BoxCounter, ObservableSeries, trace
-from .kac import sample_markers
+from .kac import ring_steps, sample_markers
 from .sampler import InitialMeasureSpec, sample_microstate
 
 __all__ = [
@@ -299,21 +299,23 @@ def _kac_ensemble_chunk(payload):
     Returns (sum_delta, sum_delta_sq, exceed_count) per time plus the count
     of histories exceeding epsilon anywhere in the window (0 if no window).
     All four are exact integers, so merging across chunks is exact.
+
+    The chunk's rings step together through :func:`~equilab.kac.ring_steps`
+    as one (count, n) block, each row all white at t = 0.
     """
     (n, mu, t_max, epsilon, master_seed, stream_base, count, window) = payload
-    markers = np.empty((count, n), dtype=np.int8)
+    marked = np.empty((count, n), dtype=bool)
     for i in range(count):
-        markers[i] = sample_markers(n, mu, RngStream(master_seed, stream_base + i))
-    colors = np.ones((count, n), dtype=np.int8)
+        marked[i] = sample_markers(n, mu, RngStream(master_seed, stream_base + i)) < 0
     threshold = epsilon * n
     sum_d = np.zeros(t_max + 1, dtype=np.int64)
     sum_d2 = np.zeros(t_max + 1, dtype=np.int64)
     exceed = np.zeros(t_max + 1, dtype=np.int64)
     window_hit = np.zeros(count, dtype=bool)
-    for t in range(t_max + 1):
-        if t > 0:
-            colors = np.roll(markers * colors, 1, axis=1)
-        delta = colors.sum(axis=1, dtype=np.int64)
+    for t, black in enumerate(ring_steps(marked, np.zeros((count, n), dtype=bool), t_max)):
+        # A uint32 row sum is exact (n < 2**32) and about 3x faster than an int64 one.
+        black_count = np.add.reduce(black.view(np.uint8), axis=1, dtype=np.uint32)
+        delta = n - 2 * black_count.astype(np.int64)
         sum_d[t] = delta.sum()
         sum_d2[t] = (delta * delta).sum()
         over = np.abs(delta) > threshold

@@ -14,6 +14,12 @@ module evaluates both by iterating the map and in closed form via prefix
 parities of the marked count, and, for small rings, by exact enumeration over
 all 2^N marker sequences.  The closed form and the enumeration serve as
 mutual oracles.
+
+:func:`ring_steps` is the one stepping rule for evolving rings: it advances
+one ring or a block of rings in the frame that rotates with the balls, and
+both :func:`ring_trace` and the ring ensembles run through it.  :func:`step`
+and :func:`inverse_step` apply the map as written, site by site, and stay as
+the independent oracle for it.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ __all__ = [
     "KacObservable",
     "step",
     "inverse_step",
+    "ring_steps",
     "ring_trace",
     "delta_closed_form",
     "sample_markers",
@@ -117,28 +124,40 @@ def inverse_step(config: KacConfiguration) -> KacConfiguration:
     return KacConfiguration(config.markers, new_colors, config.time - 1)
 
 
-def ring_trace(config: KacConfiguration, t_max: int) -> np.ndarray:
-    """Delta(t) for t = 0..t_max by iterating the map from ``config``.
+def ring_steps(marked: np.ndarray, black: np.ndarray, t_max: int):
+    """Advance rings in place and yield their black flags at t = 0..t_max.
 
-    Works in the frame that rotates with the balls: the ball that starts at
-    site k sits at site k + t after t steps with color
+    ``marked`` and ``black`` are bool arrays with the sites on the last
+    axis: shape (N,) for one ring, (h, N) for h rings.  Works in the frame
+    that rotates with the balls: the ball that starts at site k sits at site
+    k + t after t steps with color
 
         eta_{k+t}(t) = eta_k(0) * prod_{j=0..t-1} xi_{k+j}        (indices mod N),
 
-    so step t flips exactly the balls with site k + t - 1 marked.
-    A boolean "black" array indexed by k is XORed in place with a length-N
-    slice of the doubled marked array, and Delta(t) = N - 2 * (black count).
+    so step t flips exactly the balls with site k + t - 1 marked: ``black``,
+    indexed by the start site k, is XORed in place with a length-N slice of
+    the doubled marked array.  The yielded array is ``black`` itself, so
+    Delta(t) = N - 2 * (its count of True) along the last axis.
+    """
+    n = marked.shape[-1]
+    doubled = np.concatenate([marked, marked], axis=-1)
+    yield black
+    for t in range(1, t_max + 1):
+        s = (t - 1) % n
+        np.bitwise_xor(black, doubled[..., s : s + n], out=black)
+        yield black
+
+
+def ring_trace(config: KacConfiguration, t_max: int) -> np.ndarray:
+    """Delta(t) for t = 0..t_max by iterating the map from ``config``.
+
+    Runs the one ring through :func:`ring_steps` as a 1-d array.
     """
     if t_max < 0:
         raise ValueError("t_max must be >= 0")
     n = config.n_sites
-    doubled_marked = np.tile(config.markers < 0, 2)
-    black = config.colors < 0
     deltas = np.empty(t_max + 1, dtype=np.int64)
-    deltas[0] = n - 2 * np.count_nonzero(black)
-    for t in range(1, t_max + 1):
-        s = (t - 1) % n
-        np.bitwise_xor(black, doubled_marked[s : s + n], out=black)
+    for t, black in enumerate(ring_steps(config.markers < 0, config.colors < 0, t_max)):
         deltas[t] = n - 2 * np.count_nonzero(black)
     return deltas
 

@@ -136,6 +136,8 @@ class TabulatedMomenta:
         d = tuple(float(v) for v in self.density)
         if len(g) != len(d) or len(g) < 2:
             raise ValueError("grid and density must match and contain >= 2 nodes")
+        if not all(math.isfinite(v) for v in g + d):
+            raise ValueError("grid and density values must be finite")
         if any(b <= a for a, b in zip(g, g[1:])):
             raise ValueError("grid must be strictly increasing")
         if any(v < 0 for v in d):

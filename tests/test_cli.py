@@ -202,6 +202,28 @@ def test_config_error_exit_code_and_stderr(tmp_path, capsys):
     assert err.splitlines() == ["config error: epsilon: must be < 1.0, got 1.5"]
 
 
+@pytest.mark.parametrize(
+    "body,key",
+    [
+        ("t_values = 1\nmomentum = tabulated\nmomentum_grid = -1,nan,1\n"
+         "momentum_density = 0,1,0\n", "momentum_grid"),
+        ("t_values = 1\nmomentum = tabulated\nmomentum_grid = -1,0,inf\n"
+         "momentum_density = 0,1,0\n", "momentum_grid"),
+        ("t_values = 1\nmomentum = tabulated\nmomentum_grid = -1,0,1\n"
+         "momentum_density = 0,inf,0\n", "momentum_density"),
+        ("t_values = -1\n", "t_values"),
+        ("t_values = 0,nan,1\n", "t_values"),
+    ],
+)
+def test_float_list_rejects_non_finite_and_negative_times(tmp_path, capsys, body, key):
+    out = tmp_path / "out"
+    code = _run(tmp_path, "gas-mean", f"[gas-mean]\nregion = 0,0.5\n{body}", "--out", str(out))
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"config error: {key}: ")
+    assert not out.exists()
+
+
 def test_missing_config_file_exit_code(capsys):
     assert main(["gas-trace", "--config", "/nonexistent/run.ini"]) == 2
     assert "cannot read" in capsys.readouterr().err

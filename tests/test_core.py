@@ -15,7 +15,6 @@ from equilab.core import (
     TorusRegion,
     format_float,
     fractional_part,
-    region_contains,
 )
 
 
@@ -63,9 +62,9 @@ def test_fractional_part_rejects_non_finite():
 
 def test_region_half_open_membership():
     region = TorusRegion.interval(0.0, 0.5)
-    assert region_contains(region, 0.0)  # lower face included
-    assert not region_contains(region, 0.5)  # upper face excluded
-    assert region_contains(TorusRegion.interval(0.5, 1.0), 0.7)
+    assert region.contains(0.0)  # lower face included
+    assert not region.contains(0.5)  # upper face excluded
+    assert TorusRegion.interval(0.5, 1.0).contains(0.7)
 
 
 def test_region_measure_is_product_of_sides():

@@ -21,7 +21,7 @@ from equilab.ensemble import (
     write_summary_json,
 )
 from equilab.gas import fraction_in, trace
-from equilab.kac import expected_delta_bar
+from equilab.kac import KacConfiguration, expected_delta_bar, ring_trace, sample_markers
 from equilab.sampler import (
     GaussianMomenta,
     InitialMeasureSpec,
@@ -328,6 +328,31 @@ def test_kac_ensemble_window_counter():
     assert res.window_exceed_count <= union_cap + 1e-9
     peak = res.p_dev[5:16].max() * 500
     assert res.window_exceed_count >= peak - 1e-9
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64])
+@pytest.mark.parametrize("mu", [0.3, 1.0])
+def test_kac_chunk_equals_sums_over_single_ring_traces(n: int, mu: float):
+    # Every accumulator is an integer, so the batched chunk must equal the
+    # per-history sums exactly; t_max = 2N carries the frame past one period.
+    t_max, epsilon, seed, base, count = 2 * n, 0.5, 31, 5, 40
+    window = (2.0, float(n // 2))  # integer ends, so both edges count
+    traces = np.array([
+        ring_trace(
+            KacConfiguration.all_white(sample_markers(n, mu, RngStream(seed, base + i))),
+            t_max,
+        )
+        for i in range(count)
+    ])
+    over = np.abs(traces) > epsilon * n
+    in_window = (np.arange(t_max + 1) >= window[0]) & (np.arange(t_max + 1) <= window[1])
+    sum_d, sum_d2, exceed, window_count = ensemble._kac_ensemble_chunk(
+        (n, mu, t_max, epsilon, seed, base, count, window)
+    )
+    assert sum_d.tolist() == traces.sum(axis=0).tolist()
+    assert sum_d2.tolist() == (traces * traces).sum(axis=0).tolist()
+    assert exceed.tolist() == over.sum(axis=0).tolist()
+    assert window_count == int(over[:, in_window].any(axis=1).sum())
 
 
 def test_kac_ensemble_csv_deterministic_across_workers(tmp_path):

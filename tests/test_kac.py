@@ -16,6 +16,7 @@ from equilab.kac import (
     expected_delta_bar,
     inverse_step,
     ring_bound_schedule,
+    ring_steps,
     ring_trace,
     sample_markers,
     step,
@@ -117,6 +118,29 @@ def test_ring_trace_from_random_colors_matches_step(n: int):
     for t in range(3 * n + 1):
         assert deltas[t] == state.colors.sum(dtype=np.int64)
         state = step(state)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64])
+def test_ring_steps_batch_from_random_colors_matches_step(n: int):
+    # A (h, N) block of rings with random start colors; in the rotating
+    # frame the ball that starts at site k sits at site k + t, so rolling
+    # the frame by t must give every ring's colors after t applications of
+    # step.  t_max = 3N takes the marker slice past one period.
+    h = 5
+    gen = RngStream(n, 2).generator()
+    markers = np.stack([_random_markers(n, 100 * n + r) for r in range(h)])
+    colors = np.where(gen.random((h, n)) < 0.5, np.int8(1), np.int8(-1))
+    states = [KacConfiguration(markers[r], colors[r]) for r in range(h)]
+    black = colors < 0
+    count = 0
+    for t, frame in enumerate(ring_steps(markers < 0, black, 3 * n)):
+        assert frame is black  # stepped in place
+        for r in range(h):
+            rolled = np.roll(np.where(frame[r], np.int8(-1), np.int8(1)), t)
+            assert rolled.tolist() == states[r].colors.tolist()
+            states[r] = step(states[r])
+        count += 1
+    assert count == 3 * n + 1
 
 
 def test_closed_form_hand_values():

@@ -121,6 +121,20 @@ def test_tabulated_momenta_validation():
 
 
 @pytest.mark.parametrize(
+    "grid,density",
+    [
+        ((-1.0, math.nan, 1.0), (0.0, 1.0, 0.0)),  # NaN slips past b <= a
+        ((-1.0, 0.0, math.inf), (0.0, 1.0, 0.0)),
+        ((-1.0, 0.0, 1.0), (0.0, math.inf, 0.0)),
+        ((-1.0, 0.0, 1.0), (0.0, math.nan, 0.0)),
+    ],
+)
+def test_tabulated_momenta_rejects_non_finite_nodes(grid, density):
+    with pytest.raises(ValueError, match="finite"):
+        TabulatedMomenta(grid, density)
+
+
+@pytest.mark.parametrize(
     "mean_speed,dim,expected",
     [
         (1.0, 1, math.sqrt(math.pi / 2.0)),
