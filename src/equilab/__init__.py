@@ -30,6 +30,7 @@ from .core import (
     TorusRegion,
     format_float,
     fractional_part,
+    write_csv,
 )
 from .sampler import (
     GaussianMomenta,
@@ -67,7 +68,6 @@ from .analytic import (
     markov_bound,
     partition_scenario_bound,
     scenario_bound,
-    write_bounds_csv,
 )
 from .kac import (
     BlockDecomposition,
@@ -84,7 +84,6 @@ from .kac import (
     ring_trace,
     sample_markers,
     step,
-    write_trace_csv,
 )
 from .ensemble import (
     FitResult,
@@ -110,6 +109,7 @@ __all__ = [
     "TorusRegion",
     "format_float",
     "fractional_part",
+    "write_csv",
     # sampler
     "GaussianMomenta",
     "InitialMeasureSpec",
@@ -144,7 +144,6 @@ __all__ = [
     "markov_bound",
     "partition_scenario_bound",
     "scenario_bound",
-    "write_bounds_csv",
     # kac
     "BlockDecomposition",
     "BruteForceMoments",
@@ -160,7 +159,6 @@ __all__ = [
     "ring_trace",
     "sample_markers",
     "step",
-    "write_trace_csv",
     # ensemble
     "FitResult",
     "KacEnsembleResult",

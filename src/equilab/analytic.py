@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LogProbability, TorusRegion, format_float
+from .core import LogProbability, TorusRegion
 from .sampler import (
     GaussianMomenta,
     InitialMeasureSpec,
@@ -51,7 +51,6 @@ __all__ = [
     "partition_scenario_bound",
     "markov_bound",
     "macro_estimator",
-    "write_bounds_csv",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -510,16 +509,3 @@ def macro_estimator(
         single_time_bound=single,
         sequence_bound=sequence,
     )
-
-
-def write_bounds_csv(path, entries) -> None:
-    """Write (name, LogProbability) pairs as a bounds report CSV.
-
-    Schema: ``quantity,log_value,linear_value_or_underflow``; linear values
-    below 1e-300 are written as the literal string ``underflow``.
-    """
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("quantity,log_value,linear_value_or_underflow\n")
-        for name, prob in entries:
-            log_s, lin_s = prob.csv_fields()
-            fh.write(f"{name},{log_s},{lin_s}\n")

@@ -2,10 +2,11 @@
 
 Configuration lives in a flat INI file with one section per command
 (``[gas-scaling]`` holds ``key = value`` lines); command-line flags mirror
-the config keys and override them.  Every run writes plot-ready CSVs plus a
-JSON summary carrying the full parameter echo, master seed, package
+the config keys and override them.  Every run writes one plot-ready CSV plus
+a JSON summary carrying the full parameter echo, master seed, package
 versions, and wall time, so any published number can be regenerated from
-its summary alone.
+its summary alone.  Both files are written atomically, so a failed run
+leaves no half-written output.
 
 Exit codes: 0 success, 2 configuration error (each problem reported on its
 own stderr line, prefixed by the offending key), 3 runtime failure.
@@ -19,7 +20,7 @@ import math
 import os
 import sys
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,9 +36,8 @@ from .analytic import (
     markov_bound,
     partition_scenario_bound,
     scenario_bound,
-    write_bounds_csv,
 )
-from .core import RngStream, TimeGrid, TorusRegion, format_float
+from .core import RngStream, TimeGrid, TorusRegion, write_csv
 from .ensemble import (
     ScalingExperimentSpec,
     run_gas_scaling,
@@ -55,7 +55,6 @@ from .kac import (
     ring_bound_schedule,
     ring_trace,
     sample_markers,
-    write_trace_csv,
 )
 from .sampler import (
     GaussianMomenta,
@@ -488,43 +487,31 @@ def parse_config(file_text, command, overrides=None) -> RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# Command executors: each returns (csv files written, results block)
+# Command executors: each writes its CSV to ``path`` and returns the
+# summary's results block
 
 
-def _write_rows_csv(path, header, rows):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
-
-
-def _exec_gas_trace(cfg: RunConfig, out):
+def _exec_gas_trace(cfg: RunConfig, path):
     p = cfg.parameters
     region = _region_from(p)
     grid = TimeGrid(p["t0"], p["dt"], p["k_count"])
     series = run_fluctuation_trace(p["n"], _build_initial(p), region, grid, cfg.master_seed)
-    path = os.path.join(out, "gas_trace.csv")
     series.to_csv(path)
-    results = {
+    return {
         "rows": len(series),
         "region_measure": region.measure(),
         "grid_mean": float(series.values.mean()),
         "grid_std": float(series.values.std(ddof=1)) if len(series) > 1 else 0.0,
     }
-    return [path], results
 
 
-def _exec_gas_mean(cfg: RunConfig, out):
+def _exec_gas_mean(cfg: RunConfig, path):
     p = cfg.parameters
     region = _region_from(p)
     initial = _build_initial(p)
     ts = sorted(set(p["t_values"]))
     values = [expected_fraction(initial, region, t, p["tail_tol"]) for t in ts]
-    path = os.path.join(out, "gas_mean.csv")
-    _write_rows_csv(
-        path, "t,mean",
-        [(format_float(t), format_float(v)) for t, v in zip(ts, values)],
-    )
+    write_csv(path, ("t", "mean"), zip(ts, values))
     results = {
         "region_measure": region.measure(),
         "max_abs_deviation": max(abs(v - region.measure()) for v in values),
@@ -537,10 +524,10 @@ def _exec_gas_mean(cfg: RunConfig, out):
         results["equilibration_time"] = equilibration_time(
             decay, p["fit_epsilon"], p["fit_eta"]
         )
-    return [path], results
+    return results
 
 
-def _exec_gas_scaling(cfg: RunConfig, out):
+def _exec_gas_scaling(cfg: RunConfig, path):
     p = cfg.parameters
     region = _region_from(p)
     spec = ScalingExperimentSpec(
@@ -554,7 +541,6 @@ def _exec_gas_scaling(cfg: RunConfig, out):
         master_seed=cfg.master_seed,
     )
     res = run_gas_scaling(spec, cfg.worker_count)
-    path = os.path.join(out, "gas_scaling.csv")
     res.to_csv(path)
     comparisons = []
     all_within = True
@@ -572,15 +558,14 @@ def _exec_gas_scaling(cfg: RunConfig, out):
                     "within_bound": bool(within),
                 }
             )
-    results = {
+    return {
         "fit": None if res.fit is None else {"a": res.fit.a, "b": res.fit.b},
         "bound_comparisons": comparisons,
         "all_within_bound": bool(all_within),
     }
-    return [path], results
 
 
-def _exec_gas_reverse(cfg: RunConfig, out):
+def _exec_gas_reverse(cfg: RunConfig, path):
     p = cfg.parameters
     region = _region_from(p)
     t_rev = p["reverse_time"]
@@ -595,29 +580,29 @@ def _exec_gas_reverse(cfg: RunConfig, out):
     back = trace(flipped, region, forward)
     times = np.concatenate([[0.0], there.times, t_rev + back.times])
     values = np.concatenate([[fraction_in(state, 0.0, region)], there.values, back.values])
-    path = os.path.join(out, "gas_reverse.csv")
     ObservableSeries(times, values).to_csv(path)
     final_positions = positions_at(flipped, t_rev)
     err = np.abs(final_positions - state.positions)
     err = np.minimum(err, 1.0 - err)  # distance on the circle
-    results = {
+    return {
         "reverse_time": t_rev,
         "max_position_error": float(err.max()),
         "f_initial": values[0],
         "f_final": values[-1],
         "fraction_restored": bool(values[-1] == values[0]),
     }
-    return [path], results
 
 
-def _exec_kac_trace(cfg: RunConfig, out):
+def _exec_kac_trace(cfg: RunConfig, path):
     p = cfg.parameters
     markers = sample_markers(p["n"], p["mu"], RngStream(cfg.master_seed, 0))
     deltas = ring_trace(KacConfiguration.all_white(markers), p["t_max"])
-    path = os.path.join(out, "kac_trace.csv")
-    write_trace_csv(path, deltas, p["n"])
+    write_csv(
+        path, ("t", "delta", "delta_bar"),
+        ((t, d, d / p["n"]) for t, d in enumerate(deltas.tolist())),
+    )
     m = int(np.count_nonzero(markers == -1))
-    results = {
+    return {
         "marker_count": m,
         "delta_initial": int(deltas[0]),
         "delta_final": int(deltas[-1]),
@@ -625,10 +610,9 @@ def _exec_kac_trace(cfg: RunConfig, out):
             delta_closed_form(markers, p["t_max"]) == int(deltas[-1])
         ),
     }
-    return [path], results
 
 
-def _exec_kac_ensemble(cfg: RunConfig, out):
+def _exec_kac_ensemble(cfg: RunConfig, path):
     p = cfg.parameters
     window = None
     schedule_block = None
@@ -654,7 +638,6 @@ def _exec_kac_ensemble(cfg: RunConfig, out):
         p["n"], p["mu"], p["histories"], p["t_max"], p["epsilon"],
         cfg.master_seed, cfg.worker_count, window,
     )
-    path = os.path.join(out, "kac_ensemble.csv")
     res.to_csv(path)
     results = {
         "mean_final": float(res.mean[-1]),
@@ -667,26 +650,26 @@ def _exec_kac_ensemble(cfg: RunConfig, out):
         results["schedule"] = schedule_block
         results["window_exceed_fraction"] = res.window_exceed_fraction
         results["within_sequence_bound"] = bool(within)
-    return [path], results
+    return results
 
 
-def _exec_kac_brute(cfg: RunConfig, out):
+def _exec_kac_brute(cfg: RunConfig, path):
     p = cfg.parameters
     moments = brute_force_expectation(p["n"], p["mu"], p["t"])
-    path = os.path.join(out, "kac_brute.csv")
-    _write_rows_csv(
-        path, "t,mean,variance",
-        [(str(p["t"]), format_float(moments.mean), format_float(moments.variance))],
-    )
+    write_csv(path, ("t", "mean", "variance"), [(p["t"], moments.mean, moments.variance)])
     results = {"mean": moments.mean, "variance": moments.variance}
     if p["t"] <= p["n"]:
         expected = expected_delta_bar(p["mu"], p["t"], p["n"])
         results["product_formula_mean"] = expected
         results["product_formula_gap"] = abs(moments.mean - expected)
-    return [path], results
+    return results
 
 
-def _exec_bounds(cfg: RunConfig, out):
+# Linear values below 1e-300 are written as the literal "underflow".
+_BOUNDS_HEADER = ("quantity", "log_value", "linear_value_or_underflow")
+
+
+def _exec_bounds(cfg: RunConfig, path):
     p = cfg.parameters
     params = ScenarioParameters(p["epsilon"], p["n"], p["k_count"], p["eta"])
     entries = [
@@ -695,8 +678,7 @@ def _exec_bounds(cfg: RunConfig, out):
         ("partition_sequence", partition_scenario_bound(params, p["l_count"])),
         ("markov_single_time", markov_bound(p["epsilon"], p["n"], t_large=True)),
     ]
-    path = os.path.join(out, "bounds.csv")
-    write_bounds_csv(path, entries)
+    write_csv(path, _BOUNDS_HEADER, [(name, *prob.csv_fields()) for name, prob in entries])
     results = {
         "log_sequence_capacity": log_sequence_capacity(p["epsilon"], p["n"]),
         "bounds": {
@@ -706,10 +688,10 @@ def _exec_bounds(cfg: RunConfig, out):
     if p.get("c_mu") is not None:
         decay = DecayEstimate(p["c_mu"], p["r"])
         results["equilibration_time"] = equilibration_time(decay, p["epsilon"], p["eta"])
-    return [path], results
+    return results
 
 
-def _exec_macro(cfg: RunConfig, out):
+def _exec_macro(cfg: RunConfig, path):
     p = cfg.parameters
     est = macro_estimator(
         p["n0"], p["cell_volume"], p["sub_volume"], p["delta_pi"], p["k_count"]
@@ -718,9 +700,8 @@ def _exec_macro(cfg: RunConfig, out):
         ("macro_single_time", est.single_time_bound),
         ("macro_sequence", est.sequence_bound),
     ]
-    path = os.path.join(out, "macro_bounds.csv")
-    write_bounds_csv(path, entries)
-    results = {
+    write_csv(path, _BOUNDS_HEADER, [(name, *prob.csv_fields()) for name, prob in entries])
+    return {
         "epsilon": est.epsilon,
         "n": est.n,
         "k_count": est.k_count,
@@ -730,19 +711,19 @@ def _exec_macro(cfg: RunConfig, out):
         "sequence_log": est.sequence_bound.log_value,
         "sequence_linear_or_zero": est.sequence_bound.linear,
     }
-    return [path], results
 
 
+# command -> (CSV file name, executor)
 _EXECUTORS = {
-    "gas-trace": _exec_gas_trace,
-    "gas-mean": _exec_gas_mean,
-    "gas-scaling": _exec_gas_scaling,
-    "gas-reverse": _exec_gas_reverse,
-    "kac-trace": _exec_kac_trace,
-    "kac-ensemble": _exec_kac_ensemble,
-    "kac-brute": _exec_kac_brute,
-    "bounds": _exec_bounds,
-    "macro": _exec_macro,
+    "gas-trace": ("gas_trace.csv", _exec_gas_trace),
+    "gas-mean": ("gas_mean.csv", _exec_gas_mean),
+    "gas-scaling": ("gas_scaling.csv", _exec_gas_scaling),
+    "gas-reverse": ("gas_reverse.csv", _exec_gas_reverse),
+    "kac-trace": ("kac_trace.csv", _exec_kac_trace),
+    "kac-ensemble": ("kac_ensemble.csv", _exec_kac_ensemble),
+    "kac-brute": ("kac_brute.csv", _exec_kac_brute),
+    "bounds": ("bounds.csv", _exec_bounds),
+    "macro": ("macro_bounds.csv", _exec_macro),
 }
 
 
@@ -750,26 +731,25 @@ def execute(config: RunConfig) -> int:
     """Run a validated config; returns the process exit status."""
     started = _time.perf_counter()
     out = config.output_path
+    csv_name, executor = _EXECUTORS[config.command]
+    summary_name = config.command.replace("-", "_") + "_summary.json"
     try:
         os.makedirs(out, exist_ok=True)
-        files, results = _EXECUTORS[config.command](config, out)
+        results = executor(config, os.path.join(out, csv_name))
         summary = {
             "command": config.command,
             "parameters": config.parameters,
             "master_seed": config.master_seed,
             "worker_count": config.worker_count,
-            "outputs": [os.path.basename(f) for f in files],
+            "outputs": [csv_name],
             "results": results,
             **run_metadata(started),
         }
-        summary_path = os.path.join(
-            out, config.command.replace("-", "_") + "_summary.json"
-        )
-        write_summary_json(summary_path, summary)
+        write_summary_json(os.path.join(out, summary_name), summary)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    print(f"wrote {', '.join(os.path.basename(f) for f in files)} and {os.path.basename(summary_path)}")
+    print(f"wrote {csv_name} and {summary_name}")
     return 0
 
 

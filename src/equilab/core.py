@@ -14,7 +14,9 @@ bit-identical regardless of how work is scheduled across processes.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 from dataclasses import dataclass, field
 from functools import total_ordering
 
@@ -29,6 +31,7 @@ __all__ = [
     "LogProbability",
     "RngStream",
     "format_float",
+    "write_csv",
 ]
 
 #: Linear values below this threshold are reported as underflow instead of
@@ -42,10 +45,51 @@ _TWO64 = 2**64
 def format_float(x: float) -> str:
     """Locale-independent float formatting with 17 significant digits.
 
-    Used by every CSV writer in the package so that identical runs produce
-    byte-identical files.
+    :func:`write_csv`, the package's one CSV writer, renders every
+    non-integer number through it, so identical runs produce byte-identical
+    files.
     """
     return format(float(x), ".17g")
+
+
+@contextlib.contextmanager
+def atomic_text(path):
+    """Open ``<path>.tmp`` for UTF-8 text, then move it onto ``path``.
+
+    The temp file sits in the same directory, so :func:`os.replace` is
+    atomic: ``path`` holds either its old bytes or the whole new file.  On
+    any exception the temp file is removed and the exception re-raised.
+    """
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def _cell(value) -> str:
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return format_float(value)
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a header line and one line per row, atomically.
+
+    ``header`` is a sequence of column names.  In ``rows`` a ``str`` cell is
+    written as given, an ``int`` or ``np.integer`` in decimal, and every
+    other value through :func:`format_float`.
+    """
+    with atomic_text(path) as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(_cell, row)) + "\n")
 
 
 def fractional_part(y) -> np.ndarray:

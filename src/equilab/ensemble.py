@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RngStream, TimeGrid, TorusRegion, format_float
+from .core import RngStream, TimeGrid, TorusRegion, atomic_text, write_csv
 from .gas import BoxCounter, ObservableSeries, trace
-from .kac import ring_steps, sample_markers
+from .kac import ring_steps
 from .sampler import InitialMeasureSpec, sample_microstate
 
 __all__ = [
@@ -116,16 +116,12 @@ class ScalingResult:
 
     def to_csv(self, path) -> None:
         """Rows ``N,K,deviations,M,p_hat,p_hat_over_K,stderr`` per (n, K)."""
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("N,K,deviations,M,p_hat,p_hat_over_K,stderr\n")
-            for i, n in enumerate(self.n_values):
-                for j, k in enumerate(self.k_values):
-                    fh.write(
-                        f"{n},{k},{int(self.deviations[i, j])},{self.histories},"
-                        f"{format_float(self.p_hat[i, j])},"
-                        f"{format_float(self.p_hat_over_k[i, j])},"
-                        f"{format_float(self.stderr[i, j])}\n"
-                    )
+        write_csv(
+            path, ("N", "K", "deviations", "M", "p_hat", "p_hat_over_K", "stderr"),
+            ((n, k, self.deviations[i, j], self.histories, self.p_hat[i, j],
+              self.p_hat_over_k[i, j], self.stderr[i, j])
+             for i, n in enumerate(self.n_values) for j, k in enumerate(self.k_values)),
+        )
 
 
 def _gas_scaling_chunk(payload):
@@ -283,14 +279,11 @@ class KacEnsembleResult:
 
     def to_csv(self, path) -> None:
         """Rows ``t,mean,variance,p_dev,M`` for t = 0..t_max."""
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("t,mean,variance,p_dev,M\n")
-            for i, t in enumerate(self.times):
-                fh.write(
-                    f"{int(t)},{format_float(self.mean[i])},"
-                    f"{format_float(self.variance[i])},"
-                    f"{format_float(self.p_dev[i])},{self.histories}\n"
-                )
+        write_csv(
+            path, ("t", "mean", "variance", "p_dev", "M"),
+            zip(self.times.tolist(), self.mean.tolist(), self.variance.tolist(),
+                self.p_dev.tolist(), [self.histories] * self.times.size),
+        )
 
 
 def _kac_ensemble_chunk(payload):
@@ -306,7 +299,8 @@ def _kac_ensemble_chunk(payload):
     (n, mu, t_max, epsilon, master_seed, stream_base, count, window) = payload
     marked = np.empty((count, n), dtype=bool)
     for i in range(count):
-        marked[i] = sample_markers(n, mu, RngStream(master_seed, stream_base + i)) < 0
+        # The draws of kac.sample_markers, kept as the bool "marked" row.
+        marked[i] = RngStream(master_seed, stream_base + i).generator().random(n) < mu
     threshold = epsilon * n
     sum_d = np.zeros(t_max + 1, dtype=np.int64)
     sum_d2 = np.zeros(t_max + 1, dtype=np.int64)
@@ -342,6 +336,10 @@ def run_kac_ensemble(
     histories with an epsilon exceedance anywhere inside the window, the
     quantity the ring bound schedule controls.
     """
+    if n_sites < 1:
+        raise ValueError("n must be >= 1")
+    if not (0.0 < mu <= 1.0):
+        raise ValueError("mu must lie in (0, 1]")
     if t_max > 2 * n_sites:
         raise ValueError("t_max beyond one full period 2N is redundant")
     if t_max < 0:
@@ -413,7 +411,7 @@ def _json_safe(value):
 def write_summary_json(path, payload: dict) -> None:
     """Write a structured run summary; keys are sorted for stable output."""
     body = _json_safe(payload)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_text(path) as fh:
         json.dump(body, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

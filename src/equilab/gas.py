@@ -24,8 +24,8 @@ from .core import (
     RegionPartition,
     TimeGrid,
     TorusRegion,
-    format_float,
     fractional_part,
+    write_csv,
 )
 
 __all__ = [
@@ -73,10 +73,7 @@ class ObservableSeries:
 
     def to_csv(self, path) -> None:
         """Write rows ``t,f`` with 17 significant digits and a header line."""
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("t,f\n")
-            for t, v in zip(self.times, self.values):
-                fh.write(f"{format_float(t)},{format_float(v)}\n")
+        write_csv(path, ("t", "f"), zip(self.times.tolist(), self.values.tolist()))
 
 
 def positions_at(state: GasMicrostate, t: float) -> np.ndarray:

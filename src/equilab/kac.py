@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LogProbability, RngStream, format_float
+from .core import LogProbability, RngStream
 
 __all__ = [
     "KacConfiguration",
@@ -47,7 +47,6 @@ __all__ = [
     "ring_bound_schedule",
     "BlockDecomposition",
     "block_decomposition",
-    "write_trace_csv",
 ]
 
 
@@ -395,11 +394,3 @@ def block_decomposition(markers, t: int) -> BlockDecomposition:
         block_count=k,
         remainder_count=rc,
     )
-
-
-def write_trace_csv(path, deltas: np.ndarray, n_sites: int) -> None:
-    """Write a Delta trace as rows ``t,delta,delta_bar`` (t = 0, 1, ...)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,delta,delta_bar\n")
-        for t, d in enumerate(np.asarray(deltas)):
-            fh.write(f"{t},{int(d)},{format_float(int(d) / n_sites)}\n")

@@ -34,21 +34,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class UniformPositions:
-    """Positions uniform on a half-open box."""
+    """Positions uniform on a half-open box of positive measure."""
 
     region: TorusRegion
+
+    def __post_init__(self):
+        lo = np.asarray(self.region.lower)
+        width = np.asarray(self.region.upper) - lo
+        if np.any(width <= 0.0):
+            raise ValueError("uniform position law needs a region of positive measure")
+        object.__setattr__(self, "_lo", lo)
+        object.__setattr__(self, "_width", width)
 
     def sample(self, n: int, dim: int, gen: np.random.Generator) -> np.ndarray:
         if self.region.dim != dim:
             raise ValueError(
                 f"position region has dimension {self.region.dim}, expected {dim}"
             )
-        lo = np.asarray(self.region.lower)
-        up = np.asarray(self.region.upper)
-        if np.any(up <= lo):
-            raise ValueError("uniform position law needs a region of positive measure")
         # gen.random() lands in [0, 1), so samples respect the half-open box.
-        return lo + gen.random((n, dim)) * (up - lo)
+        return self._lo + gen.random((n, dim)) * self._width
 
 
 @dataclass(frozen=True)

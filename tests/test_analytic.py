@@ -27,7 +27,6 @@ from equilab.analytic import (
     markov_bound,
     partition_scenario_bound,
     scenario_bound,
-    write_bounds_csv,
 )
 from equilab.sampler import (
     GaussianMomenta,
@@ -467,15 +466,3 @@ def test_macro_estimator_validation():
     with pytest.raises(ValueError):
         macro_estimator(1e19, 1.0, 1e-3, 1.5)
 
-
-def test_write_bounds_csv(tmp_path):
-    path = tmp_path / "bounds.csv"
-    entries = [
-        ("tiny", LogProbability.from_log(-1500.0)),
-        ("visible", LogProbability.from_log(math.log(0.25))),
-    ]
-    write_bounds_csv(path, entries)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "quantity,log_value,linear_value_or_underflow"
-    assert lines[1] == "tiny,-1500,underflow"
-    assert lines[2].startswith("visible,") and lines[2].endswith(",0.25")

@@ -162,6 +162,39 @@ def _summary(out_dir, command):
     return json.loads(path.read_text())
 
 
+# A tiny config per command and the one CSV its run writes.
+TINY_RUNS = {
+    "gas-trace": ("gas_trace.csv", GAS_TRACE_INI),
+    "gas-mean": ("gas_mean.csv", "[gas-mean]\nregion = 0,0.5\nt_values = 0,1\n"),
+    "gas-scaling": ("gas_scaling.csv", SCALING_INI),
+    "gas-reverse": (
+        "gas_reverse.csv",
+        "[gas-reverse]\nn = 50\nregion = 0,0.5\nreverse_time = 1\ndt = 0.5\n",
+    ),
+    "kac-trace": ("kac_trace.csv", "[kac-trace]\nn = 16\nmu = 0.3\nt_max = 32\n"),
+    "kac-ensemble": (
+        "kac_ensemble.csv",
+        "[kac-ensemble]\nn = 16\nmu = 0.3\nhistories = 20\nt_max = 8\nepsilon = 0.2\n",
+    ),
+    "kac-brute": ("kac_brute.csv", "[kac-brute]\nn = 6\nmu = 0.3\nt = 3\n"),
+    "bounds": ("bounds.csv", "[bounds]\nepsilon = 0.1\nn = 100\n"),
+    "macro": (
+        "macro_bounds.csv",
+        "[macro]\nn0 = 1e19\ncell_volume = 1\nsub_volume = 1e-3\ndelta_pi = 5e-6\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_each_command_writes_one_csv_and_its_summary(tmp_path, command):
+    csv_name, ini = TINY_RUNS[command]
+    out = tmp_path / "out"
+    assert _run(tmp_path, command, ini, "--out", str(out)) == 0
+    assert _summary(out, command)["outputs"] == [csv_name]
+    summary_name = command.replace("-", "_") + "_summary.json"
+    assert sorted(p.name for p in out.iterdir()) == sorted([csv_name, summary_name])
+
+
 def test_gas_trace_run_writes_csv_and_summary(tmp_path, capsys):
     out = tmp_path / "out"
     code = _run(tmp_path, "gas-trace", GAS_TRACE_INI, "--out", str(out), "--seed", "5")

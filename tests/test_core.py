@@ -15,6 +15,7 @@ from equilab.core import (
     TorusRegion,
     format_float,
     fractional_part,
+    write_csv,
 )
 
 
@@ -254,3 +255,39 @@ def test_format_float_round_trips(seed: int):
     for x in rng.uniform(-1e6, 1e6, size=50):
         assert float(format_float(x)) == x
     assert format_float(0.5) == "0.5"
+
+
+# ---------------------------------------------------------------------------
+# write_csv
+
+
+def test_write_csv_renders_cells(tmp_path):
+    path = tmp_path / "cells.csv"
+    rows = [
+        (3, np.int64(-7), 0.5),
+        (1.0, np.float64(0.1), 1e-300),
+        ("underflow", 0, -2.5),
+    ]
+    write_csv(path, ("a", "b", "c"), rows)
+    assert path.read_bytes() == (
+        b"a,b,c\n3,-7,0.5\n1,0.10000000000000001,1e-300\n"
+        b"underflow,0,-2.5\n"
+    )
+
+
+def test_write_csv_failure_leaves_no_partial_file(tmp_path):
+    def rows():
+        yield (1, 2.0)
+        raise RuntimeError("interrupted")
+
+    path = tmp_path / "out.csv"
+    with pytest.raises(RuntimeError):
+        write_csv(path, ("a", "b"), rows())
+    assert not path.exists()
+    assert not list(tmp_path.glob("*.tmp"))
+
+    path.write_bytes(b"old\n")
+    with pytest.raises(RuntimeError):
+        write_csv(path, ("a", "b"), rows())
+    assert path.read_bytes() == b"old\n"
+    assert not list(tmp_path.glob("*.tmp"))

@@ -1,10 +1,11 @@
-"""SHA-256 pins of gas and ring CSVs written through the command line.
+"""SHA-256 pins of the CSVs written through the command line.
 
 The gas digests were recorded before the gas streaming kernel was rebuilt,
 the ring digests before the ring ensemble moved onto the rotating-frame
-kernel; neither may move when a kernel, the sampling path or the process
-pool changes: any such change that alters a single byte of a result is a
-behaviour change, not a refactor.
+kernel, and the gas-mean, kac-brute, bounds and macro digests before every
+CSV went through one writer; none may move when a kernel, the sampling path,
+the process pool or the writer changes: any such change that alters a single
+byte of a result is a behaviour change, not a refactor.
 """
 from __future__ import annotations
 
@@ -46,6 +47,27 @@ CONFIGS = {
         "n = 64\nmu = 0.3\nhistories = 1100\nt_max = 128\nepsilon = 0.2\n"
         "alpha = 0.9\nseed = 9\n",
     ),
+    # A tabulated momentum law with the decay fit; t = 0 writes the mean 1.
+    "gas-mean": (
+        "gas-mean", "gas_mean.csv",
+        "region = 0.1,0.6\nt_values = 0,0.25,0.5,1,2,3.5,7\nmomentum = tabulated\n"
+        "momentum_grid = -2,-1,0,0.5,2\nmomentum_density = 0,1,3,1,0.2\nfit = true\n",
+    ),
+    "kac-brute": (
+        "kac-brute", "kac_brute.csv",
+        "n = 13\nmu = 0.3\nt = 9\n",
+    ),
+    # The Hoeffding and scenario rows write the literal "underflow".
+    "bounds": (
+        "bounds", "bounds.csv",
+        "epsilon = 0.04\nn = 1000000\nk_count = 1e6\neta = 0.3\nl_count = 100\n"
+        "c_mu = 0.5\nr = 1.0\n",
+    ),
+    "macro": (
+        "macro", "macro_bounds.csv",
+        "n0 = 3e19\ncell_volume = 1.0\nsub_volume = 1e-3\ndelta_pi = 5e-6\n"
+        "k_count = 1e9\n",
+    ),
 }
 
 DIGESTS = {
@@ -55,6 +77,10 @@ DIGESTS = {
     "reverse": "a9ba0de6e57fd6c61f252eaaa94e5c12ab95f3a68895412cec46e7b72cbdbde7",
     "kac-trace": "01dcca612b133a8e01f4041890b4cf064b4efa8a9a4877c28e1b48109bec8bca",
     "kac-ensemble": "9f27a6505c6c98da2442d18f765cf5e6b2e77b8406e1cf38445f4f76111b68e6",
+    "gas-mean": "9cdbff04d6e6a8637225f3224e734671457cdef5c8020c00875248ed8887f90b",
+    "kac-brute": "71d13f0048009cfed73b77c73520596fcdc119cb98da70d717ddecd30f298853",
+    "bounds": "707253d2348df399a82cb2fd3ec557e2797cb49ea409d468410c9172f4c8118a",
+    "macro": "889ae58a9399ae10ea71e897d62f16c7c7c1f75b9e8f0af7efa4154d976ad1b0",
 }
 
 # Histories of the kac-ensemble config that exceed epsilon somewhere in the
@@ -85,6 +111,11 @@ def test_scaling_csv_digest(tmp_path, name, workers):
 
 @pytest.mark.parametrize("name", ["trace", "reverse", "kac-trace"])
 def test_single_history_csv_digest(tmp_path, name):
+    assert _digest(tmp_path, name, 1) == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", ["gas-mean", "kac-brute", "bounds", "macro"])
+def test_analytic_csv_digest(tmp_path, name):
     assert _digest(tmp_path, name, 1) == DIGESTS[name]
 
 

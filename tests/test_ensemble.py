@@ -376,6 +376,11 @@ def test_kac_ensemble_validation():
         run_kac_ensemble(16, 0.3, 10, t_max=4, epsilon=0.0, seed=0)
     with pytest.raises(ValueError):
         run_kac_ensemble(16, 0.3, 10, t_max=4, epsilon=0.1, seed=0, window=(9.0, 3.0))
+    for mu in (0.0, 1.5):
+        with pytest.raises(ValueError, match="mu must lie in"):
+            run_kac_ensemble(16, mu, 10, t_max=4, epsilon=0.1, seed=0)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        run_kac_ensemble(0, 0.3, 10, t_max=0, epsilon=0.1, seed=0)
 
 
 def test_wall_time_scales_linearly_in_histories():
@@ -415,6 +420,15 @@ def test_write_summary_json_is_stable_and_json_safe(tmp_path):
     assert body["nested"]["k"] == [1, 2]
     # Keys emerge sorted, so identical payloads serialize identically.
     assert list(body) == sorted(body)
+
+
+def test_write_summary_json_failure_keeps_old_file(tmp_path):
+    path = tmp_path / "summary.json"
+    path.write_text("{}\n")
+    with pytest.raises(TypeError):
+        write_summary_json(path, {"a": 1, "z": object()})  # fails mid-dump
+    assert path.read_text() == "{}\n"
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_run_metadata_fields():

@@ -20,7 +20,6 @@ from equilab.kac import (
     ring_trace,
     sample_markers,
     step,
-    write_trace_csv,
 )
 
 
@@ -368,8 +367,3 @@ def test_block_decomposition_validation():
     with pytest.raises(ValueError):
         block_decomposition(markers, 9)
 
-
-def test_write_trace_csv(tmp_path):
-    path = tmp_path / "trace.csv"
-    write_trace_csv(path, np.array([4, 2, -4]), 4)
-    assert path.read_text() == "t,delta,delta_bar\n0,4,1\n1,2,0.5\n2,-4,-1\n"

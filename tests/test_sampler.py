@@ -59,6 +59,12 @@ def test_uniform_positions_ks_test():
     assert res.pvalue > 0.01
 
 
+@pytest.mark.parametrize("lower, upper", [((0.3,), (0.3,)), ((0.0, 0.4), (0.5, 0.4))])
+def test_uniform_positions_reject_zero_width_region_when_built(lower, upper):
+    with pytest.raises(ValueError, match="positive measure"):
+        UniformPositions(TorusRegion(lower, upper))
+
+
 def test_point_positions_are_exact():
     spec = InitialMeasureSpec(PointPositions((0.2, 0.8)), GaussianMomenta(2.0))
     state = sample_microstate(spec, 50, 2, RngStream(0, 0))
