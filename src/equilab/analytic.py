@@ -117,15 +117,35 @@ def _tabulated_char(law: TabulatedMomenta, u: np.ndarray) -> np.ndarray:
     uu = np.atleast_1d(np.asarray(u, dtype=float))[:, None]
     uh = uu * h
     small = np.abs(uh) < 1e-5
-    u_safe = np.where(np.abs(uu) < 1e-300, 1.0, uu)
+    iu = 1j * np.where(np.abs(uu) < 1e-300, 1.0, uu)
+    uh2 = uh**2
+    # The (rows, segments) complex arrays are updated in place, with the
+    # operations of the formulas in their order: each fresh array of this
+    # size would be a new mapping for the allocator, faulted page by page.
     e1 = _expi_minus_one(uh)
-    a_exact = e1 / (1j * u_safe)
-    a_small = h * (1.0 + 0.5j * uh - uh**2 / 6.0)
-    a_int = np.where(small, a_small, a_exact)
-    b_exact = (h * (e1 + 1.0) - a_int) / (1j * u_safe)
-    b_small = h**2 * (0.5 + 1j * uh / 3.0 - uh**2 / 8.0)
-    b_int = np.where(small, b_small, b_exact)
-    seg = np.exp(1j * uu * x0) * (f0 * a_int + slope * b_int)
+    a_int = e1 / iu
+    taylor = np.multiply(0.5j, uh)  # A ~ h (1 + iuh/2 - (uh)^2/6)
+    taylor += 1.0
+    taylor -= uh2 / 6.0
+    taylor *= h
+    np.copyto(a_int, taylor, where=small)
+    b_int = e1  # B = (h e^{iuh} - A) / (iu), reusing e1's buffer
+    b_int += 1.0
+    b_int *= h
+    b_int -= a_int
+    b_int /= iu
+    np.multiply(1j, uh, out=taylor)  # B ~ h^2 (1/2 + iuh/3 - (uh)^2/8)
+    taylor /= 3.0
+    taylor += 0.5
+    taylor -= uh2 / 8.0
+    taylor *= h**2
+    np.copyto(b_int, taylor, where=small)
+    a_int *= f0
+    b_int *= slope
+    a_int += b_int
+    seg = np.multiply(1j, uu) * x0
+    np.exp(seg, out=seg)
+    seg *= a_int
     out = seg.sum(axis=1) / mass
     if np.isscalar(u) or np.asarray(u).ndim == 0:
         return out[0]

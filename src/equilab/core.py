@@ -46,8 +46,8 @@ def format_float(x: float) -> str:
     """Locale-independent float formatting with 17 significant digits.
 
     :func:`write_csv`, the package's one CSV writer, renders every
-    non-integer number through it, so identical runs produce byte-identical
-    files.
+    non-integer number in this format, so identical runs produce
+    byte-identical files.
     """
     return format(float(x), ".17g")
 
@@ -72,6 +72,11 @@ def atomic_text(path):
 
 
 def _cell(value) -> str:
+    # Exact-type tests first: plain floats and ints are nearly every cell.
+    if type(value) is float:
+        return format(value, ".17g")
+    if type(value) is int:
+        return str(value)
     if isinstance(value, str):
         return value
     if isinstance(value, (int, np.integer)):

@@ -348,6 +348,13 @@ def run_kac_ensemble(
         raise ValueError("histories must be >= 1")
     if epsilon <= 0.0:
         raise ValueError("epsilon must be > 0")
+    # |Delta| <= N, so the int64 sums of Delta^2 stay exact while M * N^2 < 2^63.
+    sq_bound = int(histories) * int(n_sites) ** 2
+    if sq_bound >= 1 << 63:
+        raise ValueError(
+            f"histories * N^2 = {sq_bound} reaches 2^63, "
+            "the limit of the int64 sums of Delta^2"
+        )
     if window is not None:
         window = (float(window[0]), float(window[1]))
         if window[0] > window[1]:

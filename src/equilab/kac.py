@@ -12,8 +12,10 @@ is the white-minus-black count Delta(t) and its fraction delta_bar; from an
 all-white start Delta(t) is a sum of marker-window products, which this
 module evaluates both by iterating the map and in closed form via prefix
 parities of the marked count, and, for small rings, by exact enumeration over
-all 2^N marker sequences.  The closed form and the enumeration serve as
-mutual oracles.
+all 2^N marker sequences.  The enumeration takes each sequence as an integer
+code and counts window parities by popcount of the code masked to each
+window; it shares no code with the closed form or the stepping kernel, so
+the three serve as mutual oracles.
 
 :func:`ring_steps` is the one stepping rule for evolving rings: it advances
 one ring or a block of rings in the frame that rotates with the balls, and
@@ -51,11 +53,14 @@ __all__ = [
 
 
 def _as_pm_one(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.int8)
+    # Check the values in their own dtype: casting first would truncate 1.5 to 1.
+    arr = np.asarray(values)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError(f"{name} must be a nonempty 1-d sequence")
     if not np.all((arr == 1) | (arr == -1)):
         raise ValueError(f"{name} entries must be +1 or -1")
+    if arr.dtype != np.int8:
+        arr = arr.astype(np.int8)
     return arr
 
 
@@ -246,12 +251,40 @@ _BRUTE_LIMIT = 20
 _BRUTE_CHUNK = 1 << 16
 
 
+def _enumerated_deltas(n: int, t: int, codes: np.ndarray) -> np.ndarray:
+    """Delta(t) from all white for each marker code, as int64.
+
+    Bit i of a uint32 code marks site i.  Each window product is (-1)^(marked
+    count in the window), so Delta(t) = N - 2 * (number of the N cyclic
+    windows W_s of length t' with an odd popcount of ``code & W_s``), where
+    t' = t up to one revolution and t' = t - N past it.  Past one revolution
+    every window also holds the whole ring once, hence the extra sign (-1)^m
+    with m the code's own popcount.  Shares no code with
+    :func:`delta_closed_form` or :func:`ring_steps`.
+    """
+    tt = t - n if t > n else t
+    run = (1 << tt) - 1
+    odd = np.zeros(codes.size, dtype=np.int64)
+    for s in range(n):
+        # Sites s..s+tt-1 (mod N): the run shifted left by s, its overflow wrapped to bit 0.
+        window = ((run << s) | (run >> (n - s))) & ((1 << n) - 1)
+        odd += np.bitwise_count(codes & np.uint32(window)) & 1
+    deltas = n - 2 * odd
+    if t > n:
+        deltas *= 1 - 2 * (np.bitwise_count(codes) & 1).astype(np.int64)
+    return deltas
+
+
 def brute_force_expectation(n: int, mu: float, t: int) -> BruteForceMoments:
     """Exact moments of delta_bar(t) by summing all 2^N marker sequences.
 
-    Each sequence is weighted mu^m (1-mu)^(N-m); the result is exact up to
-    float rounding, which makes it the ground-truth oracle for the closed
-    form and the (1-2 mu)^t mean.  Refuses N > 20 (the enumeration is 2^N).
+    Each sequence is a uint32 code whose set bits are the marked sites; its
+    marked count and each window parity are popcounts of the code (see
+    :func:`_enumerated_deltas`), so the enumeration shares no code with the
+    closed form or the stepping kernel.  Each sequence is weighted
+    mu^m (1-mu)^(N-m); the result is exact up to float rounding, which makes
+    it the ground-truth oracle for the closed form and the (1-2 mu)^t mean.
+    Refuses N > 20 (the enumeration is 2^N).
     """
     if not (1 <= n <= _BRUTE_LIMIT):
         raise ValueError(f"brute force enumeration requires 1 <= N <= {_BRUTE_LIMIT}")
@@ -260,26 +293,12 @@ def brute_force_expectation(n: int, mu: float, t: int) -> BruteForceMoments:
     if not (0 <= t <= 2 * n):
         raise ValueError(f"t must lie in [0, {2 * n}]")
     total = 1 << n
-    bit_cols = np.arange(n, dtype=np.uint64)
     mean_acc = 0.0
     sq_acc = 0.0
     for start in range(0, total, _BRUTE_CHUNK):
-        codes = np.arange(start, min(start + _BRUTE_CHUNK, total), dtype=np.uint64)
-        bits = ((codes[:, None] >> bit_cols) & 1).astype(np.int8)
-        marked = bits.sum(axis=1, dtype=np.int64)
-        markers = (1 - 2 * bits).astype(np.int8)
-        if t == 0:
-            deltas = np.full(codes.size, n, dtype=np.int64)
-        else:
-            tt = t
-            sign = np.ones(codes.size, dtype=np.int64)
-            if tt > n:
-                sign = 1 - 2 * (marked % 2)
-                tt -= n
-            if tt == 0:
-                deltas = sign * n
-            else:
-                deltas = sign * _window_products(markers, tt).sum(axis=1, dtype=np.int64)
+        codes = np.arange(start, min(start + _BRUTE_CHUNK, total), dtype=np.uint32)
+        marked = np.bitwise_count(codes).astype(np.int64)
+        deltas = _enumerated_deltas(n, t, codes)
         # Weights via logs so mu near 0 or 1 cannot underflow intermediate powers.
         with np.errstate(divide="ignore"):
             log_w = marked * np.log(mu) if mu > 0 else np.where(marked == 0, 0.0, -np.inf)

@@ -15,6 +15,7 @@ import pytest
 from equilab.core import LogProbability, RngStream, TorusRegion
 from equilab.analytic import (
     DecayEstimate,
+    _tabulated_char,
     ScenarioParameters,
     box_fourier_coeff,
     decay_bound_check,
@@ -238,6 +239,18 @@ def test_expected_fraction_tail_tolerance_tightens(tol: float):
     coarse = expected_fraction(spec, region, 0.21, tail_tol=tol)
     fine = expected_fraction(spec, region, 0.21, tail_tol=tol / 2.0)
     assert abs(coarse - fine) < tol
+
+
+def test_tabulated_char_matches_power_series():
+    # f(p) = 2p on [0, 1], tabulated on two segments (h = 0.5), has
+    # phi(u) = sum_k 2 (iu)^k / (k! (k + 2)).  The u below 2e-5 take the
+    # Taylor forms (|u h| < 1e-5), where the quadratic terms are ~1e-11.
+    law = TabulatedMomenta((0.0, 0.5, 1.0), (0.0, 1.0, 2.0))
+    u = np.array([0.0, 1e-300, 1e-7, -9e-6, 1.9e-5, 0.3, -1.7, 3.0])
+    want = [sum(2.0 * (1j * x) ** k / (math.factorial(k) * (k + 2)) for k in range(60)) for x in u]
+    got = _tabulated_char(law, u)
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+    assert _tabulated_char(law, 0.3) == got[5]
 
 
 def test_expected_fraction_tabulated_momenta_against_monte_carlo():

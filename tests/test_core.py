@@ -275,6 +275,18 @@ def test_write_csv_renders_cells(tmp_path):
     )
 
 
+def test_write_csv_fast_path_matches_general_rendering(tmp_path):
+    # Plain float/int cells skip the isinstance chain; subclasses and numpy
+    # scalars must still render as the general rule says.
+    path = tmp_path / "types.csv"
+    write_csv(path, ("v",), [(v,) for v in (
+        0.1, np.float64(0.1), 7, np.int64(7), True, np.float32(0.5), -0.0, 1e22,
+    )])
+    assert path.read_bytes() == (
+        b"v\n0.10000000000000001\n0.10000000000000001\n7\n7\n1\n0.5\n-0\n1e+22\n"
+    )
+
+
 def test_write_csv_failure_leaves_no_partial_file(tmp_path):
     def rows():
         yield (1, 2.0)

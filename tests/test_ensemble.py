@@ -383,6 +383,15 @@ def test_kac_ensemble_validation():
         run_kac_ensemble(0, 0.3, 10, t_max=0, epsilon=0.1, seed=0)
 
 
+def test_kac_ensemble_rejects_int64_overflow_at_once(monkeypatch):
+    # Sums of Delta^2 reach M * N^2 = 1e19 > 2^63 here; no chunk may run.
+    monkeypatch.setattr(ensemble, "_map_chunks", lambda *a: pytest.fail("chunks ran"))
+    with pytest.raises(ValueError, match="2\\^63"):
+        run_kac_ensemble(10**6, 0.3, 10**7, t_max=0, epsilon=0.1, seed=0)
+    with pytest.raises(ValueError, match="2\\^63"):
+        run_kac_ensemble(2**31, 0.3, 2, t_max=0, epsilon=0.1, seed=0)
+
+
 def test_wall_time_scales_linearly_in_histories():
     # Performance regression guard: 4x the histories should cost about 4x
     # the time (factor-2 tolerance, min of two repetitions each).

@@ -10,6 +10,7 @@ from equilab.core import RngStream
 from equilab.kac import (
     KacConfiguration,
     KacObservable,
+    _enumerated_deltas,
     block_decomposition,
     brute_force_expectation,
     delta_closed_form,
@@ -229,8 +230,40 @@ def test_expected_delta_bar_known_values():
         expected_delta_bar(0.25, 11, 10)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: delta_closed_form(np.array([1.5, -1.0, 1.0]), 1),
+        lambda: KacConfiguration(np.array([1.7, -1.2]), np.array([1.0, 1.0])),
+        lambda: KacConfiguration(np.array([1, -1]), np.array([1.0, 1.5])),
+        lambda: KacConfiguration.all_white([1.0, -1.9]),
+        lambda: block_decomposition(np.array([1.0, 1.0, -1.5]), 1),
+    ],
+    ids=["closed_form", "markers", "colors", "all_white", "blocks"],
+)
+def test_non_integral_markers_and_colors_rejected(call):
+    # Casting to int8 before the check would truncate these to +-1.
+    with pytest.raises(ValueError, match="must be \\+1 or -1"):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # Brute-force enumeration oracle
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_enumerated_deltas_match_ring_trace_per_code(n: int):
+    # Every marker code at every t <= 2N: window orientation, t = N and the
+    # t > N sign are checked code by code, not only through the moments.
+    codes = np.arange(1 << n, dtype=np.uint32)
+    bits = ((codes[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(np.int8)
+    want = np.stack(
+        [ring_trace(KacConfiguration.all_white(1 - 2 * row), 2 * n) for row in bits]
+    )
+    for t in range(2 * n + 1):
+        got = _enumerated_deltas(n, t, codes)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want[:, t], err_msg=f"t={t}")
 
 
 @pytest.mark.parametrize("mu", [0.1, 0.25, 0.5])
