@@ -24,7 +24,6 @@ __version__ = "0.1.0"
 from .core import (
     GasMicrostate,
     LogProbability,
-    RegionPartition,
     RngStream,
     TimeGrid,
     TorusRegion,
@@ -45,10 +44,8 @@ from .sampler import (
 )
 from .gas import (
     ObservableSeries,
-    density_profile,
     fraction_in,
     positions_at,
-    region_counts,
     reverse_at,
     trace,
     zermelo_state,
@@ -103,7 +100,6 @@ __all__ = [
     # core
     "GasMicrostate",
     "LogProbability",
-    "RegionPartition",
     "RngStream",
     "TimeGrid",
     "TorusRegion",
@@ -122,10 +118,8 @@ __all__ = [
     "thermal_momenta",
     # gas
     "ObservableSeries",
-    "density_profile",
     "fraction_in",
     "positions_at",
-    "region_counts",
     "reverse_at",
     "trace",
     "zermelo_state",

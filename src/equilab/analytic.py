@@ -96,15 +96,24 @@ def _momentum_char(law, u: np.ndarray) -> np.ndarray:
     raise ValueError(f"unsupported momentum law {type(law).__name__}")
 
 
+#: Below this |u h| the closed forms of A and B lose more than 1e-15 to
+#: cancellation, so they are summed as power series.  Horner over 13 terms
+#: leaves a truncation error below 3e-18 at the switch.
+_TAYLOR_SWITCH = 0.25
+_TAYLOR_A = tuple(1.0 / math.factorial(k + 1) for k in range(13))
+_TAYLOR_B = tuple(1.0 / (math.factorial(k) * (k + 2)) for k in range(13))
+
+
 def _tabulated_char(law: TabulatedMomenta, u: np.ndarray) -> np.ndarray:
     """Exact characteristic function of the piecewise-linear tabulated density.
 
     Each segment [x0, x0+h] with linear density f0 + s*y contributes
     e^{i u x0} (f0 A + s B) where A = (e^{iuh}-1)/(iu) and
-    B = (h e^{iuh} - A)/(iu); small |u h| falls back to the Taylor forms so
-    nothing blows up near u = 0.  This is exact for the interpolated density
-    (the same interpolant the sampler draws from), so the only model error is
-    the caller's choice of grid.
+    B = (h e^{iuh} - A)/(iu).  For |u h| < ``_TAYLOR_SWITCH`` both come from
+    their power series A = h sum (iuh)^k/(k+1)! and
+    B = h^2 sum (iuh)^k/(k! (k+2)), so nothing cancels near u = 0.  This is
+    exact for the interpolated density (the same interpolant the sampler
+    draws from), so the only model error is the caller's choice of grid.
     """
     x = np.asarray(law.grid)
     f = np.asarray(law.density)
@@ -116,30 +125,27 @@ def _tabulated_char(law: TabulatedMomenta, u: np.ndarray) -> np.ndarray:
 
     uu = np.atleast_1d(np.asarray(u, dtype=float))[:, None]
     uh = uu * h
-    small = np.abs(uh) < 1e-5
+    small = np.abs(uh) < _TAYLOR_SWITCH
     iu = 1j * np.where(np.abs(uu) < 1e-300, 1.0, uu)
-    uh2 = uh**2
     # The (rows, segments) complex arrays are updated in place, with the
     # operations of the formulas in their order: each fresh array of this
     # size would be a new mapping for the allocator, faulted page by page.
     e1 = _expi_minus_one(uh)
     a_int = e1 / iu
-    taylor = np.multiply(0.5j, uh)  # A ~ h (1 + iuh/2 - (uh)^2/6)
-    taylor += 1.0
-    taylor -= uh2 / 6.0
-    taylor *= h
-    np.copyto(a_int, taylor, where=small)
     b_int = e1  # B = (h e^{iuh} - A) / (iu), reusing e1's buffer
     b_int += 1.0
     b_int *= h
     b_int -= a_int
     b_int /= iu
-    np.multiply(1j, uh, out=taylor)  # B ~ h^2 (1/2 + iuh/3 - (uh)^2/8)
-    taylor /= 3.0
-    taylor += 0.5
-    taylor -= uh2 / 8.0
-    taylor *= h**2
-    np.copyto(b_int, taylor, where=small)
+    if small.any():
+        iz = 1j * uh[small]
+        hs = np.broadcast_to(h, uh.shape)[small]
+        a_ser = b_ser = 0j
+        for ca, cb in zip(reversed(_TAYLOR_A), reversed(_TAYLOR_B)):
+            a_ser = a_ser * iz + ca
+            b_ser = b_ser * iz + cb
+        a_int[small] = a_ser * hs
+        b_int[small] = b_ser * hs**2
     a_int *= f0
     b_int *= slope
     a_int += b_int

@@ -772,7 +772,7 @@ def main(argv=None) -> int:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 file_text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             print(f"config: cannot read {args.config}: {exc}", file=sys.stderr)
             return 2
     schema, _ = _SCHEMAS[args.command]

@@ -25,7 +25,6 @@ import numpy as np
 __all__ = [
     "fractional_part",
     "TorusRegion",
-    "RegionPartition",
     "GasMicrostate",
     "TimeGrid",
     "LogProbability",
@@ -170,72 +169,6 @@ class TorusRegion:
         up = np.asarray(self.upper)
         inside = (pts >= lo) & (pts < up)
         return inside.all(axis=-1)
-
-
-def _boxes_disjoint(a: TorusRegion, b: TorusRegion) -> bool:
-    # Half-open boxes are disjoint iff they separate along some axis.
-    for (alo, aup, blo, bup) in zip(a.lower, a.upper, b.lower, b.upper):
-        if aup <= blo or bup <= alo:
-            return True
-    return False
-
-
-@dataclass(frozen=True)
-class RegionPartition:
-    """A finite family of pairwise-disjoint boxes whose measures sum to 1."""
-
-    regions: tuple
-
-    def __post_init__(self):
-        regs = tuple(self.regions)
-        object.__setattr__(self, "regions", regs)
-        if not regs:
-            raise ValueError("partition needs at least one region")
-        dim = regs[0].dim
-        if any(r.dim != dim for r in regs):
-            raise ValueError("all regions must share one dimension")
-        total = sum(r.measure() for r in regs)
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"region measures sum to {total}, expected 1")
-        for i in range(len(regs)):
-            for j in range(i + 1, len(regs)):
-                if not _boxes_disjoint(regs[i], regs[j]):
-                    raise ValueError(f"regions {i} and {j} overlap")
-
-    @classmethod
-    def regular(cls, count: int, dim: int = 1) -> "RegionPartition":
-        """Uniform grid of ``count`` cells per axis."""
-        if count < 1:
-            raise ValueError("count must be >= 1")
-        edges = np.linspace(0.0, 1.0, count + 1)
-        cells_1d = [(edges[i], edges[i + 1]) for i in range(count)]
-        if dim == 1:
-            regs = [TorusRegion((a,), (b,)) for a, b in cells_1d]
-        else:
-            from itertools import product
-
-            regs = [
-                TorusRegion(tuple(c[0] for c in combo), tuple(c[1] for c in combo))
-                for combo in product(cells_1d, repeat=dim)
-            ]
-        return cls(tuple(regs))
-
-    def __len__(self) -> int:
-        return len(self.regions)
-
-    @property
-    def dim(self) -> int:
-        return self.regions[0].dim
-
-    def measures(self) -> np.ndarray:
-        return np.array([r.measure() for r in self.regions])
-
-    def locate(self, point) -> int:
-        """Index of the unique region containing ``point``."""
-        for i, r in enumerate(self.regions):
-            if r.contains(point):
-                return i
-        raise ValueError(f"point {point} not covered by the partition")
 
 
 @dataclass(frozen=True)

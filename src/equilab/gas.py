@@ -6,10 +6,9 @@ function of a :class:`~equilab.core.GasMicrostate`, so one sampled state can
 be evolved, reversed, and probed repeatedly with no hidden mutation.
 
 The coarse observable is the occupied fraction of a region,
-f(t) = (1/n) * #{i : x_i + p_i t in I}, together with the region counts of a
-partition and the derived empirical density per region.  Occupied counts go
-through one kernel, :class:`BoxCounter`, which streams a whole batch of
-histories at once; a single state is a batch of one.
+f(t) = (1/n) * #{i : x_i + p_i t in I}.  Occupied counts go through one
+kernel, :class:`BoxCounter`, which streams a whole batch of histories at
+once; a single state is a batch of one.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import numpy as np
 
 from .core import (
     GasMicrostate,
-    RegionPartition,
     TimeGrid,
     TorusRegion,
     fractional_part,
@@ -33,8 +31,6 @@ __all__ = [
     "ObservableSeries",
     "positions_at",
     "fraction_in",
-    "region_counts",
-    "density_profile",
     "reverse_at",
     "zermelo_state",
     "trace",
@@ -181,41 +177,6 @@ def fraction_in(state: GasMicrostate, t: float, region: TorusRegion) -> float:
     """Occupied fraction of ``region`` at time t; a multiple of 1/n."""
     counter = BoxCounter(region, state.positions[None], state.momenta[None])
     return int(counter.counts(t)[0]) / state.n
-
-
-def region_counts(
-    state: GasMicrostate, t: float, partition: RegionPartition
-) -> np.ndarray:
-    """Integer occupation count of each partition cell at time t.
-
-    The cells are disjoint and tile the torus, so the counts sum to n
-    exactly.
-    """
-    if partition.dim != state.dim:
-        raise ValueError(
-            f"partition dimension {partition.dim} != state dimension {state.dim}"
-        )
-    pts = positions_at(state, t)
-    counts = np.empty(len(partition), dtype=np.int64)
-    for i, region in enumerate(partition.regions):
-        counts[i] = np.count_nonzero(region.contains(pts))
-    if counts.sum() != state.n:
-        raise RuntimeError("partition failed to cover every particle")
-    return counts
-
-
-def density_profile(
-    state: GasMicrostate, t: float, partition: RegionPartition
-) -> np.ndarray:
-    """Empirical density per cell: count_a / |I_a|.
-
-    At equilibrium every entry hovers near n.  Cells of zero measure are
-    rejected since the density is not defined there.
-    """
-    measures = partition.measures()
-    if np.any(measures <= 0.0):
-        raise ValueError("density is undefined on zero-measure regions")
-    return region_counts(state, t, partition) / measures
 
 
 def reverse_at(state: GasMicrostate, t: float) -> GasMicrostate:

@@ -8,6 +8,7 @@ shares any code with the series implementation.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -241,15 +242,32 @@ def test_expected_fraction_tail_tolerance_tightens(tol: float):
     assert abs(coarse - fine) < tol
 
 
+def _two_p_series(u: float) -> complex:
+    # phi(u) = sum_k 2 (iu)^k / (k! (k + 2)) for f(p) = 2p on [0, 1], summed
+    # in exact rationals and rounded once.
+    x = Fraction(u)
+    re = im = Fraction(0)
+    for k in range(40):
+        term = 2 * x**k / (math.factorial(k) * (k + 2))
+        sign = -1 if k % 4 >= 2 else 1
+        if k % 2:
+            im += sign * term
+        else:
+            re += sign * term
+    return complex(float(re), float(im))
+
+
 def test_tabulated_char_matches_power_series():
-    # f(p) = 2p on [0, 1], tabulated on two segments (h = 0.5), has
-    # phi(u) = sum_k 2 (iu)^k / (k! (k + 2)).  The u below 2e-5 take the
-    # Taylor forms (|u h| < 1e-5), where the quadratic terms are ~1e-11.
+    # f(p) = 2p on [0, 1], tabulated on two segments (h = 0.5).  The sweep of
+    # |u h| from 1e-7 to 1 crosses the switch between the power series and
+    # the closed forms of A and B; both must hold to 1e-15 absolute.
     law = TabulatedMomenta((0.0, 0.5, 1.0), (0.0, 1.0, 2.0))
-    u = np.array([0.0, 1e-300, 1e-7, -9e-6, 1.9e-5, 0.3, -1.7, 3.0])
-    want = [sum(2.0 * (1j * x) ** k / (math.factorial(k) * (k + 2)) for k in range(60)) for x in u]
+    sweep = 2.0 * np.logspace(-7, 0, 57)
+    sweep[1::2] *= -1.0
+    u = np.concatenate([[0.0, 1e-300, 1e-7, -9e-6, 1.9e-5, 0.3, -1.7, 3.0], sweep])
+    want = np.array([_two_p_series(x) for x in u])
     got = _tabulated_char(law, u)
-    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+    assert np.max(np.abs(got - want)) <= 1e-15
     assert _tabulated_char(law, 0.3) == got[5]
 
 

@@ -257,9 +257,15 @@ def test_float_list_rejects_non_finite_and_negative_times(tmp_path, capsys, body
     assert not out.exists()
 
 
-def test_missing_config_file_exit_code(capsys):
+def test_missing_config_file_exit_code(tmp_path, capsys):
     assert main(["gas-trace", "--config", "/nonexistent/run.ini"]) == 2
     assert "cannot read" in capsys.readouterr().err
+    # A file that is not valid UTF-8 is unreadable too: one line, exit 2.
+    bad = tmp_path / "bad.ini"
+    bad.write_bytes(b"\xff\xfe[kac-brute]\nn=8\n")
+    assert main(["kac-brute", "--config", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config: cannot read {bad}:") and err.count("\n") == 1
 
 
 def test_kac_brute_site_limit_is_config_error(tmp_path, capsys):

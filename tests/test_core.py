@@ -1,6 +1,7 @@
 """Geometry, state, and log-probability bookkeeping invariants."""
 from __future__ import annotations
 
+import importlib
 import math
 
 import numpy as np
@@ -9,7 +10,6 @@ import pytest
 from equilab.core import (
     GasMicrostate,
     LogProbability,
-    RegionPartition,
     RngStream,
     TimeGrid,
     TorusRegion,
@@ -84,36 +84,6 @@ def test_region_contains_batches():
 def test_region_rejects_bad_bounds(lo: float, hi: float):
     with pytest.raises(ValueError):
         TorusRegion.interval(lo, hi)
-
-
-# ---------------------------------------------------------------------------
-# RegionPartition
-
-
-@pytest.mark.parametrize("count,dim", [(1, 1), (4, 1), (10, 1), (3, 2)])
-def test_regular_partition_tiles_the_torus(count: int, dim: int):
-    part = RegionPartition.regular(count, dim)
-    assert len(part) == count**dim
-    assert part.measures().sum() == pytest.approx(1.0, abs=1e-12)
-
-
-@pytest.mark.parametrize("seed", range(10))
-def test_partition_locates_every_point_exactly_once(seed: int):
-    rng = np.random.default_rng(seed)
-    part = RegionPartition.regular(5, 2)
-    point = rng.random(2)
-    idx = part.locate(point)
-    hits = [i for i, r in enumerate(part.regions) if r.contains(point)]
-    assert hits == [idx]
-
-
-def test_partition_rejects_overlap_and_bad_total():
-    with pytest.raises(ValueError):
-        RegionPartition(
-            (TorusRegion.interval(0.0, 0.6), TorusRegion.interval(0.4, 1.0))
-        )
-    with pytest.raises(ValueError):
-        RegionPartition((TorusRegion.interval(0.0, 0.5),))
 
 
 # ---------------------------------------------------------------------------
@@ -303,3 +273,18 @@ def test_write_csv_failure_leaves_no_partial_file(tmp_path):
         write_csv(path, ("a", "b"), rows())
     assert path.read_bytes() == b"old\n"
     assert not list(tmp_path.glob("*.tmp"))
+
+
+# ---------------------------------------------------------------------------
+# Exports
+
+
+_MODULES = ("core", "sampler", "gas", "analytic", "kac", "ensemble", "cli")
+
+
+@pytest.mark.parametrize("module", ["equilab"] + [f"equilab.{m}" for m in _MODULES])
+def test_every_export_resolves(module: str):
+    # A name deleted from a module but left in its __all__ breaks star imports.
+    mod = importlib.import_module(module)
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+    exec(f"from {module} import *", {})

@@ -1,6 +1,7 @@
 """Free-streaming flow, coarse observables, and reversal identities."""
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -8,7 +9,6 @@ import pytest
 
 from equilab.core import (
     GasMicrostate,
-    RegionPartition,
     RngStream,
     TimeGrid,
     TorusRegion,
@@ -17,10 +17,8 @@ from equilab.core import (
 from equilab.gas import (
     BoxCounter,
     ObservableSeries,
-    density_profile,
     fraction_in,
     positions_at,
-    region_counts,
     reverse_at,
     trace,
     zermelo_state,
@@ -143,49 +141,33 @@ def test_box_counter_rejects_non_finite_coordinates():
         BoxCounter(TorusRegion.interval(0.0, 0.5), np.zeros((1, 2, 1)), np.full((1, 2, 1), math.nan))
 
 
-@pytest.mark.parametrize("seed,t", [(0, 0.0), (1, 0.3), (2, 5.0), (3, 123.0)])
-def test_partition_fractions_sum_to_one_exactly(seed: int, t: float):
-    state = _random_state(seed, n=157)
-    part = RegionPartition.regular(8, 1)
-    total = sum(fraction_in(state, t, r) for r in part.regions)
-    counts = region_counts(state, t, part)
-    assert counts.sum() == 157
-    assert total == pytest.approx(1.0, abs=1e-12)
-
-
-def test_density_profile_weighted_sum_is_n():
-    state = _random_state(6, n=1000)
-    part = RegionPartition.regular(4, 1)
-    rho = density_profile(state, 3.0, part)
-    assert float(np.dot(rho, part.measures())) == pytest.approx(1000.0, abs=1e-9)
-
-
-def test_density_profile_trivial_partition():
-    state = _random_state(7, n=321)
-    part = RegionPartition.regular(1, 1)
-    assert density_profile(state, 0.0, part)[0] == pytest.approx(321.0)
-
-
-def test_density_profile_concentrated_state():
-    # All particles in the first of two half cells.
-    state = GasMicrostate(np.full(10, 0.25), np.zeros(10))
-    part = RegionPartition(
-        (TorusRegion.interval(0.0, 0.5), TorusRegion.interval(0.5, 1.0))
-    )
-    rho = density_profile(state, 0.0, part)
-    assert rho[0] == pytest.approx(20.0)
-    assert rho[1] == 0.0
-
-
-def test_density_profile_near_equilibrium():
-    n = 10**6
-    state = _random_state(8, n=n)
-    part = RegionPartition.regular(4, 1)
-    rho = density_profile(state, 50.0, part)
-    # Each cell count is Binomial(n, 1/4): sd = sqrt(n * 3/16) on the count,
-    # so the density per cell fluctuates by 4 * that around n.
-    tol = 3.0 * 4.0 * math.sqrt(n * (0.25 * 0.75))
-    assert np.all(np.abs(rho - n) < tol)
+@pytest.mark.parametrize("t", [0.0, 2.0])
+@pytest.mark.parametrize("count,dim", [(1, 1), (3, 1), (8, 1), (10, 1), (3, 2), (5, 2)])
+def test_grid_cells_count_every_particle_exactly_once(count: int, dim: int, t: float):
+    # Cells of a count-per-axis grid share their faces.  Half-open membership
+    # must put each particle in exactly one cell, also particles sitting on
+    # an interior edge or at 0.0 (held there by zero momentum, or carried back
+    # to 0.0 by an integer shift).
+    edges = np.linspace(0.0, 1.0, count + 1)
+    sides = list(zip(edges[:-1], edges[1:]))
+    cells = [
+        TorusRegion(tuple(a for a, _ in combo), tuple(b for _, b in combo))
+        for combo in itertools.product(sides, repeat=dim)
+    ]
+    rng = np.random.default_rng(count * 10 + dim)
+    on_edges = np.array(list(itertools.product(edges[:-1], repeat=dim)))
+    x = np.vstack([rng.random((150, dim)), on_edges, np.zeros((2, dim))])
+    p = np.vstack([
+        rng.normal(size=(150, dim)),
+        np.zeros_like(on_edges),
+        np.full((1, dim), 1.0),
+        np.full((1, dim), -3.0),
+    ])
+    state = GasMicrostate(x, p)
+    counts = [round(fraction_in(state, t, cell) * state.n) for cell in cells]
+    assert sum(counts) == state.n
+    pts = positions_at(state, t)
+    assert counts == [int(np.count_nonzero(cell.contains(pts))) for cell in cells]
 
 
 # ---------------------------------------------------------------------------
