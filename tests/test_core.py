@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import importlib
+import itertools
 import math
 
 import numpy as np
@@ -84,6 +85,37 @@ def test_region_contains_batches():
 def test_region_rejects_bad_bounds(lo: float, hi: float):
     with pytest.raises(ValueError):
         TorusRegion.interval(lo, hi)
+
+
+# ---------------------------------------------------------------------------
+# Regular grids of regions
+
+
+def _grid_cells(count: int, dim: int) -> list[TorusRegion]:
+    # count**dim cells in row-major order, sharing their faces.
+    edges = np.linspace(0.0, 1.0, count + 1)
+    sides = list(zip(edges[:-1], edges[1:]))
+    return [
+        TorusRegion(tuple(a for a, _ in combo), tuple(b for _, b in combo))
+        for combo in itertools.product(sides, repeat=dim)
+    ]
+
+
+@pytest.mark.parametrize("count,dim", [(1, 1), (4, 1), (10, 1), (3, 2)])
+def test_regular_partition_tiles_the_torus(count: int, dim: int):
+    cells = _grid_cells(count, dim)
+    assert len(cells) == count**dim
+    assert sum(cell.measure() for cell in cells) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_partition_locates_every_point_exactly_once(seed: int):
+    rng = np.random.default_rng(seed)
+    cells = _grid_cells(5, 2)
+    point = rng.random(2)
+    row, col = (np.floor(point * 5)).astype(int)
+    hits = [i for i, r in enumerate(cells) if r.contains(point)]
+    assert hits == [5 * row + col]
 
 
 # ---------------------------------------------------------------------------

@@ -141,6 +141,18 @@ def test_box_counter_rejects_non_finite_coordinates():
         BoxCounter(TorusRegion.interval(0.0, 0.5), np.zeros((1, 2, 1)), np.full((1, 2, 1), math.nan))
 
 
+@pytest.mark.parametrize("seed,t", [(0, 0.0), (1, 0.3), (2, 5.0), (3, 123.0)])
+def test_partition_fractions_sum_to_one_exactly(seed: int, t: float):
+    # The fractions in the eight cells of a regular grid on [0, 1) add up to
+    # one: each particle is counted in exactly one cell at every time.
+    state = _random_state(seed, n=157)
+    edges = np.linspace(0.0, 1.0, 9)
+    cells = [TorusRegion.interval(a, b) for a, b in zip(edges[:-1], edges[1:])]
+    fractions = [fraction_in(state, t, cell) for cell in cells]
+    assert sum(round(f * state.n) for f in fractions) == 157
+    assert sum(fractions) == pytest.approx(1.0, abs=1e-12)
+
+
 @pytest.mark.parametrize("t", [0.0, 2.0])
 @pytest.mark.parametrize("count,dim", [(1, 1), (3, 1), (8, 1), (10, 1), (3, 2), (5, 2)])
 def test_grid_cells_count_every_particle_exactly_once(count: int, dim: int, t: float):
