@@ -6,12 +6,16 @@ position law and phi the momentum characteristic function,
 
     E f(t) = |I| + sum_{l >= 1} 2 Re( conj(chi_l) nu_l phi(2 pi l t) ),
 
-evaluated per axis (product laws and product regions factorize).  The series
-is truncated once the per-term bound |chi_l| |nu_l| |phi| drops below
-``tail_tol``, using the monotone envelopes |chi_l| <= min(|I|, 1/(pi l)) and,
-for uniform position laws, |nu_l| <= min(1, 1/(pi l w)).  That envelope form
-matters: individual coefficients can vanish (every even one does for
-[0, 0.5)), so stopping on a raw small term would truncate too early.
+evaluated per axis (product laws and product regions factorize).  Each term
+has the envelope |chi_l| |nu_l| |phi| with the monotone bounds
+|chi_l| <= min(|I|, 1/(pi l)) and, for uniform position laws,
+|nu_l| <= min(1, 1/(pi l w)).  The series stops before the first run of
+three envelopes below ``tail_tol``, or before the first phi-free envelope
+|chi_l| |nu_l| below it, whichever comes first.  The envelope form matters:
+individual coefficients can vanish (every even one does for [0, 0.5)), so
+stopping on a raw small term would truncate too early.  This is a per-term
+rule, not a certified bound on the tail: phi of a tabulated law need not
+decrease, and a later term may rise above ``tail_tol`` again.
 
 Concentration bounds (Hoeffding tail, K-instant scenario bounds, partition
 union bounds, the Chebyshev-type 1/N control, and the macroscopic pressure
@@ -21,6 +25,7 @@ values like exp(-1500) survive.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -127,16 +132,9 @@ def _tabulated_char(law: TabulatedMomenta, u: np.ndarray) -> np.ndarray:
     uh = uu * h
     small = np.abs(uh) < _TAYLOR_SWITCH
     iu = 1j * np.where(np.abs(uu) < 1e-300, 1.0, uu)
-    # The (rows, segments) complex arrays are updated in place, with the
-    # operations of the formulas in their order: each fresh array of this
-    # size would be a new mapping for the allocator, faulted page by page.
     e1 = _expi_minus_one(uh)
     a_int = e1 / iu
-    b_int = e1  # B = (h e^{iuh} - A) / (iu), reusing e1's buffer
-    b_int += 1.0
-    b_int *= h
-    b_int -= a_int
-    b_int /= iu
+    b_int = (h * (e1 + 1.0) - a_int) / iu
     if small.any():
         iz = 1j * uh[small]
         hs = np.broadcast_to(h, uh.shape)[small]
@@ -146,12 +144,7 @@ def _tabulated_char(law: TabulatedMomenta, u: np.ndarray) -> np.ndarray:
             b_ser = b_ser * iz + cb
         a_int[small] = a_ser * hs
         b_int[small] = b_ser * hs**2
-    a_int *= f0
-    b_int *= slope
-    a_int += b_int
-    seg = np.multiply(1j, uu) * x0
-    np.exp(seg, out=seg)
-    seg *= a_int
+    seg = np.exp(1j * uu * x0) * (f0 * a_int + slope * b_int)
     out = seg.sum(axis=1) / mass
     if np.isscalar(u) or np.asarray(u).ndim == 0:
         return out[0]
@@ -210,52 +203,45 @@ def _overlap_1d(desc, a: float, b: float) -> float:
     return max(0.0, min(b, hi) - max(a, lo)) / (hi - lo)
 
 
+#: Terms per block.  The first block is tried on the growing prefixes in
+#: ``_PREFIXES``, since most series stop within a few dozen terms.
 _BLOCK = 4096
+_PREFIXES = (64, 256, 1024, _BLOCK)
+#: A series with no stop in the blocks that cover this many terms raises.
+_MAX_TERMS = 10_000_000
 
 
-def _series_1d(desc, a, b, momentum, t, tail_tol, max_terms) -> float:
-    """One-axis expected indicator at time t > 0 via the truncated series."""
+def _series_1d(desc, a, b, momentum, t, tail_tol) -> float:
+    """One-axis expected indicator at time t > 0, stopped as the module says.
+
+    Each block reads two terms past its end, so a run that starts in it is
+    seen whole.  Only a whole block, or the part before the stop, is ever
+    summed, so the prefix sizes never change the result.
+    """
     length = b - a
     if length <= 0.0:
         return 0.0
     total = length
-    # Gaussian phi decreases monotonically in l, so the first sub-threshold
-    # envelope already bounds every later term; other laws only guarantee
-    # |phi| <= 1, so require a run of small envelopes plus the hard
-    # (phi-free) envelope as a backstop.
-    monotone = isinstance(momentum, GaussianMomenta)
-    run_needed = 1 if monotone else 3
-    run = 0
+    sizes = itertools.chain(_PREFIXES, itertools.repeat(_BLOCK))
     start = 1
-    while start <= max_terms:
-        stop = min(start + _BLOCK - 1, max_terms)
-        ells = np.arange(start, stop + 1, dtype=float)
+    while start <= _MAX_TERMS:
+        size = next(sizes)
+        ells = np.arange(start, start + size + 2, dtype=float)
         chi_env = np.minimum(length, 1.0 / (math.pi * ells))
         phi = _momentum_char(momentum, _TWO_PI * ells * t)
         chi = _interval_transform(a, b, ells)
         nu, nu_env = _position_transform(desc, ells)
         terms = 2.0 * np.real(np.conj(chi) * nu * phi)
-        env = chi_env * nu_env * np.abs(phi)
         hard = chi_env * nu_env
-
-        small = env < tail_tol
-        cut = len(ells)
-        for i, sm in enumerate(small):
-            run = run + 1 if sm else 0
-            if run >= run_needed:
-                cut = i - run_needed + 1
-                break
-        hard_idx = np.nonzero(hard < tail_tol)[0]
-        done = cut < len(ells)
-        if hard_idx.size and hard_idx[0] < cut:
-            cut = int(hard_idx[0])
-            done = True
-        total += float(terms[:cut].sum())
-        if done:
-            return total
-        start = stop + 1
+        small = hard * np.abs(phi) < tail_tol
+        stops = np.flatnonzero((small[:-2] & small[1:-1] & small[2:]) | (hard[:-2] < tail_tol))
+        if stops.size:
+            return total + float(terms[: stops[0]].sum())
+        if size == _BLOCK:
+            total += float(terms[:_BLOCK].sum())
+            start += _BLOCK
     raise RuntimeError(
-        f"indicator series did not reach tail_tol={tail_tol} within {max_terms} terms"
+        f"indicator series did not reach tail_tol={tail_tol} within {_MAX_TERMS} terms"
     )
 
 
@@ -264,19 +250,19 @@ def expected_fraction(
     region: TorusRegion,
     t: float,
     tail_tol: float = 1e-12,
-    max_terms: int = 10_000_000,
 ) -> float:
     """Expected occupied fraction E f(t) of a box region under free streaming.
 
-    Sums the Fourier series per axis and per mixture component until the
-    term envelope drops below ``tail_tol``; t = 0 is evaluated exactly as an
+    Sums the Fourier series per axis and per mixture component up to the
+    stop named in the module docstring; t = 0 is evaluated exactly as an
     overlap so the degenerate (slowly converging) series never runs.  The
-    result is clamped to [0, 1].
+    result is clamped to [0, 1].  ``tail_tol`` must be finite and > 0; a
+    series with no stop within ``_MAX_TERMS`` terms raises RuntimeError.
     """
     if not (t >= 0.0 and math.isfinite(t)):
         raise ValueError("t must be finite and >= 0")
-    if not (tail_tol > 0.0):
-        raise ValueError("tail_tol must be > 0")
+    if not (tail_tol > 0.0 and math.isfinite(tail_tol)):
+        raise ValueError("tail_tol must be finite and > 0")
     momentum = initial.momenta
     if not isinstance(momentum, (GaussianMomenta, TabulatedMomenta)):
         raise ValueError(f"unsupported momentum law {type(momentum).__name__}")
@@ -288,7 +274,7 @@ def expected_fraction(
             if t == 0.0:
                 axis_val = _overlap_1d(desc, a, b)
             else:
-                axis_val = _series_1d(desc, a, b, momentum, t, tail_tol, max_terms)
+                axis_val = _series_1d(desc, a, b, momentum, t, tail_tol)
             value *= axis_val
             if value == 0.0:
                 break

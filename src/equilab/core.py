@@ -17,7 +17,7 @@ from __future__ import annotations
 import contextlib
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import total_ordering
 
 import numpy as np

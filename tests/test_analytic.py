@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from equilab import analytic
 from equilab.core import LogProbability, RngStream, TorusRegion
 from equilab.analytic import (
     DecayEstimate,
@@ -39,6 +40,7 @@ from equilab.sampler import (
     UniformPositions,
     sample_microstate,
     sigma_for_mean_speed,
+    thermal_momenta,
 )
 
 
@@ -286,6 +288,35 @@ def test_expected_fraction_tabulated_momenta_against_monte_carlo():
         assert abs(p_hat - want) < 4.0 * se
 
 
+_EDGE_LAW = TabulatedMomenta((-2.0, -1.0, 0.0, 0.5, 2.0), (0.0, 1.0, 3.0, 1.0, 0.2))
+
+
+def test_expected_fraction_cuts_a_run_that_crosses_a_block_edge():
+    # Positions uniform on the region itself, so each term is
+    # 2 |chi_l|^2 / w Re phi_l with |chi_l| = |sin(pi l w)| / (pi l).
+    region = TorusRegion.interval(0.1, 0.6)
+    spec = InitialMeasureSpec(UniformPositions(region), _EDGE_LAW)
+    t, w, tol = 0.02021484375, 0.5, 1e-12
+    ells = np.arange(1, 5001, dtype=float)
+    phi = _tabulated_char(_EDGE_LAW, 2.0 * math.pi * ells * t)
+    chi_env = np.minimum(w, 1.0 / (math.pi * ells))
+    nu_env = np.minimum(1.0, 1.0 / (math.pi * ells * w))
+    small = chi_env * nu_env * np.abs(phi) < tol
+    runs = np.flatnonzero(small[:-2] & small[1:-1] & small[2:])
+    assert ells[runs[0]] == 4095  # the run straddles l = 4096
+    terms = 2.0 * np.sin(math.pi * ells * w) ** 2 / ((math.pi * ells) ** 2 * w) * phi.real
+    want = w + math.fsum(terms[:4094])
+    got = expected_fraction(spec, region, t, tail_tol=tol)
+    assert got == pytest.approx(want, rel=0.0, abs=1e-14)
+
+
+def test_expected_fraction_gives_up_past_the_term_limit(monkeypatch):
+    monkeypatch.setattr(analytic, "_MAX_TERMS", 5000)
+    spec = InitialMeasureSpec(PointPositions((0.2,)), _EDGE_LAW)
+    with pytest.raises(RuntimeError, match="tail_tol"):
+        expected_fraction(spec, TorusRegion.interval(0.0, 0.5), 0.001)
+
+
 def test_expected_fraction_stays_in_unit_interval():
     spec = InitialMeasureSpec(PointPositions((0.25,)), GaussianMomenta(0.05))
     for t in (0.0, 0.1, 1.0, 25.0):
@@ -300,6 +331,14 @@ def test_expected_fraction_rejects_bad_inputs():
         expected_fraction(spec, region, -1.0)
     with pytest.raises(ValueError):
         expected_fraction(spec, region, 1.0, tail_tol=0.0)
+    # An infinite tolerance would stop before the first term and return the
+    # bare measure (0.5 here, where the mean is about 0.80).
+    uniform = InitialMeasureSpec(
+        UniformPositions(TorusRegion.interval(0.0, 0.25)), thermal_momenta(1.0, 1)
+    )
+    for tol in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            expected_fraction(uniform, region, 0.1, tail_tol=tol)
 
     class Oddball:
         pass

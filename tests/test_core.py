@@ -1,13 +1,16 @@
 """Geometry, state, and log-probability bookkeeping invariants."""
 from __future__ import annotations
 
+import ast
 import importlib
 import itertools
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
+import equilab
 from equilab.core import (
     GasMicrostate,
     LogProbability,
@@ -320,3 +323,40 @@ def test_every_export_resolves(module: str):
     mod = importlib.import_module(module)
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
     exec(f"from {module} import *", {})
+
+
+def _unused_imports(source: str) -> list:
+    """Names a module imports but never reads, lists in ``__all__`` or re-exports."""
+    imported, used = {}, set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+
+
+def test_unused_imports_detector():
+    source = (
+        "from __future__ import annotations\nimport os\nimport numpy as np\n"
+        "from math import pi, tau\n__all__ = ['tau']\nnp.zeros(pi)\n"
+    )
+    assert _unused_imports(source) == ["os (line 2)"]
+
+
+def test_no_unused_imports_in_package():
+    package = pathlib.Path(equilab.__file__).parent
+    unused = {
+        path.name: names
+        for path in sorted(package.glob("*.py"))
+        if (names := _unused_imports(path.read_text(encoding="utf-8")))
+    }
+    assert unused == {}

@@ -2,10 +2,12 @@
 
 The gas digests were recorded before the gas streaming kernel was rebuilt,
 the ring digests before the ring ensemble moved onto the rotating-frame
-kernel, and the gas-mean, kac-brute, bounds and macro digests before every
-CSV went through one writer; none may move when a kernel, the sampling path,
-the process pool or the writer changes: any such change that alters a single
-byte of a result is a behaviour change, not a refactor.
+kernel, the gas-mean, kac-brute, bounds and macro digests before every CSV
+went through one writer, and the Gaussian and 2-D gas-mean digests before
+the Fourier series got one stopping rule for every momentum law.  None may
+move when a kernel, the sampling path, the process pool, the writer or the
+series evaluation changes: any such change that alters a single byte of a
+result is a behaviour change, not a refactor.
 """
 from __future__ import annotations
 
@@ -15,6 +17,8 @@ import json
 import pytest
 
 from equilab.cli import main
+
+_TIMES = ",".join(f"{0.1 * i:.1f}" for i in range(101))
 
 CONFIGS = {
     "scaling-1d": (
@@ -53,6 +57,15 @@ CONFIGS = {
         "region = 0.1,0.6\nt_values = 0,0.25,0.5,1,2,3.5,7\nmomentum = tabulated\n"
         "momentum_grid = -2,-1,0,0.5,2\nmomentum_density = 0,1,3,1,0.2\nfit = true\n",
     ),
+    # The Gaussian law on 101 times with the decay fit, and a 2-D box.
+    "gas-mean-gaussian": (
+        "gas-mean", "gas_mean.csv",
+        f"region = 0,0.5\nt_values = {_TIMES}\nfit = true\n",
+    ),
+    "gas-mean-box2d": (
+        "gas-mean", "gas_mean.csv",
+        f"region = 0,0.5;0.25,0.75\nt_values = {_TIMES}\n",
+    ),
     "kac-brute": (
         "kac-brute", "kac_brute.csv",
         "n = 13\nmu = 0.3\nt = 9\n",
@@ -78,6 +91,8 @@ DIGESTS = {
     "kac-trace": "01dcca612b133a8e01f4041890b4cf064b4efa8a9a4877c28e1b48109bec8bca",
     "kac-ensemble": "9f27a6505c6c98da2442d18f765cf5e6b2e77b8406e1cf38445f4f76111b68e6",
     "gas-mean": "9cdbff04d6e6a8637225f3224e734671457cdef5c8020c00875248ed8887f90b",
+    "gas-mean-gaussian": "8ba389d2dc7b7c2d5b316eb3bbed8e1745b1df1b7900f0f826402c3201c048c8",
+    "gas-mean-box2d": "56f71be4f9ba43d940ae1f5c062e406ad292a51f3f1e8044d09d8ec0b3f27ba0",
     "kac-brute": "71d13f0048009cfed73b77c73520596fcdc119cb98da70d717ddecd30f298853",
     "bounds": "707253d2348df399a82cb2fd3ec557e2797cb49ea409d468410c9172f4c8118a",
     "macro": "889ae58a9399ae10ea71e897d62f16c7c7c1f75b9e8f0af7efa4154d976ad1b0",
@@ -86,6 +101,10 @@ DIGESTS = {
 # Histories of the kac-ensemble config that exceed epsilon somewhere in the
 # bound window; the count reaches only the summary JSON, not the CSV.
 KAC_WINDOW_EXCEED = 917
+
+# The decay fit of the gas-mean-gaussian config, which reaches only the
+# summary JSON.
+GAUSSIAN_DECAY = {"decay_c_mu": 1.8210955608981406e-07, "decay_r": 5.268244760733553}
 
 
 def _digest(tmp_path, name, workers):
@@ -114,9 +133,17 @@ def test_single_history_csv_digest(tmp_path, name):
     assert _digest(tmp_path, name, 1) == DIGESTS[name]
 
 
-@pytest.mark.parametrize("name", ["gas-mean", "kac-brute", "bounds", "macro"])
+@pytest.mark.parametrize(
+    "name", ["gas-mean", "gas-mean-gaussian", "gas-mean-box2d", "kac-brute", "bounds", "macro"]
+)
 def test_analytic_csv_digest(tmp_path, name):
     assert _digest(tmp_path, name, 1) == DIGESTS[name]
+
+
+def test_gaussian_decay_fit_is_exact(tmp_path):
+    _digest(tmp_path, "gas-mean-gaussian", 1)
+    results = _summary(tmp_path, "gas-mean-gaussian", 1)["results"]
+    assert {k: results[k] for k in GAUSSIAN_DECAY} == GAUSSIAN_DECAY
 
 
 @pytest.mark.parametrize("workers", [1, 2])
