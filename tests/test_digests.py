@@ -4,8 +4,9 @@ The gas digests were recorded before the gas streaming kernel was rebuilt,
 the ring digests before the ring ensemble moved onto the rotating-frame
 kernel, the gas-mean, kac-brute, bounds and macro digests before every CSV
 went through one writer, and the Gaussian and 2-D gas-mean digests before
-the Fourier series got one stopping rule for every momentum law.  None may
-move when a kernel, the sampling path, the process pool, the writer or the
+the Fourier series got one stopping rule for every momentum law, and the
+N = 1001 ring digest before the ring chunk moved to cache-sized tiles and
+re-keyed streams.  None may move when a kernel, the sampling path, the process pool, the writer or the
 series evaluation changes: any such change that alters a single byte of a
 result is a behaviour change, not a refactor.
 """
@@ -51,6 +52,14 @@ CONFIGS = {
         "n = 64\nmu = 0.3\nhistories = 1100\nt_max = 128\nepsilon = 0.2\n"
         "alpha = 0.9\nseed = 9\n",
     ),
+    # N = 1001 is not a multiple of 8, so each ring row ends in padding;
+    # 700 histories make one full chunk and one partial one, and the bound
+    # window [5, 31.57] ends between two integer times.
+    "kac-ensemble-odd": (
+        "kac-ensemble", "kac_ensemble.csv",
+        "n = 1001\nmu = 0.3\nhistories = 700\nt_max = 40\nepsilon = 0.08\n"
+        "alpha = 0.6\nseed = 19\n",
+    ),
     # A tabulated momentum law with the decay fit; t = 0 writes the mean 1.
     "gas-mean": (
         "gas-mean", "gas_mean.csv",
@@ -90,6 +99,7 @@ DIGESTS = {
     "reverse": "a9ba0de6e57fd6c61f252eaaa94e5c12ab95f3a68895412cec46e7b72cbdbde7",
     "kac-trace": "01dcca612b133a8e01f4041890b4cf064b4efa8a9a4877c28e1b48109bec8bca",
     "kac-ensemble": "9f27a6505c6c98da2442d18f765cf5e6b2e77b8406e1cf38445f4f76111b68e6",
+    "kac-ensemble-odd": "3d2916d1c7220388ee73c66413209d977c8655dc614b3547dda3a3808be96782",
     "gas-mean": "9cdbff04d6e6a8637225f3224e734671457cdef5c8020c00875248ed8887f90b",
     "gas-mean-gaussian": "8ba389d2dc7b7c2d5b316eb3bbed8e1745b1df1b7900f0f826402c3201c048c8",
     "gas-mean-box2d": "56f71be4f9ba43d940ae1f5c062e406ad292a51f3f1e8044d09d8ec0b3f27ba0",
@@ -98,9 +108,10 @@ DIGESTS = {
     "macro": "889ae58a9399ae10ea71e897d62f16c7c7c1f75b9e8f0af7efa4154d976ad1b0",
 }
 
-# Histories of the kac-ensemble config that exceed epsilon somewhere in the
-# bound window; the count reaches only the summary JSON, not the CSV.
-KAC_WINDOW_EXCEED = 917
+# Histories of each kac-ensemble config that exceed epsilon somewhere in the
+# bound window, out of all its histories; the count reaches only the summary
+# JSON, not the CSV.
+KAC_WINDOW_EXCEED = {"kac-ensemble": (917, 1100), "kac-ensemble-odd": (343, 700)}
 
 # The decay fit of the gas-mean-gaussian config, which reaches only the
 # summary JSON.
@@ -146,8 +157,18 @@ def test_gaussian_decay_fit_is_exact(tmp_path):
     assert {k: results[k] for k in GAUSSIAN_DECAY} == GAUSSIAN_DECAY
 
 
+def _check_kac_ensemble(tmp_path, name, workers):
+    assert _digest(tmp_path, name, workers) == DIGESTS[name]
+    results = _summary(tmp_path, name, workers)["results"]
+    hits, histories = KAC_WINDOW_EXCEED[name]
+    assert results["window_exceed_fraction"] == hits / histories
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_kac_ensemble_csv_digest(tmp_path, workers):
-    assert _digest(tmp_path, "kac-ensemble", workers) == DIGESTS["kac-ensemble"]
-    results = _summary(tmp_path, "kac-ensemble", workers)["results"]
-    assert results["window_exceed_fraction"] == KAC_WINDOW_EXCEED / 1100
+    _check_kac_ensemble(tmp_path, "kac-ensemble", workers)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_kac_ensemble_odd_width_csv_digest(tmp_path, workers):
+    _check_kac_ensemble(tmp_path, "kac-ensemble-odd", workers)
