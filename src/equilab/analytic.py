@@ -338,9 +338,14 @@ def fit_decay(
     if np.any(ts <= 0.0):
         raise ValueError("fit times must be > 0")
     measure = region.measure()
-    devs = np.array(
-        [abs(expected_fraction(initial, region, float(t), tail_tol) - measure) for t in ts]
-    )
+    devs = [abs(expected_fraction(initial, region, float(t), tail_tol) - measure) for t in ts]
+    return _fit_decay_to(ts, devs)
+
+
+def _fit_decay_to(t_values, deviations) -> DecayEstimate:
+    """The fit of :func:`fit_decay` from mean deviations already computed."""
+    ts = np.asarray(t_values, dtype=float)
+    devs = np.asarray(deviations, dtype=float)
     keep = devs > 1e-290
     if np.count_nonzero(keep) < 2:
         raise ValueError("need at least 2 times with nonzero mean deviation to fit")

@@ -29,7 +29,7 @@ from .analytic import (
     DecayEstimate,
     equilibration_time,
     expected_fraction,
-    fit_decay,
+    _fit_decay_to,
     hoeffding_tail,
     log_sequence_capacity,
     macro_estimator,
@@ -512,13 +512,16 @@ def _exec_gas_mean(cfg: RunConfig, path):
     ts = sorted(set(p["t_values"]))
     values = [expected_fraction(initial, region, t, p["tail_tol"]) for t in ts]
     write_csv(path, ("t", "mean"), zip(ts, values))
+    devs = [abs(v - region.measure()) for v in values]
     results = {
         "region_measure": region.measure(),
-        "max_abs_deviation": max(abs(v - region.measure()) for v in values),
+        "max_abs_deviation": max(devs),
     }
     if p["fit"]:
-        fit_ts = [t for t in ts if t > 0]
-        decay = fit_decay(initial, region, fit_ts, p["tail_tol"])
+        # The fit of analytic.fit_decay, from the means computed above.
+        decay = _fit_decay_to(
+            [t for t in ts if t > 0], [d for t, d in zip(ts, devs) if t > 0]
+        )
         results["decay_c_mu"] = decay.c_mu
         results["decay_r"] = decay.r
         results["equilibration_time"] = equilibration_time(

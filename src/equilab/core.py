@@ -346,7 +346,9 @@ class RngStream:
     reproduces the same sequence on any machine and any worker count, because
     the underlying generator (Philox) is counter-based.  A stream is single
     owner: call :meth:`generator` to obtain a fresh generator positioned at
-    the start of the stream.
+    the start of the stream.  The ensembles, which need thousands of
+    streams, reach the same draws more cheaply through
+    :func:`stream_generators`.
     """
 
     master_seed: int
@@ -363,3 +365,32 @@ class RngStream:
     def child(self, offset: int) -> "RngStream":
         """Stream with the same master seed and a shifted stream id."""
         return RngStream(self.master_seed, self.stream_id + int(offset))
+
+
+def stream_generators(master_seed: int, first_id: int, count: int):
+    """Yield the generators of stream ids ``first_id .. first_id + count - 1``.
+
+    Internal to the ensembles.  One Philox generator is re-keyed for each id
+    through its public ``state`` setter: key (master_seed, id) mod 2^64,
+    counter 0, an empty output buffer and no cached uint32, which is the
+    state :meth:`RngStream.generator` starts from, so every stream draws
+    exactly what ``RngStream(master_seed, id).generator()`` draws.  Building
+    a fresh Philox per stream costs several times more, because its
+    constructor also seeds a throw-away ``SeedSequence`` from OS entropy.
+    Each yielded generator is the same object, valid until the next yield.
+    """
+    key = np.array([int(master_seed) % _TWO64, 0], dtype=np.uint64)
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    bit_gen = np.random.Philox(key=key)
+    gen = np.random.Generator(bit_gen)
+    for stream_id in range(int(first_id), int(first_id) + count):
+        key[1] = stream_id % _TWO64
+        bit_gen.state = state
+        yield gen

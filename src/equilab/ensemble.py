@@ -2,12 +2,16 @@
 
 Histories are independent and each one owns a counter-based RNG stream
 (stream_id = global history index), so scheduling cannot change any draw.
-Work is split into fixed-size chunks of histories regardless of the worker
-count, and every per-chunk statistic is an integer (deviation counts, color
-sums, squared color sums); chunk results are merged by integer addition,
-which is exact and order-independent.  Identical spec and master seed
-therefore produce byte-identical result files at any worker count, the
-property the determinism checks pin down.
+A chunk reaches its streams through :func:`~equilab.core.stream_generators`,
+one Philox generator re-keyed per history, which draws exactly what a fresh
+``RngStream(seed, id).generator()`` would.  Work is split into fixed-size
+chunks of histories regardless of the worker count, and every per-chunk
+statistic is an integer (deviation counts, color sums, squared color sums);
+chunk results are merged by integer addition, which is exact and
+order-independent.  Identical spec and master seed therefore produce
+byte-identical result files at any worker count, the property the
+determinism checks pin down.  A ring chunk steps its rings in cache-sized
+tiles of about ``_RING_TILE`` sites; the tile size changes no byte.
 """
 
 from __future__ import annotations
@@ -22,7 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RngStream, TimeGrid, TorusRegion, atomic_text, write_csv
+from .core import (
+    RngStream, TimeGrid, TorusRegion, atomic_text, stream_generators, write_csv,
+)
 from .gas import BoxCounter, ObservableSeries, trace
 from .kac import ring_steps
 from .sampler import InitialMeasureSpec, sample_microstate
@@ -42,6 +48,10 @@ __all__ = [
 
 _GAS_CHUNK = 256
 _KAC_CHUNK = 512
+#: Sites per ring-chunk tile.  A 256 KiB bool tile and its doubled markers
+#: step inside a core's L2 cache; a whole 512-ring block at N = 4096 is 2 MiB
+#: and would stream through memory on every step.
+_RING_TILE = 1 << 18
 
 
 def _map_chunks(func, payloads, workers: int):
@@ -142,8 +152,7 @@ def _gas_scaling_chunk(payload):
     measure = region.measure()
     xs = np.empty((count, n, dim))
     ps = np.empty((count, n, dim))
-    for i in range(count):
-        gen = RngStream(master_seed, stream_base + i).generator()
+    for i, gen in enumerate(stream_generators(master_seed, stream_base, count)):
         xs[i] = initial.positions.sample(n, dim, gen)
         ps[i] = initial.momenta.sample(n, dim, gen)
     counter = BoxCounter(region, xs, ps)
@@ -293,30 +302,50 @@ def _kac_ensemble_chunk(payload):
     of histories exceeding epsilon anywhere in the window (0 if no window).
     All four are exact integers, so merging across chunks is exact.
 
-    The chunk's rings step together through :func:`~equilab.kac.ring_steps`
-    as one (count, n) block, each row all white at t = 0.
+    The chunk works on tiles of about ``_RING_TILE`` sites, small enough to
+    stay in cache while they step.  Each row of a tile draws its markers from
+    its own stream (the draws of :func:`~equilab.kac.sample_markers`), and
+    the tile's rings step together through :func:`~equilab.kac.ring_steps`,
+    all white at t = 0, in the first n columns of a zeroed bool block whose
+    rows are padded to a multiple of 8 bytes.  The padding stays False, so
+    the popcount of each row's uint64 words is its black count; the counts
+    of every t are kept and folded into the accumulators once per tile.
     """
     (n, mu, t_max, epsilon, master_seed, stream_base, count, window) = payload
-    marked = np.empty((count, n), dtype=bool)
-    for i in range(count):
-        # The draws of kac.sample_markers, kept as the bool "marked" row.
-        marked[i] = RngStream(master_seed, stream_base + i).generator().random(n) < mu
+    width = -(-n // 8) * 8
+    rows = min(count, max(1, _RING_TILE // width))
+    marked = np.empty((rows, n), dtype=bool)
+    padded = np.zeros((rows, width), dtype=bool)
+    # A uint32 row count is exact, since n < 2**32.
+    black_counts = np.empty((t_max + 1, rows), dtype=np.uint32)
+    times = np.arange(t_max + 1)
+    in_window = None if window is None else (times >= window[0]) & (times <= window[1])
     threshold = epsilon * n
     sum_d = np.zeros(t_max + 1, dtype=np.int64)
     sum_d2 = np.zeros(t_max + 1, dtype=np.int64)
     exceed = np.zeros(t_max + 1, dtype=np.int64)
-    window_hit = np.zeros(count, dtype=bool)
-    for t, black in enumerate(ring_steps(marked, np.zeros((count, n), dtype=bool), t_max)):
-        # A uint32 row sum is exact (n < 2**32) and about 3x faster than an int64 one.
-        black_count = np.add.reduce(black.view(np.uint8), axis=1, dtype=np.uint32)
-        delta = n - 2 * black_count.astype(np.int64)
-        sum_d[t] = delta.sum()
-        sum_d2[t] = (delta * delta).sum()
-        over = np.abs(delta) > threshold
-        exceed[t] = np.count_nonzero(over)
-        if window is not None and window[0] <= t <= window[1]:
-            window_hit |= over
-    return sum_d, sum_d2, exceed, int(np.count_nonzero(window_hit))
+    window_count = 0
+    streams = stream_generators(master_seed, stream_base, count)
+    for start in range(0, count, rows):
+        h = min(rows, count - start)
+        for row, gen in zip(marked[:h], streams):
+            np.less(gen.random(n), mu, out=row)
+        black = padded[:h]
+        black.fill(False)
+        as_words = black.view(np.uint64)
+        for t, _ in enumerate(ring_steps(marked[:h], black[:, :n], t_max)):
+            np.add.reduce(np.bitwise_count(as_words), axis=1, dtype=np.uint32,
+                          out=black_counts[t, :h])
+        delta = black_counts[:, :h].astype(np.int64)
+        delta *= -2
+        delta += n
+        sum_d += delta.sum(axis=1)
+        sum_d2 += (delta * delta).sum(axis=1)
+        over = np.abs(delta, out=delta) > threshold
+        exceed += np.count_nonzero(over, axis=1)
+        if in_window is not None:
+            window_count += int(np.count_nonzero(over[in_window].any(axis=0)))
+    return sum_d, sum_d2, exceed, window_count
 
 
 def run_kac_ensemble(
@@ -333,8 +362,9 @@ def run_kac_ensemble(
 
     Every history starts all white with markers drawn at rate mu from its
     own stream.  ``window`` (t_lo, t_hi), if given, additionally counts
-    histories with an epsilon exceedance anywhere inside the window, the
-    quantity the ring bound schedule controls.
+    histories with an epsilon exceedance at some integer t with
+    t_lo <= t <= t_hi, the quantity the ring bound schedule controls.  The
+    ends may be fractional, negative or infinite, but not NaN.
     """
     if n_sites < 1:
         raise ValueError("n must be >= 1")
@@ -357,6 +387,8 @@ def run_kac_ensemble(
         )
     if window is not None:
         window = (float(window[0]), float(window[1]))
+        if math.isnan(window[0]) or math.isnan(window[1]):
+            raise ValueError("window ends must not be NaN")
         if window[0] > window[1]:
             raise ValueError("window must satisfy t_lo <= t_hi")
     payloads = []

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from equilab import analytic, cli
 from equilab.cli import COMMANDS, ConfigError, main, parse_config
 
 GAS_TRACE_INI = """
@@ -372,6 +373,26 @@ def test_gas_mean_with_fit(tmp_path):
     lines = (out / "gas_mean.csv").read_text().splitlines()
     assert lines[0] == "t,mean"
     assert len(lines) == 5
+
+
+def test_gas_mean_fit_reuses_the_computed_means(tmp_path, monkeypatch):
+    # 101 times, t = 0 among them: one mean per time, none recomputed for the
+    # decay fit.  test_digests pins the fit itself to the last bit.
+    calls = []
+    original = analytic.expected_fraction
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "expected_fraction", counted)
+    monkeypatch.setattr(analytic, "expected_fraction", counted)
+    times = [0.1 * i for i in range(101)]
+    out = tmp_path / "out"
+    ini = f"[gas-mean]\nregion = 0,0.5\nt_values = {','.join(map(str, times))}\nfit = true\n"
+    assert _run(tmp_path, "gas-mean", ini, "--out", str(out)) == 0
+    assert sorted(calls) == times
+    assert _summary(out, "gas-mean")["results"]["decay_r"] > 0
 
 
 def test_gas_reverse_restores_positions(tmp_path):

@@ -19,8 +19,10 @@ from equilab.core import (
     TorusRegion,
     format_float,
     fractional_part,
+    stream_generators,
     write_csv,
 )
+from equilab.sampler import TabulatedMomenta
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +250,35 @@ def test_rng_stream_distinct_ids_decorrelate():
 def test_rng_stream_child_offsets():
     base = RngStream(7, 10)
     assert base.child(5) == RngStream(7, 15)
+
+
+def _stream_draws(gen):
+    # Ends on an odd number of uint32 draws, which leaves half a 64-bit word
+    # cached (has_uint32 set) for whatever uses the bit generator next.
+    law = TabulatedMomenta((-2.0, -1.0, 0.0, 0.5, 2.0), (0.0, 1.0, 3.0, 1.0, 0.2))
+    return [
+        gen.random(7),
+        gen.standard_normal((3, 2)),
+        gen.choice(5, size=9, p=[0.1, 0.2, 0.3, 0.15, 0.25]),
+        law.sample(6, 2, gen),
+        gen.integers(0, 2**32, size=3, dtype=np.uint32),
+    ]
+
+
+@pytest.mark.parametrize(
+    "master_seed, first_id", [(7, 0), (-3, 11), (2**64 + 5, 2**64 - 2)]
+)
+def test_stream_generators_draw_what_rng_stream_draws(master_seed, first_id):
+    # The last case wraps its ids past 2^64 to 0 and 1, and the negative seed
+    # is taken mod 2^64, as RngStream does.
+    count = 4
+    got = [_stream_draws(gen) for gen in stream_generators(master_seed, first_id, count)]
+    assert len(got) == count
+    for i, draws in enumerate(got):
+        want = _stream_draws(RngStream(master_seed, first_id + i).generator())
+        for a, b in zip(draws, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert not np.array_equal(got[0][0], got[1][0])
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,13 @@ from equilab.ensemble import (
     write_summary_json,
 )
 from equilab.gas import fraction_in, trace
-from equilab.kac import KacConfiguration, expected_delta_bar, ring_trace, sample_markers
+from equilab.kac import (
+    KacConfiguration,
+    brute_force_expectation,
+    expected_delta_bar,
+    ring_trace,
+    sample_markers,
+)
 from equilab.sampler import (
     GaussianMomenta,
     InitialMeasureSpec,
@@ -316,6 +322,44 @@ def test_kac_ensemble_variance_scales_inversely_with_size():
     assert np.all(scaled < cap)
 
 
+def _exact_delta_sq(n: int, mu: float, t: int) -> float:
+    """E[Delta(t)^2] from the all-white start, exact for 0 <= t <= 2N.
+
+    Delta(t) = sum_a prod_{k in W_a} xi_k over the t-site windows W_a the
+    balls have crossed, so E[Delta^2] = sum_{a,b} lam^{|W_a sym W_b|} with
+    lam = 1 - 2 mu.  For t <= N two windows d sites apart share
+    max(0, t - d) + max(0, t - N + d) sites, so the sum is N times a sum
+    over d.  Past one revolution Delta(N + s) = (-1)^m Delta(s), with m the
+    marker count, and the square is that of t = s.
+    """
+    if t > n:
+        t -= n
+    d = np.arange(n)
+    shared = np.maximum(0, t - d) + np.maximum(0, t - n + d)
+    return n * float(np.sum((1.0 - 2.0 * mu) ** (2 * t - 2 * shared)))
+
+
+@pytest.mark.parametrize("mu", [0.1, 0.3, 0.5])
+def test_exact_delta_sq_matches_brute_force(mu: float):
+    for n in range(1, 13):
+        for t in range(2 * n + 1):
+            exact = brute_force_expectation(n, mu, t)
+            want = exact.variance + exact.mean**2
+            assert abs(_exact_delta_sq(n, mu, t) / n**2 - want) < 1e-12, (n, t)
+
+
+def test_kac_ensemble_variance_matches_exact_oracle():
+    # The sample variance of M near-Gaussian values has relative standard
+    # error sqrt(2 / (M - 1)); each t is checked at six of them.
+    n, mu, m, t_max = 4096, 0.3, 2048, 32
+    res = run_kac_ensemble(n, mu, m, t_max=t_max, epsilon=0.5, seed=43)
+    assert res.variance[0] == 0.0
+    tol = 6.0 * math.sqrt(2.0 / (m - 1))
+    for t in range(1, t_max + 1):
+        exact = _exact_delta_sq(n, mu, t) / n**2 - expected_delta_bar(mu, t, n) ** 2
+        assert abs(res.variance[t] / exact - 1.0) < tol, t
+
+
 def test_kac_ensemble_window_counter():
     res = run_kac_ensemble(
         64, 0.5, 500, t_max=20, epsilon=0.05, seed=23, window=(5.0, 15.0)
@@ -330,13 +374,8 @@ def test_kac_ensemble_window_counter():
     assert res.window_exceed_count >= peak - 1e-9
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 64])
-@pytest.mark.parametrize("mu", [0.3, 1.0])
-def test_kac_chunk_equals_sums_over_single_ring_traces(n: int, mu: float):
-    # Every accumulator is an integer, so the batched chunk must equal the
-    # per-history sums exactly; t_max = 2N carries the frame past one period.
-    t_max, epsilon, seed, base, count = 2 * n, 0.5, 31, 5, 40
-    window = (2.0, float(n // 2))  # integer ends, so both edges count
+def _ring_trace_sums(n, mu, t_max, epsilon, seed, base, count, window):
+    """The chunk's four results, from one ring_trace per history."""
     traces = np.array([
         ring_trace(
             KacConfiguration.all_white(sample_markers(n, mu, RngStream(seed, base + i))),
@@ -345,14 +384,61 @@ def test_kac_chunk_equals_sums_over_single_ring_traces(n: int, mu: float):
         for i in range(count)
     ])
     over = np.abs(traces) > epsilon * n
-    in_window = (np.arange(t_max + 1) >= window[0]) & (np.arange(t_max + 1) <= window[1])
-    sum_d, sum_d2, exceed, window_count = ensemble._kac_ensemble_chunk(
-        (n, mu, t_max, epsilon, seed, base, count, window)
+    in_window = [window[0] <= t <= window[1] for t in range(t_max + 1)]
+    return (
+        traces.sum(axis=0).tolist(),
+        (traces * traces).sum(axis=0).tolist(),
+        over.sum(axis=0).tolist(),
+        int(over[:, in_window].any(axis=1).sum()),
     )
-    assert sum_d.tolist() == traces.sum(axis=0).tolist()
-    assert sum_d2.tolist() == (traces * traces).sum(axis=0).tolist()
-    assert exceed.tolist() == over.sum(axis=0).tolist()
-    assert window_count == int(over[:, in_window].any(axis=1).sum())
+
+
+def _chunk_sums(*payload):
+    sum_d, sum_d2, exceed, window_count = ensemble._kac_ensemble_chunk(payload)
+    return sum_d.tolist(), sum_d2.tolist(), exceed.tolist(), window_count
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64])
+@pytest.mark.parametrize("mu", [0.3, 1.0])
+def test_kac_chunk_equals_sums_over_single_ring_traces(n: int, mu: float):
+    # Every accumulator is an integer, so the batched chunk must equal the
+    # per-history sums exactly; t_max = 2N carries the frame past one period.
+    payload = (n, mu, 2 * n, 0.5, 31, 5, 40, (2.0, float(n // 2)))
+    assert _chunk_sums(*payload) == _ring_trace_sums(*payload)
+
+
+@pytest.mark.parametrize("n", [1, 7, 9, 64])
+@pytest.mark.parametrize("short", [0, 1], ids=["2N", "2N-1"])
+def test_kac_chunk_spans_many_tiles(monkeypatch, n: int, short: int):
+    # Three rings per tile, so 23 histories make seven full tiles and a
+    # partial one.  At t = 2N every ring is all white again, so t = 2N - 1
+    # is also run: there a tile that started from the last tile's colors
+    # would change the sums.
+    width = -(-n // 8) * 8
+    monkeypatch.setattr(ensemble, "_RING_TILE", 3 * width)
+    payload = (n, 0.3, 2 * n - short, 0.3, 37, 2, 23, (1.5, n + 0.5))
+    assert _chunk_sums(*payload) == _ring_trace_sums(*payload)
+
+
+@pytest.mark.parametrize(
+    "window",
+    [(2.5, 7.5), (-3.0, 4.0), (-math.inf, 0.0), (6.0, math.inf), (-math.inf, math.inf),
+     (16.5, math.inf), (-7.5, -0.5), (3.0, 3.0), (16.0, 16.0)],
+)
+def test_kac_ensemble_window_ends_compare_as_reals(window):
+    # Fractional, negative, past-t_max and infinite ends select the integer
+    # times t with lo <= t <= hi, as a Python comparison does.
+    n, mu, m, t_max, epsilon, seed = 21, 0.3, 30, 16, 0.5, 41
+    res = run_kac_ensemble(n, mu, m, t_max, epsilon, seed, window=window)
+    want = _ring_trace_sums(n, mu, t_max, epsilon, seed, 0, m, window)[3]
+    assert res.window_exceed_count == want
+    assert res.window == window
+
+
+@pytest.mark.parametrize("window", [(math.nan, 10.0), (0.0, math.nan), (math.nan, math.nan)])
+def test_kac_ensemble_rejects_nan_window_ends(window):
+    with pytest.raises(ValueError, match="NaN"):
+        run_kac_ensemble(16, 0.3, 10, t_max=4, epsilon=0.1, seed=0, window=window)
 
 
 def test_kac_ensemble_csv_deterministic_across_workers(tmp_path):
