@@ -98,7 +98,7 @@ class ScalingExperimentSpec:
             raise ValueError("largest K exceeds the time grid length")
         if self.histories < 1:
             raise ValueError("histories must be >= 1")
-        if self.epsilon <= 0.0:
+        if not (self.epsilon > 0.0):
             raise ValueError("epsilon must be > 0")
 
 
@@ -145,8 +145,13 @@ def _gas_scaling_chunk(payload):
     Each history draws its positions, then its momenta, from its own stream
     straight into its row of the chunk, exactly the draws of
     :func:`~equilab.sampler.sample_microstate`.  Live histories are kept in
-    the leading rows; the rows are compacted only on steps where some
-    history exceeded.
+    the leading ``live`` rows, with their history ids in ``alive``.  On a
+    step where some histories exceed, each exceeded row among the first
+    ``live`` is a hole, and the surviving rows at or past ``live`` fill the
+    holes (positions, momenta and id together).  A step thus copies at most
+    one row per history that dies, so a chunk copies at most ``count`` rows
+    in all.  Row order changes, but every count is a per-row reduction and
+    ``first`` is indexed by history id, so no result does.
     """
     (n, dim, initial, region, times, epsilon, master_seed, stream_base, count) = payload
     measure = region.measure()
@@ -161,16 +166,19 @@ def _gas_scaling_chunk(payload):
     for k, t in enumerate(times, start=1):
         frac = counter.counts(t, alive.size) / n
         exceeded = np.abs(frac - measure) > epsilon
-        if not exceeded.any():
+        dead = np.count_nonzero(exceeded)
+        if dead == 0:
             continue
         first[alive[exceeded]] = k
-        keep = ~exceeded
-        rows = alive.size
-        alive = alive[keep]
-        xs[: alive.size] = xs[:rows][keep]
-        ps[: alive.size] = ps[:rows][keep]
-        if alive.size == 0:
+        live = alive.size - dead
+        if live == 0:
             break
+        holes = np.flatnonzero(exceeded[:live])
+        movers = live + np.flatnonzero(~exceeded[live:])
+        xs[holes] = xs[movers]
+        ps[holes] = ps[movers]
+        alive[holes] = alive[movers]
+        alive = alive[:live]
     return np.bincount(first, minlength=len(times) + 1)
 
 
@@ -376,7 +384,7 @@ def run_kac_ensemble(
         raise ValueError("t_max must be >= 0")
     if histories < 1:
         raise ValueError("histories must be >= 1")
-    if epsilon <= 0.0:
+    if not (epsilon > 0.0):
         raise ValueError("epsilon must be > 0")
     # |Delta| <= N, so the int64 sums of Delta^2 stay exact while M * N^2 < 2^63.
     sq_bound = int(histories) * int(n_sites) ** 2

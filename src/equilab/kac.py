@@ -57,7 +57,13 @@ def _as_pm_one(values, name: str) -> np.ndarray:
     arr = np.asarray(values)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError(f"{name} must be a nonempty 1-d sequence")
-    if not np.all((arr == 1) | (arr == -1)):
+    # For integers |x| == 1 is one pass; abs of the most negative integer
+    # stays negative.  Other dtypes keep two compares, since |1j| == 1 too.
+    if arr.dtype.kind in "iu":
+        ok = (np.abs(arr) == 1).all()
+    else:
+        ok = np.all((arr == 1) | (arr == -1))
+    if not ok:
         raise ValueError(f"{name} entries must be +1 or -1")
     if arr.dtype != np.int8:
         arr = arr.astype(np.int8)
@@ -354,7 +360,7 @@ def ring_bound_schedule(epsilon: float, alpha: float, mu: float) -> RingBoundSch
     mu = 1/2 the mean vanishes after one step, so t_start = 1, while mu in
     {0, 1} never decays (t_start = inf).
     """
-    if epsilon <= 0.0:
+    if not (epsilon > 0.0):
         raise ValueError("epsilon must be > 0")
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie in (0, 1)")

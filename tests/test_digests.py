@@ -6,9 +6,11 @@ kernel, the gas-mean, kac-brute, bounds and macro digests before every CSV
 went through one writer, and the Gaussian and 2-D gas-mean digests before
 the Fourier series got one stopping rule for every momentum law, and the
 N = 1001 ring digest before the ring chunk moved to cache-sized tiles and
-re-keyed streams.  None may move when a kernel, the sampling path, the process pool, the writer or the
-series evaluation changes: any such change that alters a single byte of a
-result is a behaviour change, not a refactor.
+re-keyed streams, and the scaling-drops digest before the gas chunk dropped
+exceeded histories by swap-fill.  None may move when a kernel, the sampling
+path, the process pool, the writer or the series evaluation changes: any
+such change that alters a single byte of a result is a behaviour change, not
+a refactor.
 """
 from __future__ import annotations
 
@@ -31,6 +33,14 @@ CONFIGS = {
         "gas-scaling", "gas_scaling.csv",
         "n_values = 50,200\nk_values = 1,4,12\nhistories = 300\nepsilon = 0.06\n"
         "dt = 0.9\nregion = 0,0.5;0.25,0.75\nposition_region = 0,0.5;0,1\nseed = 5\n",
+    ),
+    # Histories exceed on almost every one of the 25 steps: at N = 20, 196
+    # are dead by K = 1 and 699 by K = 25; 700 histories make two full
+    # chunks and one partial one.
+    "scaling-drops": (
+        "gas-scaling", "gas_scaling.csv",
+        f"n_values = 20,60\nk_values = {','.join(map(str, range(1, 26)))}\n"
+        "histories = 700\nepsilon = 0.15\ndt = 0.3\nregion = 0,0.5\nseed = 13\n",
     ),
     "trace": (
         "gas-trace", "gas_trace.csv",
@@ -95,6 +105,7 @@ CONFIGS = {
 DIGESTS = {
     "scaling-1d": "c270e0cc598fdbc84cca6c7565aab0d762d0050afdfd3ba581693e24f1e1b360",
     "scaling-2d": "457ca519eae23a2abd1e21208cd41bf32e05aa3cddc55b5ad7b37ae1feafbcd4",
+    "scaling-drops": "a912b974488525a64b2f49df939b6c2c3304da2edff6a1fea8cc8b64948e29be",
     "trace": "f0e2262b8c25a5347b8d20e618be7ba03d6af4bec761bab8ad7bbd6a89816975",
     "reverse": "a9ba0de6e57fd6c61f252eaaa94e5c12ab95f3a68895412cec46e7b72cbdbde7",
     "kac-trace": "01dcca612b133a8e01f4041890b4cf064b4efa8a9a4877c28e1b48109bec8bca",
@@ -133,7 +144,7 @@ def _summary(tmp_path, name, workers):
     return json.loads(path.read_text(encoding="utf-8"))
 
 
-@pytest.mark.parametrize("name", ["scaling-1d", "scaling-2d"])
+@pytest.mark.parametrize("name", ["scaling-1d", "scaling-2d", "scaling-drops"])
 @pytest.mark.parametrize("workers", [1, 2])
 def test_scaling_csv_digest(tmp_path, name, workers):
     assert _digest(tmp_path, name, workers) == DIGESTS[name]

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from equilab import ensemble
+from equilab import ensemble, gas
 from equilab.core import RngStream, TimeGrid, TorusRegion
 from equilab.ensemble import (
     ScalingExperimentSpec,
@@ -80,6 +80,10 @@ def test_scaling_spec_validation():
         ScalingExperimentSpec(
             (50,), (1, 5), 10, 0.1, TimeGrid(0.0, 1.0, 3), _REGION, _EQUILIBRIUM, 0
         )
+    # NaN <= 0 is False too: a NaN epsilon would count no deviation at all.
+    for epsilon in (0.0, math.nan):
+        with pytest.raises(ValueError, match="epsilon"):
+            dataclasses.replace(_small_spec(0.04), epsilon=epsilon)
 
 
 def test_scaling_epsilon_above_range_gives_zero_deviations():
@@ -135,7 +139,7 @@ def test_scaling_first_exceedances_match_single_history_traces(region, initial):
     # take the first grid index outside the epsilon band.  With every K
     # requested, the deviation table is the cumulative histogram of those
     # first exceedances, which 300 histories (two chunks, so the live rows
-    # are compacted on several steps) must reproduce exactly.
+    # are refilled on several steps) must reproduce exactly.
     grid = TimeGrid(0.0, 0.7, 12)
     spec = ScalingExperimentSpec(
         n_values=(40, 120),
@@ -159,6 +163,51 @@ def test_scaling_first_exceedances_match_single_history_traces(region, initial):
             hist[over[0] + 1 if over.size else 0] += 1
         assert np.array_equal(res.deviations[i], np.cumsum(hist[1:]))
         assert 0 < res.deviations[i, -1] < spec.histories
+
+
+def test_scaling_chunk_swap_fill_matches_single_history_traces(monkeypatch):
+    # Three rows per counting tile, and particle counts small enough that
+    # histories die on many different steps.  The recording counter keeps
+    # every step's counts in row order, which shows that the cases run
+    # include a step where only trailing live rows exceed (nothing moves),
+    # a step where every remaining history exceeds, and histories that
+    # never exceed; each chunk must still equal the per-history oracle.
+    steps = []
+
+    class _RecordingCounter(gas.BoxCounter):
+        def counts(self, t, rows=None):
+            counts = super().counts(t, rows)
+            steps.append(counts.copy())
+            return counts
+
+    monkeypatch.setattr(ensemble, "BoxCounter", _RecordingCounter)
+    grid = TimeGrid(0.0, 0.3, 25)
+    times = tuple(float(t) for t in grid.times)
+    seed, base, count = 23, 5, 40
+    no_movers = all_exceed = never = 0
+    death_steps = set()
+    for n, epsilon in [(8, 0.2), (12, 0.2), (9, 0.25), (16, 0.2)]:
+        monkeypatch.setattr(gas, "_TILE", 3 * n)
+        steps.clear()
+        got = ensemble._gas_scaling_chunk(
+            (n, 1, _EQUILIBRIUM, _REGION, times, epsilon, seed, base, count)
+        )
+        want = np.zeros(grid.k_count + 1, dtype=np.int64)
+        for h in range(count):
+            state = sample_microstate(_EQUILIBRIUM, n, 1, RngStream(seed, base + h))
+            values = trace(state, _REGION, grid).values
+            over = np.flatnonzero(np.abs(values - _REGION.measure()) > epsilon)
+            want[over[0] + 1 if over.size else 0] += 1
+        assert got.tolist() == want.tolist()
+        for counts in steps:
+            exceeded = np.abs(counts / n - _REGION.measure()) > epsilon
+            live = counts.size - np.count_nonzero(exceeded)
+            no_movers += bool(0 < live < counts.size and not exceeded[:live].any())
+            all_exceed += bool(exceeded.all())
+        never += int(want[0])
+        death_steps.update(np.flatnonzero(want[1:]).tolist())
+    assert no_movers > 0 and all_exceed > 0 and never > 0
+    assert len(death_steps) >= 15
 
 
 def test_scaling_folds_a_wrap_onto_one_back_to_zero():
@@ -458,8 +507,9 @@ def test_kac_ensemble_csv_deterministic_across_workers(tmp_path):
 def test_kac_ensemble_validation():
     with pytest.raises(ValueError):
         run_kac_ensemble(16, 0.3, 10, t_max=33, epsilon=0.1, seed=0)
-    with pytest.raises(ValueError):
-        run_kac_ensemble(16, 0.3, 10, t_max=4, epsilon=0.0, seed=0)
+    for epsilon in (0.0, math.nan):
+        with pytest.raises(ValueError, match="epsilon"):
+            run_kac_ensemble(16, 0.3, 10, t_max=4, epsilon=epsilon, seed=0)
     with pytest.raises(ValueError):
         run_kac_ensemble(16, 0.3, 10, t_max=4, epsilon=0.1, seed=0, window=(9.0, 3.0))
     for mu in (0.0, 1.5):

@@ -10,6 +10,7 @@ from equilab.core import RngStream
 from equilab.kac import (
     KacConfiguration,
     KacObservable,
+    _as_pm_one,
     _enumerated_deltas,
     block_decomposition,
     brute_force_expectation,
@@ -247,6 +248,45 @@ def test_non_integral_markers_and_colors_rejected(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "values, ok",
+    [
+        (np.array([1, -1, 1], dtype=np.int8), True),
+        (np.array([1, -128], dtype=np.int8), False),
+        (np.array([-1, 127], dtype=np.int8), False),
+        (np.array([1, 0, -1], dtype=np.int8), False),
+        (np.array([1, -1], dtype=np.int64), True),
+        (np.array([-1, np.iinfo(np.int64).min]), False),
+        (np.array([1, 1], dtype=np.uint8), True),
+        (np.array([1, 255], dtype=np.uint8), False),
+        (np.array([1.0, -1.0]), True),
+        (np.array([1.0, 1.5]), False),
+        (np.array([-1.9, -1.0]), False),
+        (np.array([1.0, np.nan]), False),
+        (np.array([1, 1j]), False),
+        (np.array([-1, -1j]), False),
+        (np.array([True, True]), True),
+        (np.ones((2, 2), dtype=np.int8), False),
+        (np.array([], dtype=np.int8), False),
+    ],
+    ids=[
+        "int8", "int8_min", "int8_max", "int8_zero", "int64", "int64_min", "uint8",
+        "uint8_255", "float", "float_1.5", "float_-1.9", "float_nan", "complex_j",
+        "complex_-j", "bool", "2d", "empty",
+    ],
+)
+def test_pm_one_check_verdicts(values, ok):
+    # |x| == 1 is one pass for integers; abs of the most negative integer
+    # stays negative, and complex +-1j (also of modulus 1) must stay out.
+    if not ok:
+        with pytest.raises(ValueError, match="markers"):
+            _as_pm_one(values, "markers")
+        return
+    got = _as_pm_one(values, "markers")
+    assert got.dtype == np.int8
+    assert got.tolist() == values.astype(np.int8).tolist()
+
+
 # ---------------------------------------------------------------------------
 # Brute-force enumeration oracle
 
@@ -329,6 +369,12 @@ def test_ring_bound_schedule_known_values():
     sched = ring_bound_schedule(0.1, 0.5, 0.3)
     assert sched.min_sites == pytest.approx(1600.0, rel=1e-12)
     assert sched.window_end(10**4) == pytest.approx(50.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -0.1, math.nan])
+def test_ring_bound_schedule_rejects_bad_epsilon(epsilon: float):
+    with pytest.raises(ValueError, match="epsilon"):
+        ring_bound_schedule(epsilon, 0.5, 0.5)
 
 
 def test_ring_bound_schedule_start_time():
