@@ -54,7 +54,6 @@ from .analytic import (
     DecayEstimate,
     MacroEstimate,
     ScenarioParameters,
-    box_fourier_coeff,
     decay_bound_check,
     equilibration_time,
     expected_fraction,
@@ -67,12 +66,9 @@ from .analytic import (
     scenario_bound,
 )
 from .kac import (
-    BlockDecomposition,
     BruteForceMoments,
     KacConfiguration,
-    KacObservable,
     RingBoundSchedule,
-    block_decomposition,
     brute_force_expectation,
     delta_closed_form,
     expected_delta_bar,
@@ -127,7 +123,6 @@ __all__ = [
     "DecayEstimate",
     "MacroEstimate",
     "ScenarioParameters",
-    "box_fourier_coeff",
     "decay_bound_check",
     "equilibration_time",
     "expected_fraction",
@@ -139,12 +134,9 @@ __all__ = [
     "partition_scenario_bound",
     "scenario_bound",
     # kac
-    "BlockDecomposition",
     "BruteForceMoments",
     "KacConfiguration",
-    "KacObservable",
     "RingBoundSchedule",
-    "block_decomposition",
     "brute_force_expectation",
     "delta_closed_form",
     "expected_delta_bar",

@@ -45,7 +45,6 @@ __all__ = [
     "DecayEstimate",
     "ScenarioParameters",
     "MacroEstimate",
-    "box_fourier_coeff",
     "expected_fraction",
     "decay_bound_check",
     "fit_decay",
@@ -75,21 +74,6 @@ def _interval_transform(a: float, b: float, ells: np.ndarray) -> np.ndarray:
     """Vector of integral_a^b exp(2 pi i l y) dy for the given nonzero l."""
     u = _TWO_PI * ells
     return np.exp(1j * u * a) * _expi_minus_one(u * (b - a)) / (1j * u)
-
-
-def box_fourier_coeff(region: TorusRegion, ell: int) -> complex:
-    """Fourier coefficient of a one-dimensional box indicator.
-
-    Returns b - a for ell = 0 and (e^{i 2 pi l b} - e^{i 2 pi l a})/(i 2 pi l)
-    otherwise; the magnitude never exceeds min(b - a, 1/(pi |l|)).
-    """
-    if region.dim != 1:
-        raise ValueError("box_fourier_coeff expects a one-dimensional region")
-    a, b = region.lower[0], region.upper[0]
-    if ell == 0:
-        return complex(b - a)
-    out = _interval_transform(a, b, np.array([float(ell)]))
-    return complex(out[0])
 
 
 def _momentum_char(law, u: np.ndarray) -> np.ndarray:
@@ -421,7 +405,7 @@ def log_sequence_capacity(epsilon: float, n: int) -> float:
     With K = K_n the eta = 1/2 scenario bound collapses to exp(-eps^2 n / 4).
     Returned as a log because K_n overflows floats already at eps^2 n ~ 2800.
     """
-    if epsilon <= 0.0:
+    if not (epsilon > 0.0):
         raise ValueError("epsilon must be > 0")
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -430,7 +414,7 @@ def log_sequence_capacity(epsilon: float, n: int) -> float:
 
 def equilibration_time(decay: DecayEstimate, epsilon: float, eta: float = 0.5) -> float:
     """Smallest t with c_mu t^(-2r) <= eta * epsilon, i.e. (c_mu/(eta eps))^(1/2r)."""
-    if epsilon <= 0.0:
+    if not (epsilon > 0.0):
         raise ValueError("epsilon must be > 0")
     if not (0.0 < eta < 1.0):
         raise ValueError("eta must lie in (0, 1)")

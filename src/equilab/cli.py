@@ -599,14 +599,14 @@ def _exec_gas_reverse(cfg: RunConfig, path):
 def _exec_kac_trace(cfg: RunConfig, path):
     p = cfg.parameters
     markers = sample_markers(p["n"], p["mu"], RngStream(cfg.master_seed, 0))
-    deltas = ring_trace(KacConfiguration.all_white(markers), p["t_max"])
+    config = KacConfiguration.all_white(markers)
+    deltas = ring_trace(config, p["t_max"])
     write_csv(
         path, ("t", "delta", "delta_bar"),
         ((t, d, d / p["n"]) for t, d in enumerate(deltas.tolist())),
     )
-    m = int(np.count_nonzero(markers == -1))
     return {
-        "marker_count": m,
+        "marker_count": config.marker_count,
         "delta_initial": int(deltas[0]),
         "delta_final": int(deltas[-1]),
         "closed_form_final_matches": bool(
@@ -647,12 +647,9 @@ def _exec_kac_ensemble(cfg: RunConfig, path):
         "max_p_dev": float(res.p_dev.max()),
     }
     if schedule_block is not None:
-        within = res.window_exceed_fraction <= min(
-            1.0, math.exp(min(0.0, schedule_block["sequence_bound_log"]))
-        )
         results["schedule"] = schedule_block
         results["window_exceed_fraction"] = res.window_exceed_fraction
-        results["within_sequence_bound"] = bool(within)
+        results["within_sequence_bound"] = bool(res.window_exceed_fraction <= seq.linear)
     return results
 
 

@@ -236,10 +236,6 @@ class TimeGrid:
         k = np.arange(1, self.k_count + 1, dtype=float)
         return self.t0 + k * self.dt
 
-    @property
-    def duration(self) -> float:
-        return self.k_count * self.dt
-
 
 @total_ordering
 @dataclass(frozen=True)
@@ -361,10 +357,6 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         key = np.array([self.master_seed, self.stream_id], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
-
-    def child(self, offset: int) -> "RngStream":
-        """Stream with the same master seed and a shifted stream id."""
-        return RngStream(self.master_seed, self.stream_id + int(offset))
 
 
 def stream_generators(master_seed: int, first_id: int, count: int):

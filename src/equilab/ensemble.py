@@ -240,7 +240,7 @@ def fit_exponential(points, epsilon: float) -> FitResult:
     ``points`` is a list of (n, p) pairs; zero rates carry no log-space
     information and are dropped with a warning.  Unweighted in log space.
     """
-    if epsilon <= 0.0:
+    if not (epsilon > 0.0):
         raise ValueError("epsilon must be > 0")
     xs, ys = [], []
     for n, p in points:

@@ -35,7 +35,6 @@ from .core import LogProbability, RngStream
 
 __all__ = [
     "KacConfiguration",
-    "KacObservable",
     "step",
     "inverse_step",
     "ring_steps",
@@ -47,8 +46,6 @@ __all__ = [
     "brute_force_expectation",
     "RingBoundSchedule",
     "ring_bound_schedule",
-    "BlockDecomposition",
-    "block_decomposition",
 ]
 
 
@@ -109,19 +106,6 @@ class KacConfiguration:
         return int(np.count_nonzero(self.markers == -1))
 
 
-@dataclass(frozen=True)
-class KacObservable:
-    """White-minus-black count Delta and its fraction of the ring size."""
-
-    delta: int
-    delta_bar: float
-
-    @classmethod
-    def of(cls, config: KacConfiguration) -> "KacObservable":
-        d = int(config.colors.sum(dtype=np.int64))
-        return cls(d, d / config.n_sites)
-
-
 def step(config: KacConfiguration) -> KacConfiguration:
     """One forward step: eta'_n = xi_{n-1} * eta_{n-1}, markers fixed."""
     new_colors = np.roll(config.markers * config.colors, 1)
@@ -170,20 +154,6 @@ def ring_trace(config: KacConfiguration, t_max: int) -> np.ndarray:
     for t, black in enumerate(ring_steps(config.markers < 0, config.colors < 0, t_max)):
         deltas[t] = n - 2 * np.count_nonzero(black)
     return deltas
-
-
-def _window_products(markers_2d: np.ndarray, t: int) -> np.ndarray:
-    """X_{n,t} = prod_{j=1..t} xi_{n-j} for each row, n = 0..N-1, 1 <= t <= N.
-
-    Uses prefix products over the doubled marker array; entries are +-1 so
-    the usual quotient of prefix products becomes a plain product.
-    """
-    n = markers_2d.shape[1]
-    doubled = np.concatenate([markers_2d, markers_2d], axis=1).astype(np.int64)
-    prefix = np.ones((markers_2d.shape[0], 2 * n + 1), dtype=np.int64)
-    np.cumprod(doubled, axis=1, out=prefix[:, 1:])
-    starts = (np.arange(n) - t) % n
-    return prefix[:, starts + t] * prefix[:, starts]
 
 
 def delta_closed_form(markers, t: int) -> int:
@@ -384,38 +354,3 @@ def ring_bound_schedule(epsilon: float, alpha: float, mu: float) -> RingBoundSch
         t_start_exact=exact,
     )
 
-
-@dataclass(frozen=True)
-class BlockDecomposition:
-    """Split of Delta(t) into independent block sums plus a short remainder.
-
-    Writing N = block_count * t + remainder_count groups the window products
-    into t interleaved sums of block_count independent terms each
-    (windows t apart share no marker), plus remainder_count leftovers.
-    """
-
-    block_sum: int
-    remainder: int
-    block_count: int
-    remainder_count: int
-
-
-def block_decomposition(markers, t: int) -> BlockDecomposition:
-    """Decompose Delta(t) = block_sum + remainder with |remainder| < t."""
-    m = _as_pm_one(markers, "markers")
-    n = m.size
-    if not (1 <= t <= n):
-        raise ValueError(f"t must lie in [1, {n}], got {t}")
-    k = n // t
-    rc = n - k * t
-    x = _window_products(m[None, :], t)[0]
-    # The grouping indexes sites 1..N; site N wraps to index 0.
-    x_shifted = np.concatenate([x[1:], x[:1]])
-    block_sum = int(x_shifted[: k * t].sum(dtype=np.int64))
-    remainder = int(x_shifted[k * t :].sum(dtype=np.int64))
-    return BlockDecomposition(
-        block_sum=block_sum,
-        remainder=remainder,
-        block_count=k,
-        remainder_count=rc,
-    )

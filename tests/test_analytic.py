@@ -19,7 +19,6 @@ from equilab.analytic import (
     DecayEstimate,
     _tabulated_char,
     ScenarioParameters,
-    box_fourier_coeff,
     decay_bound_check,
     equilibration_time,
     expected_fraction,
@@ -83,40 +82,47 @@ def _oracle_fraction(position_law, sigma: float, region: TorusRegion, t: float) 
 
 
 # ---------------------------------------------------------------------------
-# box_fourier_coeff
+# Box coefficients chi_l, computed only by analytic._interval_transform
+
+
+def _chi(a: float, b: float, ells) -> np.ndarray:
+    return analytic._interval_transform(a, b, np.asarray(ells, dtype=float))
 
 
 def test_box_coeff_zero_mode_is_measure():
-    assert box_fourier_coeff(TorusRegion.interval(0.0, 0.5), 0) == 0.5
-    assert box_fourier_coeff(TorusRegion.interval(0.2, 0.9), 0) == pytest.approx(0.7)
+    # The series starts from |I| = b - a, the l -> 0 limit of the transform.
+    for a, b in ((0.0, 0.5), (0.2, 0.9)):
+        chi0 = _chi(a, b, [1e-12])[0]
+        assert chi0.real == pytest.approx(b - a, rel=1e-9)
+        assert abs(chi0.imag) < 1e-9
 
 
 def test_box_coeff_half_interval_magnitudes():
-    region = TorusRegion.interval(0.0, 0.5)
-    assert abs(box_fourier_coeff(region, 1)) == pytest.approx(1.0 / math.pi, rel=1e-12)
-    # Even modes vanish for the half interval; a naive small-term stopping
-    # rule would truncate the series right here.
-    assert abs(box_fourier_coeff(region, 2)) < 1e-15
-    assert abs(box_fourier_coeff(region, 3)) == pytest.approx(
-        1.0 / (3.0 * math.pi), rel=1e-12
-    )
+    mags = np.abs(_chi(0.0, 0.5, np.arange(1, 41)))
+    odd = np.arange(1, 41, 2)
+    assert mags[odd - 1] == pytest.approx(1.0 / (math.pi * odd), rel=1e-12)
+    # Even modes vanish for the half interval; a stopping rule on the raw
+    # terms would truncate the series at l = 2.
+    assert np.all(mags[1::2] < 1e-15)
 
 
 def test_box_coeff_full_circle_vanishes():
-    region = TorusRegion.interval(0.0, 1.0)
-    for ell in (1, 2, 7):
-        assert abs(box_fourier_coeff(region, ell)) < 1e-15
+    assert np.all(np.abs(_chi(0.0, 1.0, [1, 2, 7, 100, 4097])) < 1e-15)
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_box_coeff_envelope(seed: int):
+    # _series_1d stops on chi_env = min(b - a, 1/(pi l)) in place of |chi_l|.
     rng = np.random.default_rng(seed)
     a = rng.uniform(0.0, 0.5)
     b = rng.uniform(a, 1.0)
-    region = TorusRegion.interval(a, b)
-    for ell in range(1, 40):
-        mag = abs(box_fourier_coeff(region, ell))
-        assert mag <= min(b - a, 1.0 / (math.pi * ell)) + 1e-15
+    ells = np.arange(1.0, 4097.0)
+    chi = _chi(a, b, ells)
+    assert np.all(np.abs(chi) <= np.minimum(b - a, 1.0 / (math.pi * ells)) + 1e-15)
+    # The same values as (e^{2 pi i l b} - e^{2 pi i l a}) / (2 pi i l).
+    u = 2.0 * math.pi * ells[:40]
+    naive = (np.exp(1j * u * b) - np.exp(1j * u * a)) / (1j * u)
+    assert np.allclose(chi[:40], naive, rtol=0.0, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +418,11 @@ def test_equilibration_time_identities():
     )
 
 
+def test_equilibration_time_rejects_nan_epsilon():
+    with pytest.raises(ValueError, match="epsilon must be > 0"):
+        equilibration_time(DecayEstimate(1.0, 1.0), math.nan)
+
+
 # ---------------------------------------------------------------------------
 # Concentration bounds: worked values
 
@@ -462,6 +473,11 @@ def test_scenario_bound_at_capacity_collapses():
     log_bound = math.log(2.0) + log_k - 0.5 * eps**2 * n
     assert log_bound == pytest.approx(-0.25 * eps**2 * n, rel=1e-12)
     assert log_sequence_capacity(eps, n) == pytest.approx(25.0 - math.log(2.0), rel=1e-12)
+
+
+def test_log_sequence_capacity_rejects_nan_epsilon():
+    with pytest.raises(ValueError, match="epsilon must be > 0"):
+        log_sequence_capacity(math.nan, 100)
 
 
 def test_partition_bound_known_value():

@@ -303,6 +303,12 @@ def test_fit_exponential_needs_two_points():
             fit_exponential([(1000, 0.5), (2000, 0.0)], 0.05)
 
 
+def test_fit_exponential_rejects_nan_epsilon():
+    # A NaN epsilon used to reach np.polyfit and fail there as LinAlgError.
+    with pytest.raises(ValueError, match="epsilon must be > 0"):
+        fit_exponential([(10, 0.1), (20, 0.01)], math.nan)
+
+
 # ---------------------------------------------------------------------------
 # Fluctuation traces
 

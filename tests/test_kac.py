@@ -9,10 +9,8 @@ import pytest
 from equilab.core import RngStream
 from equilab.kac import (
     KacConfiguration,
-    KacObservable,
     _as_pm_one,
     _enumerated_deltas,
-    block_decomposition,
     brute_force_expectation,
     delta_closed_form,
     expected_delta_bar,
@@ -37,7 +35,7 @@ def test_step_hand_example():
     config = KacConfiguration.all_white(np.array([-1, 1, 1, 1], dtype=np.int8))
     after = step(config)
     assert list(after.colors) == [1, -1, 1, 1]
-    assert KacObservable.of(after).delta == 2
+    assert int(after.colors.sum()) == 2
     assert after.time == 1
 
 
@@ -52,9 +50,9 @@ def test_all_marked_alternates():
     config = KacConfiguration.all_white(-np.ones(9, dtype=np.int8))
     one = step(config)
     assert np.all(one.colors == -1)
-    assert KacObservable.of(one).delta == -9
+    assert int(one.colors.sum()) == -9
     two = step(one)
-    assert KacObservable.of(two).delta == 9
+    assert int(two.colors.sum()) == 9
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -238,9 +236,8 @@ def test_expected_delta_bar_known_values():
         lambda: KacConfiguration(np.array([1.7, -1.2]), np.array([1.0, 1.0])),
         lambda: KacConfiguration(np.array([1, -1]), np.array([1.0, 1.5])),
         lambda: KacConfiguration.all_white([1.0, -1.9]),
-        lambda: block_decomposition(np.array([1.0, 1.0, -1.5]), 1),
     ],
-    ids=["closed_form", "markers", "colors", "all_white", "blocks"],
+    ids=["closed_form", "markers", "colors", "all_white"],
 )
 def test_non_integral_markers_and_colors_rejected(call):
     # Casting to int8 before the check would truncate these to +-1.
@@ -409,40 +406,41 @@ def test_ring_bound_schedule_tightens_with_n():
 
 
 # ---------------------------------------------------------------------------
-# Block decomposition
+# Block decomposition: the paper's split of Delta(t), checked against the
+# closed form.  The window products are taken by their definition, one
+# gathered window at a time, so they share no code with the prefix parities.
+
+
+def _block_sums(markers: np.ndarray, t: int) -> tuple[int, int]:
+    """(block_sum, remainder) of Delta(t) for 1 <= t <= N.
+
+    X_n = prod_{j=1..t} xi_{n-j} for sites n = 1..N (site N is site 0).
+    The first k*t of them, k = N // t, form t interleaved sums of k
+    independent terms (windows t apart share no marker); the N - k*t
+    others are the remainder.
+    """
+    n = markers.size
+    sites = np.arange(1, n + 1)
+    windows = markers[(sites[:, None] - np.arange(1, t + 1)) % n]
+    x = windows.astype(np.int64).prod(axis=1)
+    kt = (n // t) * t
+    return int(x[:kt].sum()), int(x[kt:].sum())
 
 
 @pytest.mark.parametrize("n,t", [(7, 3), (12, 4), (64, 7), (100, 100)])
 def test_block_decomposition_identity(n: int, t: int):
     markers = _random_markers(n, n + t)
-    dec = block_decomposition(markers, t)
-    assert dec.block_count == n // t
-    assert dec.remainder_count == n - dec.block_count * t
-    assert dec.block_sum + dec.remainder == delta_closed_form(markers, t)
-    assert abs(dec.remainder) <= dec.remainder_count
-
-
-def test_block_decomposition_exact_division():
-    markers = _random_markers(12, 5)
-    dec = block_decomposition(markers, 4)
-    assert dec.remainder_count == 0
-    assert dec.remainder == 0
+    block_sum, remainder = _block_sums(markers, t)
+    delta = delta_closed_form(markers, t)
+    assert block_sum + remainder == delta
+    assert abs(delta - block_sum) <= n % t
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_block_average_close_to_full_average(seed: int):
     n, t = 128, 9
     markers = _random_markers(n, seed)
-    dec = block_decomposition(markers, t)
+    block_sum, _ = _block_sums(markers, t)
     delta = delta_closed_form(markers, t)
-    kt = dec.block_count * t
-    assert abs(delta / n - dec.block_sum / kt) <= 2.0 * t / n + 1e-15
-
-
-def test_block_decomposition_validation():
-    markers = np.ones(8, dtype=np.int8)
-    with pytest.raises(ValueError):
-        block_decomposition(markers, 0)
-    with pytest.raises(ValueError):
-        block_decomposition(markers, 9)
-
+    kt = (n // t) * t
+    assert abs(delta / n - block_sum / kt) <= 2.0 * t / n + 1e-15
