@@ -11,11 +11,11 @@ The dynamics is deterministic, invertible, and 2N-periodic.  The observable
 is the white-minus-black count Delta(t) and its fraction delta_bar; from an
 all-white start Delta(t) is a sum of marker-window products, which this
 module evaluates both by iterating the map and in closed form via prefix
-parities of the marked count, and, for small rings, by exact enumeration over
-all 2^N marker sequences.  The enumeration takes each sequence as an integer
-code and counts window parities by popcount of the code masked to each
-window; it shares no code with the closed form or the stepping kernel, so
-the three serve as mutual oracles.
+parities of the doubled ring, kept for the last ring seen, and, for small
+rings, by exact enumeration over all 2^N marker sequences.  The enumeration
+takes each sequence as an integer code and counts window parities by popcount
+of the code masked to each window; it shares no code with the closed form or
+the stepping kernel, so the three serve as mutual oracles.
 
 :func:`ring_steps` is the one stepping rule for evolving rings: it advances
 one ring or a block of rings in the frame that rotates with the balls, and
@@ -27,6 +27,7 @@ the independent oracle for it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,18 @@ __all__ = [
     "RingBoundSchedule",
     "ring_bound_schedule",
 ]
+
+_last_ring = None  # (dtype, bytes, (N, P, P_N)) of delta_closed_form's last ring
+
+
+def _as_time(value, name: str, t_max: float = math.inf) -> int:
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if not (0 <= value <= t_max):
+        raise ValueError(f"{name} must lie in [0, {t_max}], got {value}")
+    return value
 
 
 def _as_pm_one(values, name: str) -> np.ndarray:
@@ -147,8 +160,7 @@ def ring_trace(config: KacConfiguration, t_max: int) -> np.ndarray:
 
     Runs the one ring through :func:`ring_steps` as a 1-d array.
     """
-    if t_max < 0:
-        raise ValueError("t_max must be >= 0")
+    t_max = _as_time(t_max, "t_max")
     n = config.n_sites
     deltas = np.empty(t_max + 1, dtype=np.int64)
     for t, black in enumerate(ring_steps(config.markers < 0, config.colors < 0, t_max)):
@@ -159,33 +171,32 @@ def ring_trace(config: KacConfiguration, t_max: int) -> np.ndarray:
 def delta_closed_form(markers, t: int) -> int:
     """Delta(t) from the all-white start, in O(N) via prefix parities.
 
-    Each window product is (-1)^(marked count in the window), so with the
-    prefix parity p_i of the marked count among the first i sites, Delta(t)
-    = N - 2 * (number of windows with odd parity); a window that wraps past
-    site N-1 picks up the full-ring parity p_N.
+    Each window product is (-1)^(marked count in the window), so with P_i
+    the parity of the marked count among the first i sites of the doubled
+    ring xi_0..xi_{N-1} xi_0..xi_{N-1}, Delta(t) = N - 2 * #{s < N : P_{s+t}
+    != P_s} for t <= N.  Past one revolution every window also holds the
+    whole ring once, so Delta(qN + r) = (-1)^(mq) Delta(r) for t <= 2N.
 
-    Valid for 0 <= t <= 2N.  Beyond one revolution every window picks up the
-    full-ring product (-1)^m, so Delta(N + s) = (-1)^m Delta_formula(s); in
-    particular Delta(N) = (-1)^m N and Delta(2N) = N.
+    The last ring's P is kept under the dtype and bytes of ``markers``, not
+    its identity, so it cannot go stale: equal bytes are the same validated
+    values, and a ring changed in place has new bytes.  Object arrays miss.
     """
-    m = _as_pm_one(markers, "markers")
-    n = m.size
-    if not (0 <= t <= 2 * n):
-        raise ValueError(f"t must lie in [0, {2 * n}], got {t}")
-    parity = np.zeros(n + 1, dtype=np.uint8)
-    np.bitwise_xor.accumulate((m < 0).view(np.uint8), out=parity[1:])
-    ring_odd = bool(parity[n])
-    sign = 1
-    if t > n:
-        sign = -1 if ring_odd else 1
-        t = t - n
-    # Windows starting at sites 0..N-t-1 lie inside the ring; the t windows
-    # starting at N-t..N-1 wrap around to site 0 and pick up the ring parity.
-    inside = np.count_nonzero(parity[t:n] ^ parity[: n - t])
-    wrapped = np.count_nonzero(parity[:t] ^ parity[n - t : n])
-    if ring_odd:
-        wrapped = t - wrapped
-    return sign * (n - 2 * int(inside + wrapped))
+    global _last_ring
+    arr = np.asarray(markers)
+    memo = _last_ring
+    if memo is None or arr.ndim != 1 or memo[0] != arr.dtype or memo[1] != arr.tobytes():
+        m = _as_pm_one(arr, "markers")
+        n = m.size
+        parity = np.zeros(2 * n + 1, dtype=np.uint8)
+        np.bitwise_xor.accumulate((m < 0).view(np.uint8), out=parity[1 : n + 1])
+        np.bitwise_xor(parity[1 : n + 1], parity[n], out=parity[n + 1 :])
+        memo = (arr.dtype, arr.tobytes(), (n, parity, bool(parity[n])))
+        if arr.dtype != object:
+            _last_ring = memo
+    n, parity, ring_odd = memo[2]
+    q, r = divmod(_as_time(t, "t", 2 * n), n)
+    odd = np.count_nonzero(parity[r : r + n] ^ parity[:n])
+    return (-1) ** (ring_odd * q) * (n - 2 * int(odd))
 
 
 def sample_markers(n: int, mu: float, rng: RngStream) -> np.ndarray:
@@ -266,8 +277,7 @@ def brute_force_expectation(n: int, mu: float, t: int) -> BruteForceMoments:
         raise ValueError(f"brute force enumeration requires 1 <= N <= {_BRUTE_LIMIT}")
     if not (0.0 <= mu <= 1.0):
         raise ValueError("mu must lie in [0, 1]")
-    if not (0 <= t <= 2 * n):
-        raise ValueError(f"t must lie in [0, {2 * n}]")
+    t = _as_time(t, "t", 2 * n)
     total = 1 << n
     mean_acc = 0.0
     sq_acc = 0.0

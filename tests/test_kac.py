@@ -197,6 +197,108 @@ def test_ring_trace_validation():
         KacConfiguration(np.array([1, -1], dtype=np.int8), np.array([1, 2], dtype=np.int8))
 
 
+def _iterated(markers) -> list:
+    return ring_trace(KacConfiguration.all_white(markers), 2 * len(markers)).tolist()
+
+
+def _swept(markers) -> list:
+    return [delta_closed_form(markers, t) for t in range(2 * len(markers) + 1)]
+
+
+def test_closed_form_sees_a_ring_changed_in_place():
+    # A memo keyed by the array's identity would answer with the old ring.
+    markers = _random_markers(16, 3)
+    before = _iterated(markers)
+    assert _swept(markers) == before
+    markers[0] = -markers[0]
+    after = _iterated(markers)
+    assert after != before
+    assert _swept(markers) == after
+
+
+def test_closed_form_equal_values_in_any_dtype_agree():
+    base = _random_markers(24, 4)
+    want = _iterated(base)
+    forms = [
+        base.astype(np.int64),
+        base.astype(np.float64),
+        base.tolist(),
+        np.repeat(base, 2)[::2],
+        base,
+    ]
+    for form in forms:
+        assert _swept(form) == want
+    # Switching form at every t must not mix up the rings either.
+    for t in range(2 * base.size + 1):
+        assert {delta_closed_form(form, t) for form in forms} == {want[t]}
+
+
+def test_closed_form_refuses_an_invalid_ring_after_a_valid_one():
+    valid = np.array([1.0, -1.0, 1.0, 1.0])
+    assert delta_closed_form(valid, 1) == 2
+    with pytest.raises(ValueError, match="must be \\+1 or -1"):
+        delta_closed_form(np.array([1.5, -1.0, 1.0, 1.0]), 1)
+    assert delta_closed_form(valid, 1) == 2
+    # The same bytes in another shape are not a ring.
+    with pytest.raises(ValueError, match="1-d"):
+        delta_closed_form(valid.reshape(2, 2), 1)
+    assert delta_closed_form(np.array([1]), 0) == 1
+    with pytest.raises(ValueError, match="1-d"):
+        delta_closed_form(np.array(1), 0)
+
+
+def test_closed_form_checks_t_on_a_cached_ring():
+    markers = _random_markers(10, 5)
+    assert delta_closed_form(markers, 3) == _iterated(markers)[3]
+    for t in (-1, 21, 10**20):
+        with pytest.raises(ValueError, match="t must lie in \\[0, 20\\]"):
+            delta_closed_form(markers, t)
+
+
+def test_closed_form_alternating_rings_stay_apart():
+    a, b = _random_markers(20, 6), _random_markers(20, 7)
+    want_a, want_b = _iterated(a), _iterated(b)
+    assert want_a != want_b
+    for t in range(41):
+        assert delta_closed_form(a, t) == want_a[t]
+        assert delta_closed_form(b, t) == want_b[t]
+
+
+def test_closed_form_object_markers():
+    base = _random_markers(12, 8)
+    markers = base.astype(object)
+    assert _swept(markers) == _iterated(base)
+    markers[0] = -markers[0]
+    base[0] = -base[0]
+    assert _swept(markers) == _iterated(base)
+
+
+_ONES = np.ones(4, dtype=np.int8)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda t: delta_closed_form(_ONES, t), "t"),
+        (lambda t: brute_force_expectation(4, 0.3, t), "t"),
+        (lambda t: ring_trace(KacConfiguration.all_white(_ONES), t), "t_max"),
+    ],
+    ids=["closed_form", "brute_force", "ring_trace"],
+)
+@pytest.mark.parametrize("value", [1.5, 2.0, "3", None])
+def test_times_must_be_integers(call, name, value):
+    with pytest.raises(TypeError, match=f"^{name} must be an integer, got "):
+        call(value)
+
+
+def test_numpy_integer_times_accepted():
+    markers = _random_markers(8, 9)
+    deltas = ring_trace(KacConfiguration.all_white(markers), np.int64(16))
+    assert deltas.shape == (17,)
+    assert delta_closed_form(markers, np.int64(11)) == deltas[11]
+    assert brute_force_expectation(4, 0.3, np.int32(2)) == brute_force_expectation(4, 0.3, 2)
+
+
 # ---------------------------------------------------------------------------
 # Marker sampling and the product-mean formula
 
