@@ -10,8 +10,10 @@ statistic is an integer (deviation counts, color sums, squared color sums);
 chunk results are merged by integer addition, which is exact and
 order-independent.  Identical spec and master seed therefore produce
 byte-identical result files at any worker count, the property the
-determinism checks pin down.  A ring chunk steps its rings in cache-sized
-tiles of about ``_RING_TILE`` sites; the tile size changes no byte.
+determinism checks pin down.  A ring chunk draws its markers as integer
+thresholds on raw Philox words, the same verdicts as ``random() < mu``, and
+steps them bit-packed in cache-sized tiles of about ``_RING_TILE`` sites;
+neither the draw rule nor the tile size changes a byte.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .core import (
     RngStream, TimeGrid, TorusRegion, atomic_text, stream_generators, write_csv,
 )
 from .gas import BoxCounter, ObservableSeries, trace
-from .kac import ring_steps
+from .kac import _as_time, ring_steps
 from .sampler import InitialMeasureSpec, sample_microstate
 
 __all__ = [
@@ -48,9 +50,9 @@ __all__ = [
 
 _GAS_CHUNK = 256
 _KAC_CHUNK = 512
-#: Sites per ring-chunk tile.  A 256 KiB bool tile and its doubled markers
-#: step inside a core's L2 cache; a whole 512-ring block at N = 4096 is 2 MiB
-#: and would stream through memory on every step.
+#: Sites per ring-chunk tile.  Its bool markers, their 8 bit-shifted packed
+#: copies and a block of packed states step inside a core's L2 cache; a
+#: whole 512-ring chunk at N = 4096 would stream through memory.
 _RING_TILE = 1 << 18
 
 
@@ -303,6 +305,19 @@ class KacEnsembleResult:
         )
 
 
+def _marker_limit(mu: float) -> int | None:
+    """The uint64 L with ``(x >> 11) * 2**-53 < mu`` exactly when x < L.
+
+    Numpy's ``random()`` is the top 53 bits of a raw Philox word times 2^-53,
+    and mu * 2^53 is exact, so for an integer k = x >> 11, k * 2^-53 < mu
+    holds exactly when k < ceil(mu * 2^53), that is x < ceil(mu * 2^53) << 11.
+    At mu = 1 every draw is below mu and L = 2^64 does not fit a uint64, so
+    None stands for "mark every site".
+    """
+    limit = math.ceil(mu * 2.0**53) << 11
+    return None if limit >= 1 << 64 else limit
+
+
 def _kac_ensemble_chunk(payload):
     """Integer accumulators for one chunk of marker histories.
 
@@ -310,20 +325,21 @@ def _kac_ensemble_chunk(payload):
     of histories exceeding epsilon anywhere in the window (0 if no window).
     All four are exact integers, so merging across chunks is exact.
 
-    The chunk works on tiles of about ``_RING_TILE`` sites, small enough to
-    stay in cache while they step.  Each row of a tile draws its markers from
-    its own stream (the draws of :func:`~equilab.kac.sample_markers`), and
-    the tile's rings step together through :func:`~equilab.kac.ring_steps`,
-    all white at t = 0, in the first n columns of a zeroed bool block whose
-    rows are padded to a multiple of 8 bytes.  The padding stays False, so
-    the popcount of each row's uint64 words is its black count; the counts
-    of every t are kept and folded into the accumulators once per tile.
+    The chunk works on tiles of about ``_RING_TILE`` sites, whose packed,
+    shifted markers and block of states stay in cache while they step.  Each
+    row of a tile draws its markers from its own stream as raw Philox words
+    compared with :func:`_marker_limit`, the same verdicts as the
+    ``random() < mu`` of :func:`~equilab.kac.sample_markers`.  The tile's
+    rings then step together through :func:`~equilab.kac.ring_steps`, all
+    white at t = 0, and the black counts of every t are folded into the
+    accumulators once per tile.
     """
     (n, mu, t_max, epsilon, master_seed, stream_base, count, window) = payload
     width = -(-n // 8) * 8
     rows = min(count, max(1, _RING_TILE // width))
     marked = np.empty((rows, n), dtype=bool)
-    padded = np.zeros((rows, width), dtype=bool)
+    white = np.zeros(n, dtype=bool)
+    limit = _marker_limit(mu)
     # A uint32 row count is exact, since n < 2**32.
     black_counts = np.empty((t_max + 1, rows), dtype=np.uint32)
     times = np.arange(t_max + 1)
@@ -337,13 +353,14 @@ def _kac_ensemble_chunk(payload):
     for start in range(0, count, rows):
         h = min(rows, count - start)
         for row, gen in zip(marked[:h], streams):
-            np.less(gen.random(n), mu, out=row)
-        black = padded[:h]
-        black.fill(False)
-        as_words = black.view(np.uint64)
-        for t, _ in enumerate(ring_steps(marked[:h], black[:, :n], t_max)):
-            np.add.reduce(np.bitwise_count(as_words), axis=1, dtype=np.uint32,
-                          out=black_counts[t, :h])
+            if limit is None:
+                row.fill(True)
+            else:
+                np.less(gen.bit_generator.random_raw(n), limit, out=row)
+        t = 0
+        for _, counts in ring_steps(marked[:h], white, t_max):
+            black_counts[t : t + counts.shape[0], :h] = counts
+            t += counts.shape[0]
         delta = black_counts[:, :h].astype(np.int64)
         delta *= -2
         delta += n
@@ -378,10 +395,9 @@ def run_kac_ensemble(
         raise ValueError("n must be >= 1")
     if not (0.0 < mu <= 1.0):
         raise ValueError("mu must lie in (0, 1]")
+    t_max = _as_time(t_max, "t_max")
     if t_max > 2 * n_sites:
         raise ValueError("t_max beyond one full period 2N is redundant")
-    if t_max < 0:
-        raise ValueError("t_max must be >= 0")
     if histories < 1:
         raise ValueError("histories must be >= 1")
     if not (epsilon > 0.0):

@@ -18,10 +18,11 @@ of the code masked to each window; it shares no code with the closed form or
 the stepping kernel, so the three serve as mutual oracles.
 
 :func:`ring_steps` is the one stepping rule for evolving rings: it advances
-one ring or a block of rings in the frame that rotates with the balls, and
-both :func:`ring_trace` and the ring ensembles run through it.  :func:`step`
-and :func:`inverse_step` apply the map as written, site by site, and stay as
-the independent oracle for it.
+one ring or a block of rings in the frame that rotates with the balls (see
+Gottwald & Oliver, SIAM Rev. 51, 2009), bit-packed 8 sites per byte so that
+a step is one byte-wise XOR, and both :func:`ring_trace` and the ring
+ensembles run through it.  :func:`step` and :func:`inverse_step` apply the
+map as written, site by site, and stay as the independent oracle for it.
 """
 
 from __future__ import annotations
@@ -50,6 +51,11 @@ __all__ = [
 ]
 
 _last_ring = None  # (dtype, bytes, (N, P, P_N)) of delta_closed_form's last ring
+#: Bytes of packed states per block of :func:`ring_steps`.  With its shifted
+#: markers a block steps inside a core's L2 cache, and the block is counted
+#: in one pass; 2^18 bytes stepped as fast but raised the ring ensemble's
+#: peak RSS by about 0.5 MiB.
+_RING_BLOCK = 1 << 17
 
 
 def _as_time(value, name: str, t_max: float = math.inf) -> int:
@@ -132,40 +138,91 @@ def inverse_step(config: KacConfiguration) -> KacConfiguration:
 
 
 def ring_steps(marked: np.ndarray, black: np.ndarray, t_max: int):
-    """Advance rings in place and yield their black flags at t = 0..t_max.
+    """Step rings bit-packed and yield their states and black counts, t = 0..t_max.
 
-    ``marked`` and ``black`` are bool arrays with the sites on the last
-    axis: shape (N,) for one ring, (h, N) for h rings.  Works in the frame
-    that rotates with the balls: the ball that starts at site k sits at site
-    k + t after t steps with color
+    ``marked`` is a bool array with the sites on the last axis: shape (N,)
+    for one ring, (h, N) for h rings; ``black``, the bool start colors,
+    broadcasts against it.  Works in the frame that rotates with the balls:
+    the ball that starts at site k sits at site k + t after t steps with color
 
         eta_{k+t}(t) = eta_k(0) * prod_{j=0..t-1} xi_{k+j}        (indices mod N),
 
-    so step t flips exactly the balls with site k + t - 1 marked: ``black``,
-    indexed by the start site k, is XORed in place with a length-N slice of
-    the doubled marked array.  The yielded array is ``black`` itself, so
-    Delta(t) = N - 2 * (its count of True) along the last axis.
+    so step t flips exactly the balls with site k + t - 1 marked: the state,
+    indexed by the start site k, is XORed with the length-N window of the
+    doubled marked array that starts at s = (t - 1) mod N.
+
+    Sites are packed 8 per byte, site k in bit k % 8 of byte k // 8.  The
+    doubled marked array is packed once, in 8 copies shifted by 0..7 bits, so
+    the window at s is the ceil(N/8) whole bytes from byte s >> 3 of copy
+    s & 7, and a step is one uint8 XOR of it into the next row of a block of
+    about ``_RING_BLOCK`` bytes.  Each block is counted at once and
+    yielded as ``(states, counts)``: ``states`` of shape (b, ..., W) holds the
+    packed rings at b consecutive times, W = ceil(N/8) rounded up to whole
+    uint64 words, every bit past site N - 1 clear; ``counts`` of shape
+    (b, ...) is their uint32 black counts, so Delta = N - 2 * counts.  Both
+    are overwritten by the next block.
     """
     n = marked.shape[-1]
-    doubled = np.concatenate([marked, marked], axis=-1)
-    yield black
-    for t in range(1, t_max + 1):
-        s = (t - 1) % n
-        np.bitwise_xor(black, doubled[..., s : s + n], out=black)
-        yield black
+    lead = marked.shape[:-1]
+    marked = marked.reshape(-1, n)
+    h = marked.shape[0]
+    nbytes = -(-n // 8)
+    width = -(-nbytes // 8) * 8
+    # Windows start at s <= last, so each copy needs ``span`` whole uint64
+    # words, and the packed doubled array one more to feed their top bits.
+    # Its bits past 2N only reach the cleared tail.
+    last = max(min(t_max, n) - 1, 0)
+    span = -(-((last >> 3) + nbytes) // 8)
+    doubled = np.zeros((h, 64 * (span + 1)), dtype=bool)
+    doubled[:, :n] = marked
+    wrap = min(n, doubled.shape[1] - n)
+    doubled[:, n : n + wrap] = marked[:, :wrap]
+    # Shifting the little-endian bit stream by j bits shifts its bytes by j.
+    packed = np.packbits(doubled, axis=-1, bitorder="little").view("<u8")
+    del doubled
+    shifted = np.empty((8, h, 8 * span), dtype=np.uint8)
+    lo, hi = packed[:, :-1], packed[:, 1:]
+    by = np.arange(8, dtype=np.uint64)[:, None, None]
+    as_words = shifted.view("<u8")
+    np.right_shift(lo, by, out=as_words)
+    as_words[1:] |= hi << (64 - by[1:])
+    rows = max(1, min(t_max + 1, _RING_BLOCK // (h * width)))
+    block = np.zeros((rows, h, width), dtype=np.uint8)
+    words = block.view(np.uint64)
+    counts = np.empty((rows, h), dtype=np.uint32)
+    states = [block[i, :, :nbytes] for i in range(rows)]
+    tail = (1 << (n % 8)) - 1
+    state = states[0]
+    state[...] = np.packbits(black, axis=-1, bitorder="little").reshape(-1, nbytes)
+    first = 1
+    for t in range(0, t_max + 1, rows):
+        b = min(rows, t_max + 1 - t)
+        for i in range(first, b):
+            s = (t + i - 1) % n
+            np.bitwise_xor(state, shifted[s & 7, :, s >> 3 : (s >> 3) + nbytes],
+                           out=states[i])
+            state = states[i]
+        first = 0
+        if tail:
+            block[:b, :, nbytes - 1] &= tail
+        np.add.reduce(np.bitwise_count(words[:b]), axis=-1, dtype=np.uint32,
+                      out=counts[:b])
+        yield block[:b].reshape((b, *lead, width)), counts[:b].reshape((b, *lead))
 
 
 def ring_trace(config: KacConfiguration, t_max: int) -> np.ndarray:
     """Delta(t) for t = 0..t_max by iterating the map from ``config``.
 
-    Runs the one ring through :func:`ring_steps` as a 1-d array.
+    Runs the one ring through :func:`ring_steps` and takes N - 2 * its black
+    counts.
     """
     t_max = _as_time(t_max, "t_max")
-    n = config.n_sites
-    deltas = np.empty(t_max + 1, dtype=np.int64)
-    for t, black in enumerate(ring_steps(config.markers < 0, config.colors < 0, t_max)):
-        deltas[t] = n - 2 * np.count_nonzero(black)
-    return deltas
+    black = np.empty(t_max + 1, dtype=np.int64)
+    t = 0
+    for _, counts in ring_steps(config.markers < 0, config.colors < 0, t_max):
+        black[t : t + counts.size] = counts
+        t += counts.size
+    return config.n_sites - 2 * black
 
 
 def delta_closed_form(markers, t: int) -> int:
@@ -219,8 +276,7 @@ def expected_delta_bar(mu: float, t: int, n_sites: int) -> float:
     """
     if not (0.0 <= mu <= 1.0):
         raise ValueError("mu must lie in [0, 1]")
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    t = _as_time(t, "t")
     if t > n_sites:
         raise ValueError(
             f"the product formula holds only for t <= N = {n_sites}, got t = {t}"

@@ -25,6 +25,7 @@ from equilab.kac import (
     KacConfiguration,
     brute_force_expectation,
     expected_delta_bar,
+    ring_steps,
     ring_trace,
     sample_markers,
 )
@@ -523,6 +524,61 @@ def test_kac_ensemble_validation():
             run_kac_ensemble(16, mu, 10, t_max=4, epsilon=0.1, seed=0)
     with pytest.raises(ValueError, match="n must be >= 1"):
         run_kac_ensemble(0, 0.3, 10, t_max=0, epsilon=0.1, seed=0)
+
+
+@pytest.mark.parametrize("t_max", [2.5, 2.0, "3", None])
+def test_kac_ensemble_t_max_must_be_an_integer(monkeypatch, t_max):
+    monkeypatch.setattr(ensemble, "_map_chunks", lambda *a: pytest.fail("chunks ran"))
+    with pytest.raises(TypeError, match="^t_max must be an integer, got "):
+        run_kac_ensemble(16, 0.3, 10, t_max=t_max, epsilon=0.1, seed=0)
+
+
+def test_kac_ensemble_t_max_range_messages():
+    with pytest.raises(ValueError, match="beyond one full period 2N"):
+        run_kac_ensemble(16, 0.3, 10, t_max=33, epsilon=0.1, seed=0)
+    with pytest.raises(ValueError, match="^t_max must lie in"):
+        run_kac_ensemble(16, 0.3, 10, t_max=-1, epsilon=0.1, seed=0)
+    res = run_kac_ensemble(16, 0.3, 10, t_max=np.int64(32), epsilon=0.1, seed=0)
+    assert res.times.tolist() == list(range(33))
+
+
+_EDGE_MUS = [2.0**-53, 3 * 2.0**-54, 0.1, 0.3, 0.5, 1 - 2.0**-53, 1.0]
+
+
+@pytest.mark.parametrize("mu", _EDGE_MUS)
+def test_marker_limit_matches_random_below_mu(mu: float):
+    # Raw words whose top 53 bits sit just below and at ceil(mu * 2^53),
+    # each with the lowest and highest 11 dropped bits: the integer verdict
+    # must equal numpy's random() = (x >> 11) * 2^-53 compared with mu.
+    limit = ensemble._marker_limit(mu)
+    edge = math.ceil(mu * 2.0**53)
+    tops = [k for k in (0, 1, edge - 2, edge - 1, edge, edge + 1) if 0 <= k < 2**53]
+    words = np.array([(k << 11) | low for k in tops for low in (0, 2047)], dtype=np.uint64)
+    want = (words >> np.uint64(11)).astype(np.float64) * 2.0**-53 < mu
+    if mu == 1.0:
+        assert limit is None and want.all()
+    else:
+        assert (words < np.uint64(limit)).tolist() == want.tolist()
+        assert want.tolist() != [want[0]] * want.size  # both verdicts occur
+
+
+@pytest.mark.parametrize("mu", _EDGE_MUS)
+def test_kac_chunk_markers_equal_sample_markers(monkeypatch, mu: float):
+    # The chunk's raw-word markers against sample_markers' random() < mu,
+    # over two tiles of 3 rings at N = 13.
+    n, seed, base, count = 13, 53, 4, 6
+    seen = []
+
+    def recording(marked, black, t_max):
+        seen.extend(marked.tolist())
+        return ring_steps(marked, black, t_max)
+
+    monkeypatch.setattr(ensemble, "ring_steps", recording)
+    monkeypatch.setattr(ensemble, "_RING_TILE", 3 * 16)
+    ensemble._kac_ensemble_chunk((n, mu, 4, 0.5, seed, base, count, None))
+    want = [(sample_markers(n, mu, RngStream(seed, base + i)) < 0).tolist()
+            for i in range(count)]
+    assert seen == want
 
 
 def test_kac_ensemble_rejects_int64_overflow_at_once(monkeypatch):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from equilab import kac
 from equilab.core import RngStream
 from equilab.kac import (
     KacConfiguration,
@@ -119,27 +120,36 @@ def test_ring_trace_from_random_colors_matches_step(n: int):
         state = step(state)
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 64])
-def test_ring_steps_batch_from_random_colors_matches_step(n: int):
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 63, 64, 65])
+def test_ring_steps_batch_from_random_colors_matches_step(monkeypatch, n: int):
     # A (h, N) block of rings with random start colors; in the rotating
     # frame the ball that starts at site k sits at site k + t, so rolling
-    # the frame by t must give every ring's colors after t applications of
-    # step.  t_max = 3N takes the marker slice past one period.
+    # each unpacked state by t must give its ring's colors after t
+    # applications of step, and each count its black sites.  t_max = 3N
+    # takes the marker window past one period, N around multiples of 8
+    # covers the byte tail, and blocks of at most 7 times make the states
+    # cross many blocks.
     h = 5
+    monkeypatch.setattr(kac, "_RING_BLOCK", 7 * h * 8)
     gen = RngStream(n, 2).generator()
     markers = np.stack([_random_markers(n, 100 * n + r) for r in range(h)])
     colors = np.where(gen.random((h, n)) < 0.5, np.int8(1), np.int8(-1))
-    states = [KacConfiguration(markers[r], colors[r]) for r in range(h)]
-    black = colors < 0
-    count = 0
-    for t, frame in enumerate(ring_steps(markers < 0, black, 3 * n)):
-        assert frame is black  # stepped in place
-        for r in range(h):
-            rolled = np.roll(np.where(frame[r], np.int8(-1), np.int8(1)), t)
-            assert rolled.tolist() == states[r].colors.tolist()
-            states[r] = step(states[r])
-        count += 1
-    assert count == 3 * n + 1
+    configs = [KacConfiguration(markers[r], colors[r]) for r in range(h)]
+    t = 0
+    for states, counts in ring_steps(markers < 0, colors < 0, 3 * n):
+        assert states.shape[:2] == counts.shape and counts.shape[1] == h
+        assert states.shape[0] <= 7
+        for frame, count in zip(states, counts):
+            bits = np.unpackbits(frame, axis=-1, bitorder="little")
+            assert not bits[:, n:].any()  # the byte tail and padding stay clear
+            black = bits[:, :n]
+            assert count.tolist() == black.sum(axis=-1).tolist()
+            for r in range(h):
+                rolled = np.roll(np.where(black[r], np.int8(-1), np.int8(1)), t)
+                assert rolled.tolist() == configs[r].colors.tolist()
+                configs[r] = step(configs[r])
+            t += 1
+    assert t == 3 * n + 1
 
 
 def test_closed_form_hand_values():
@@ -282,8 +292,9 @@ _ONES = np.ones(4, dtype=np.int8)
         (lambda t: delta_closed_form(_ONES, t), "t"),
         (lambda t: brute_force_expectation(4, 0.3, t), "t"),
         (lambda t: ring_trace(KacConfiguration.all_white(_ONES), t), "t_max"),
+        (lambda t: expected_delta_bar(0.25, t, 10), "t"),
     ],
-    ids=["closed_form", "brute_force", "ring_trace"],
+    ids=["closed_form", "brute_force", "ring_trace", "expected_delta_bar"],
 )
 @pytest.mark.parametrize("value", [1.5, 2.0, "3", None])
 def test_times_must_be_integers(call, name, value):
@@ -327,8 +338,9 @@ def test_expected_delta_bar_known_values():
     assert expected_delta_bar(0.5, 3, 10) == 0.0
     assert expected_delta_bar(0.0, 7, 10) == 1.0
     assert expected_delta_bar(0.25, 2, 10) == pytest.approx(0.25, rel=1e-15)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="product formula holds only for t <= N"):
         expected_delta_bar(0.25, 11, 10)
+    assert expected_delta_bar(0.25, np.int64(10), 10) == 0.5**10
 
 
 @pytest.mark.parametrize(
