@@ -30,8 +30,8 @@ HALF_FULL = InitialMeasureSpec(UniformPositions(REGION), thermal_momenta(1.0, 1)
 def mean_curve():
     print("Mean occupied fraction of [0, 1/2) from the half-filled start:")
     print(f"{'t':>6} {'E f(t)':>12} {'|E f - 1/2|':>12}")
-    for t in (0.0, 0.1, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 5.0):
-        mean = expected_fraction(HALF_FULL, REGION, t)
+    times = [0.0, 0.1, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 5.0]
+    for t, mean in zip(times, expected_fraction(HALF_FULL, REGION, times)):
         print(f"{t:6.2f} {mean:12.8f} {abs(mean - 0.5):12.3e}")
 
 

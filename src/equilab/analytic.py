@@ -17,6 +17,14 @@ stopping on a raw small term would truncate too early.  This is a per-term
 rule, not a certified bound on the tail: phi of a tabulated law need not
 decrease, and a later term may rise above ``tail_tol`` again.
 
+:func:`expected_fraction` takes one time or a sequence of them.  A sequence
+is summed in one pass: the t-free factors of each block of l are built once
+and phi is evaluated for all running times together, at most ``_BLOCK + 2``
+(time, term) pairs per call, so memory does not grow with the number of
+times.  Every time keeps its own stop and sums its own terms in the same
+order, so neither the batching nor the prefix sizes change a result: each
+mean is the same float as a call with that time alone.
+
 Concentration bounds (Hoeffding tail, K-instant scenario bounds, partition
 union bounds, the Chebyshev-type 1/N control, and the macroscopic pressure
 estimate) are returned as :class:`~equilab.core.LogProbability` so that
@@ -195,55 +203,78 @@ _PREFIXES = (64, 256, 1024, _BLOCK)
 _MAX_TERMS = 10_000_000
 
 
-def _series_1d(desc, a, b, momentum, t, tail_tol) -> float:
-    """One-axis expected indicator at time t > 0, stopped as the module says.
+def _series_1d(desc, a, b, momentum, ts: np.ndarray, tail_tol) -> np.ndarray:
+    """One-axis expected indicator at each time t > 0 of ``ts``, stopped as the module says.
 
     Each block reads two terms past its end, so a run that starts in it is
     seen whole.  Only a whole block, or the part before the stop, is ever
-    summed, so the prefix sizes never change the result.
+    summed, so the prefix sizes never change a result.  The times still
+    running share each block's t-free factors; phi is evaluated for groups
+    of them, at most ``_BLOCK + 2`` (time, term) pairs per call, and every
+    time keeps its own stop and its own sums, so the grouping never changes
+    a result either.
     """
     length = b - a
     if length <= 0.0:
-        return 0.0
-    total = length
+        return np.zeros(ts.size)
+    totals = np.full(ts.size, length)
+    running = np.arange(ts.size)
     sizes = itertools.chain(_PREFIXES, itertools.repeat(_BLOCK))
     start = 1
-    while start <= _MAX_TERMS:
+    while running.size:
+        if start > _MAX_TERMS:
+            raise RuntimeError(
+                f"indicator series did not reach tail_tol={tail_tol} within {_MAX_TERMS} terms"
+            )
         size = next(sizes)
         ells = np.arange(start, start + size + 2, dtype=float)
-        chi_env = np.minimum(length, 1.0 / (math.pi * ells))
-        phi = _momentum_char(momentum, _TWO_PI * ells * t)
-        chi = _interval_transform(a, b, ells)
+        u = _TWO_PI * ells
         nu, nu_env = _position_transform(desc, ells)
-        terms = 2.0 * np.real(np.conj(chi) * nu * phi)
-        hard = chi_env * nu_env
-        small = hard * np.abs(phi) < tail_tol
-        stops = np.flatnonzero((small[:-2] & small[1:-1] & small[2:]) | (hard[:-2] < tail_tol))
-        if stops.size:
-            return total + float(terms[: stops[0]].sum())
+        coef = np.conj(_interval_transform(a, b, ells)) * nu
+        hard = np.minimum(length, 1.0 / (math.pi * ells)) * nu_env
+        env_stop = hard[:-2] < tail_tol
+        group, going = (_BLOCK + 2) // ells.size, []
+        for i in range(0, running.size, group):
+            rows = running[i : i + group]
+            phi = _momentum_char(momentum, (u * ts[rows, None]).ravel()).reshape(rows.size, -1)
+            terms = 2.0 * np.real(coef * phi)
+            small = hard * np.abs(phi) < tail_tol
+            stops = (small[:, :-2] & small[:, 1:-1] & small[:, 2:]) | env_stop
+            for row, row_terms, row_stops in zip(rows, terms, stops):
+                stop = row_stops.argmax()
+                if row_stops[stop]:
+                    totals[row] += float(row_terms[:stop].sum())
+                    continue
+                if size == _BLOCK:
+                    totals[row] += float(row_terms[:_BLOCK].sum())
+                going.append(row)
+        running = np.array(going, dtype=int)
         if size == _BLOCK:
-            total += float(terms[:_BLOCK].sum())
             start += _BLOCK
-    raise RuntimeError(
-        f"indicator series did not reach tail_tol={tail_tol} within {_MAX_TERMS} terms"
-    )
+    return totals
 
 
 def expected_fraction(
     initial: InitialMeasureSpec,
     region: TorusRegion,
-    t: float,
+    t,
     tail_tol: float = 1e-12,
-) -> float:
+) -> float | np.ndarray:
     """Expected occupied fraction E f(t) of a box region under free streaming.
 
+    ``t`` is one time, giving a float, or a 1-d sequence of times, giving an
+    array with one mean per time; each mean is the same float either way.
     Sums the Fourier series per axis and per mixture component up to the
     stop named in the module docstring; t = 0 is evaluated exactly as an
     overlap so the degenerate (slowly converging) series never runs.  The
     result is clamped to [0, 1].  ``tail_tol`` must be finite and > 0; a
     series with no stop within ``_MAX_TERMS`` terms raises RuntimeError.
     """
-    if not (t >= 0.0 and math.isfinite(t)):
+    times = np.asarray(t)
+    if times.ndim > 1 or times.dtype.kind not in "biuf":
+        raise ValueError("t must be a time or a 1-d sequence of times")
+    ts = np.atleast_1d(times).astype(float)
+    if not np.all((ts >= 0.0) & np.isfinite(ts)):
         raise ValueError("t must be finite and >= 0")
     if not (tail_tol > 0.0 and math.isfinite(tail_tol)):
         raise ValueError("tail_tol must be finite and > 0")
@@ -251,19 +282,18 @@ def expected_fraction(
     if not isinstance(momentum, (GaussianMomenta, TabulatedMomenta)):
         raise ValueError(f"unsupported momentum law {type(momentum).__name__}")
     components = _position_components(initial.positions, region.dim)
-    total = 0.0
+    total = np.zeros(ts.size)
     for weight, axes in components:
-        value = 1.0
+        value = np.ones(ts.size)
         for desc, a, b in zip(axes, region.lower, region.upper):
-            if t == 0.0:
-                axis_val = _overlap_1d(desc, a, b)
-            else:
-                axis_val = _series_1d(desc, a, b, momentum, t, tail_tol)
-            value *= axis_val
-            if value == 0.0:
-                break
+            # A time whose product is already 0 skips the remaining axes.
+            live = np.flatnonzero(value != 0.0)
+            moving = live[ts[live] > 0.0]
+            value[live[ts[live] == 0.0]] *= _overlap_1d(desc, a, b)
+            value[moving] *= _series_1d(desc, a, b, momentum, ts[moving], tail_tol)
         total += weight * value
-    return min(1.0, max(0.0, total))
+    means = np.minimum(1.0, np.maximum(0.0, total))
+    return float(means[0]) if times.ndim == 0 else means
 
 
 # ---------------------------------------------------------------------------
@@ -297,10 +327,10 @@ def decay_bound_check(
     tail_tol: float = 1e-12,
 ) -> bool:
     """True iff |E f(t) - |I|| <= c_mu t^(-2r) on every listed time."""
-    measure = region.measure()
-    for t in np.asarray(t_values, dtype=float):
-        dev = abs(expected_fraction(initial, region, float(t), tail_tol) - measure)
-        if dev > decay.bound(float(t)) * (1.0 + 1e-12) + 1e-15:
+    ts = np.asarray(t_values, dtype=float)
+    devs = np.abs(expected_fraction(initial, region, ts, tail_tol) - region.measure())
+    for t, dev in zip(ts.tolist(), devs.tolist()):
+        if dev > decay.bound(t) * (1.0 + 1e-12) + 1e-15:
             return False
     return True
 
@@ -321,8 +351,7 @@ def fit_decay(
     ts = np.asarray(t_values, dtype=float)
     if np.any(ts <= 0.0):
         raise ValueError("fit times must be > 0")
-    measure = region.measure()
-    devs = [abs(expected_fraction(initial, region, float(t), tail_tol) - measure) for t in ts]
+    devs = np.abs(expected_fraction(initial, region, ts, tail_tol) - region.measure())
     return _fit_decay_to(ts, devs)
 
 

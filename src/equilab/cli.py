@@ -510,7 +510,7 @@ def _exec_gas_mean(cfg: RunConfig, path):
     region = _region_from(p)
     initial = _build_initial(p)
     ts = sorted(set(p["t_values"]))
-    values = [expected_fraction(initial, region, t, p["tail_tol"]) for t in ts]
+    values = expected_fraction(initial, region, ts, p["tail_tol"]).tolist()
     write_csv(path, ("t", "mean"), zip(ts, values))
     devs = [abs(v - region.measure()) for v in values]
     results = {
@@ -754,18 +754,21 @@ def execute(config: RunConfig) -> int:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    top = argparse.ArgumentParser(
         prog="equilab",
         description="Desk-scale equilibration experiments: free gas on the torus and the marked-ring model.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for cmd in COMMANDS:
-        schema, _ = _SCHEMAS[cmd]
-        p = sub.add_parser(cmd)
-        p.add_argument("--config", default=None, help="INI file with a [%s] section" % cmd)
-        for key in list(schema) + list(_COMMON):
-            p.add_argument("--" + key.replace("_", "-"), dest=key, default=None)
-    args = parser.parse_args(argv)
+    top.add_argument("command", choices=COMMANDS)
+    top.add_argument("flags", nargs=argparse.REMAINDER, help="the command's flags (see equilab COMMAND --help)")
+    first = top.parse_args(argv)
+    # Only the requested command's parser is built.
+    schema, _ = _SCHEMAS[first.command]
+    keys = list(schema) + list(_COMMON)
+    parser = argparse.ArgumentParser(prog=f"equilab {first.command}")
+    parser.add_argument("--config", default=None, help="INI file with a [%s] section" % first.command)
+    for key in keys:
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, default=None)
+    args = parser.parse_args(first.flags)
 
     file_text = None
     if args.config is not None:
@@ -775,14 +778,9 @@ def main(argv=None) -> int:
         except (OSError, UnicodeDecodeError) as exc:
             print(f"config: cannot read {args.config}: {exc}", file=sys.stderr)
             return 2
-    schema, _ = _SCHEMAS[args.command]
-    overrides = {
-        key: getattr(args, key)
-        for key in list(schema) + list(_COMMON)
-        if getattr(args, key, None) is not None
-    }
+    overrides = {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
     try:
-        config = parse_config(file_text, args.command, overrides)
+        config = parse_config(file_text, first.command, overrides)
     except ConfigError as exc:
         for line in exc.errors:
             print(f"config error: {line}", file=sys.stderr)

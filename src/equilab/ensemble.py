@@ -98,6 +98,7 @@ class ScalingExperimentSpec:
             raise ValueError("k_values must be nonempty and strictly increasing")
         if kv[-1] > self.grid.k_count:
             raise ValueError("largest K exceeds the time grid length")
+        object.__setattr__(self, "histories", _as_time(self.histories, "histories"))
         if self.histories < 1:
             raise ValueError("histories must be >= 1")
         if not (self.epsilon > 0.0):
@@ -391,6 +392,7 @@ def run_kac_ensemble(
     t_lo <= t <= t_hi, the quantity the ring bound schedule controls.  The
     ends may be fractional, negative or infinite, but not NaN.
     """
+    n_sites = _as_time(n_sites, "n_sites")
     if n_sites < 1:
         raise ValueError("n must be >= 1")
     if not (0.0 < mu <= 1.0):
@@ -398,12 +400,13 @@ def run_kac_ensemble(
     t_max = _as_time(t_max, "t_max")
     if t_max > 2 * n_sites:
         raise ValueError("t_max beyond one full period 2N is redundant")
+    histories = _as_time(histories, "histories")
     if histories < 1:
         raise ValueError("histories must be >= 1")
     if not (epsilon > 0.0):
         raise ValueError("epsilon must be > 0")
     # |Delta| <= N, so the int64 sums of Delta^2 stay exact while M * N^2 < 2^63.
-    sq_bound = int(histories) * int(n_sites) ** 2
+    sq_bound = histories * n_sites**2
     if sq_bound >= 1 << 63:
         raise ValueError(
             f"histories * N^2 = {sq_bound} reaches 2^63, "

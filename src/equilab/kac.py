@@ -60,6 +60,8 @@ _RING_BLOCK = 1 << 17
 
 def _as_time(value, name: str, t_max: float = math.inf) -> int:
     try:
+        if isinstance(value, bool):  # an int subclass; numpy refuses np.bool_ too
+            raise TypeError
         value = operator.index(value)
     except TypeError:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None

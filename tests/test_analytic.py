@@ -323,6 +323,93 @@ def test_expected_fraction_gives_up_past_the_term_limit(monkeypatch):
         expected_fraction(spec, TorusRegion.interval(0.0, 0.5), 0.001)
 
 
+_BOX_2D = TorusRegion((0.0, 0.25), (0.5, 0.75))
+_BATCH_CASES = {
+    # Unsorted, with duplicates and t = 0; 101 times span two phi groups.
+    "unsorted": (
+        InitialMeasureSpec(UniformPositions(TorusRegion.interval(0.0, 0.25)), thermal_momenta(1.0, 1)),
+        TorusRegion.interval(0.0, 0.5),
+        [0.7, 0.0, 0.1, 2.5, 0.1, 0.03, 0.0, 5.0, 0.35] + [0.1 * i for i in range(101)],
+    ),
+    "block_edge": (
+        InitialMeasureSpec(UniformPositions(TorusRegion.interval(0.1, 0.6)), _EDGE_LAW),
+        TorusRegion.interval(0.1, 0.6),
+        [0.5, 0.02021484375, 0.004, 0.02021484375, 1.0],
+    ),
+    "gaussian_point": (
+        InitialMeasureSpec(PointPositions((0.2,)), GaussianMomenta(0.3)),
+        TorusRegion.interval(0.0, 0.5),
+        [3.0, 0.05, 0.0, 0.4, 1.7],
+    ),
+    "tabulated": (
+        InitialMeasureSpec(
+            UniformPositions(TorusRegion.interval(0.0, 0.5)),
+            TabulatedMomenta((-3.0, -1.0, 0.0, 1.0, 3.0), (0.0, 0.5, 1.0, 0.5, 0.0)),
+        ),
+        TorusRegion.interval(0.0, 0.5),
+        [0.1, 0.0, 2.0, 0.01, 0.1],
+    ),
+    "box_2d": (
+        InitialMeasureSpec(UniformPositions(_BOX_2D), GaussianMomenta(0.4)),
+        _BOX_2D,
+        [0.0, 0.2, 1.0, 0.05, 4.0],
+    ),
+    "point_mixture": (
+        InitialMeasureSpec(
+            PointMixturePositions(((0.2,), (0.7,)), (0.3, 0.7)), _EDGE_LAW
+        ),
+        TorusRegion.interval(0.1, 0.4),
+        [0.0, 0.3, 0.02, 2.0, 0.3],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_BATCH_CASES))
+def test_expected_fraction_sequence_equals_scalar_calls(case):
+    spec, region, times = _BATCH_CASES[case]
+    got = expected_fraction(spec, region, times)
+    assert isinstance(got, np.ndarray) and got.shape == (len(times),)
+    want = [expected_fraction(spec, region, t) for t in times]
+    assert all(type(w) is float for w in want)
+    assert got.tolist() == want  # bit for bit
+    assert expected_fraction(spec, region, np.array(times[:1])).tolist() == want[:1]
+    assert expected_fraction(spec, region, []).shape == (0,)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5])
+def test_expected_fraction_sequence_refuses_a_bad_time(bad):
+    spec, region, _ = _BATCH_CASES["gaussian_point"]
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        expected_fraction(spec, region, [0.1, 1.0, bad, 2.0])
+    for shape_or_type in ([[0.1, 0.2]], ["0.1"]):
+        with pytest.raises(ValueError, match="1-d sequence"):
+            expected_fraction(spec, region, shape_or_type)
+
+
+def test_expected_fraction_batch_gives_up_past_the_term_limit(monkeypatch):
+    monkeypatch.setattr(analytic, "_MAX_TERMS", 5000)
+    spec = InitialMeasureSpec(PointPositions((0.2,)), _EDGE_LAW)
+    with pytest.raises(RuntimeError, match="tail_tol"):
+        expected_fraction(spec, TorusRegion.interval(0.0, 0.5), [1.0, 0.001, 0.5])
+
+
+def test_expected_fraction_batch_caps_each_phi_call(monkeypatch):
+    sizes = []
+    original = analytic._momentum_char
+
+    def recorded(law, u):
+        sizes.append(np.size(u))
+        return original(law, u)
+
+    spec, region, _ = _BATCH_CASES["block_edge"]
+    times = list(np.linspace(0.003, 2.0, 101))
+    want = expected_fraction(spec, region, times)
+    monkeypatch.setattr(analytic, "_momentum_char", recorded)
+    assert expected_fraction(spec, region, times).tolist() == want.tolist()
+    assert max(sizes) <= analytic._BLOCK + 2
+    assert max(sizes) > analytic._PREFIXES[0] + 2  # several times share a call
+
+
 def test_expected_fraction_stays_in_unit_interval():
     spec = InitialMeasureSpec(PointPositions((0.25,)), GaussianMomenta(0.05))
     for t in (0.0, 0.1, 1.0, 25.0):

@@ -229,6 +229,50 @@ def test_gas_trace_seed_changes_output(tmp_path):
     assert (out_a / "gas_trace.csv").read_bytes() != (out_b / "gas_trace.csv").read_bytes()
 
 
+def test_top_level_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["--help"])
+    assert info.value.code == 0
+    text = capsys.readouterr().out
+    assert all(command in text for command in COMMANDS)
+
+
+def test_command_help_lists_its_keys_only(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["gas-mean", "--help"])
+    assert info.value.code == 0
+    text = capsys.readouterr().out
+    assert text.startswith("usage: equilab gas-mean")
+    for flag in ("--config", "--t-values", "--tail-tol", "--fit-epsilon", "--seed", "--out"):
+        assert flag in text
+    assert "--histories" not in text and "--mu" not in text
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gas-warp"], "invalid choice: 'gas-warp'"),
+        (["gas-mean", "--histories", "3"], "unrecognized arguments: --histories 3"),
+        ([], "required: command"),
+    ],
+    ids=["unknown_command", "unknown_flag", "no_arguments"],
+)
+def test_argument_errors_exit_2(capsys, argv, message):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_flag_after_the_command_overrides_the_config(tmp_path):
+    out = tmp_path / "out"
+    ini = "[kac-brute]\nn = 6\nmu = 0.3\nt = 3\nseed = 1\n"
+    assert _run(tmp_path, "kac-brute", ini, "--out", str(out), "--t", "4", "--seed", "9") == 0
+    summary = _summary(out, "kac-brute")
+    assert summary["parameters"]["t"] == 4
+    assert summary["master_seed"] == 9
+
+
 def test_config_error_exit_code_and_stderr(tmp_path, capsys):
     code = _run(tmp_path, "gas-scaling", SCALING_INI, "--epsilon", "1.5")
     assert code == 2
@@ -376,13 +420,14 @@ def test_gas_mean_with_fit(tmp_path):
 
 
 def test_gas_mean_fit_reuses_the_computed_means(tmp_path, monkeypatch):
-    # 101 times, t = 0 among them: one mean per time, none recomputed for the
-    # decay fit.  test_digests pins the fit itself to the last bit.
+    # 101 times, t = 0 among them: one call carries every time, and nothing
+    # is recomputed for the decay fit.  test_digests pins the fit itself to
+    # the last bit.
     calls = []
     original = analytic.expected_fraction
 
     def counted(*args, **kwargs):
-        calls.append(args[2])
+        calls.append(list(args[2]))
         return original(*args, **kwargs)
 
     monkeypatch.setattr(cli, "expected_fraction", counted)
@@ -391,7 +436,7 @@ def test_gas_mean_fit_reuses_the_computed_means(tmp_path, monkeypatch):
     out = tmp_path / "out"
     ini = f"[gas-mean]\nregion = 0,0.5\nt_values = {','.join(map(str, times))}\nfit = true\n"
     assert _run(tmp_path, "gas-mean", ini, "--out", str(out)) == 0
-    assert sorted(calls) == times
+    assert calls == [times]
     assert _summary(out, "gas-mean")["results"]["decay_r"] > 0
 
 

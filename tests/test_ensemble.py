@@ -87,6 +87,14 @@ def test_scaling_spec_validation():
             dataclasses.replace(_small_spec(0.04), epsilon=epsilon)
 
 
+@pytest.mark.parametrize("histories", [10.5, 200.0, True, "200"])
+def test_scaling_spec_histories_must_be_an_integer(histories):
+    with pytest.raises(TypeError, match="^histories must be an integer, got "):
+        _small_spec(0.04, histories=histories)
+    spec = _small_spec(0.04, histories=np.int64(200))
+    assert type(spec.histories) is int and spec.histories == 200
+
+
 def test_scaling_epsilon_above_range_gives_zero_deviations():
     # |f - 0.5| can never exceed 0.6, so the counter must stay at zero and
     # the fit is skipped with a warning.
@@ -531,6 +539,23 @@ def test_kac_ensemble_t_max_must_be_an_integer(monkeypatch, t_max):
     monkeypatch.setattr(ensemble, "_map_chunks", lambda *a: pytest.fail("chunks ran"))
     with pytest.raises(TypeError, match="^t_max must be an integer, got "):
         run_kac_ensemble(16, 0.3, 10, t_max=t_max, epsilon=0.1, seed=0)
+
+
+@pytest.mark.parametrize("name", ["n_sites", "histories"])
+@pytest.mark.parametrize("value", [16.0, 10.5, True, "16", None])
+def test_kac_ensemble_counts_must_be_integers(monkeypatch, name, value):
+    monkeypatch.setattr(ensemble, "_map_chunks", lambda *a: pytest.fail("chunks ran"))
+    args = {"n_sites": 16, "mu": 0.3, "histories": 10, "t_max": 4, "epsilon": 0.1, "seed": 0}
+    with pytest.raises(TypeError, match=f"^{name} must be an integer, got "):
+        run_kac_ensemble(**{**args, name: value})
+
+
+def test_kac_ensemble_accepts_numpy_integer_counts():
+    want = run_kac_ensemble(16, 0.3, 10, t_max=4, epsilon=0.1, seed=0)
+    got = run_kac_ensemble(np.int32(16), 0.3, np.int64(10), t_max=4, epsilon=0.1, seed=0)
+    assert type(got.n_sites) is int and type(got.histories) is int
+    for field in ("mean", "variance", "p_dev"):
+        assert np.array_equal(getattr(got, field), getattr(want, field))
 
 
 def test_kac_ensemble_t_max_range_messages():

@@ -296,7 +296,7 @@ _ONES = np.ones(4, dtype=np.int8)
     ],
     ids=["closed_form", "brute_force", "ring_trace", "expected_delta_bar"],
 )
-@pytest.mark.parametrize("value", [1.5, 2.0, "3", None])
+@pytest.mark.parametrize("value", [1.5, 2.0, "3", None, True])
 def test_times_must_be_integers(call, name, value):
     with pytest.raises(TypeError, match=f"^{name} must be an integer, got "):
         call(value)
