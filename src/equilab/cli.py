@@ -134,27 +134,13 @@ def _conv_choice(*options):
     return conv
 
 
-def _conv_int_list(increasing=False):
-    inner = _conv_int()
-
+def _conv_list(inner, increasing=False):
     def conv(s: str):
         vals = tuple(inner(part) for part in s.split(",") if part.strip())
         if not vals:
             raise ValueError("list must not be empty")
         if increasing and any(b <= a for a, b in zip(vals, vals[1:])):
             raise ValueError(f"values must be strictly increasing, got {s!r}")
-        return vals
-
-    return conv
-
-
-def _conv_float_list(minimum=None):
-    inner = _conv_float(minimum=minimum)
-
-    def conv(s: str):
-        vals = tuple(inner(part) for part in s.split(",") if part.strip())
-        if not vals:
-            raise ValueError("list must not be empty")
         return vals
 
     return conv
@@ -171,15 +157,6 @@ def _conv_region(s: str):
         ups.append(float(parts[1]))
     region = TorusRegion(tuple(lows), tuple(ups))  # runs the range checks
     return (region.lower, region.upper)
-
-
-def _conv_point(s: str):
-    vals = tuple(float(p) for p in s.split(",") if p.strip())
-    if not vals:
-        raise ValueError("point must not be empty")
-    if any(not (0.0 <= v < 1.0) for v in vals):
-        raise ValueError("point coordinates must lie in [0, 1)")
-    return vals
 
 
 def _conv_bool(s: str):
@@ -211,15 +188,15 @@ _COMMON = {
 _POSITION_BLOCK = {
     "position": _Param(_conv_choice("uniform", "point"), default="uniform"),
     "position_region": _Param(_conv_region),
-    "position_point": _Param(_conv_point),
+    "position_point": _Param(_conv_list(_conv_float())),
 }
 
 _MOMENTUM_BLOCK = {
     "momentum": _Param(_conv_choice("gaussian", "tabulated"), default="gaussian"),
     "sigma": _Param(_conv_float(minimum=0.0, exclusive=True)),
     "mean_speed": _Param(_conv_float(minimum=0.0, exclusive=True)),
-    "momentum_grid": _Param(_conv_float_list()),
-    "momentum_density": _Param(_conv_float_list()),
+    "momentum_grid": _Param(_conv_list(_conv_float())),
+    "momentum_density": _Param(_conv_list(_conv_float())),
 }
 
 
@@ -236,7 +213,6 @@ def _check_measure(params) -> list:
     mean speed 1) as a side effect.
     """
     errors = []
-    region = _region_from(params)
     dim = len(params["region"][0])
     if params["position"] == "point":
         pt = params.get("position_point")
@@ -246,6 +222,11 @@ def _check_measure(params) -> list:
             errors.append(
                 f"position_point: dimension {len(pt)} does not match region dimension {dim}"
             )
+        else:
+            try:
+                PointPositions(pt)
+            except ValueError as exc:
+                errors.append(f"position_point: {exc}")
     else:
         if params.get("position_region") is None:
             params["position_region"] = params["region"]
@@ -306,6 +287,8 @@ def _check_kac_window(params) -> list:
         errors.append(f"t_max: must be <= 2N = {2 * params['n']}")
     if params["mu"] <= 0.0:
         errors.append("mu: sampled rings need mu > 0; use kac-brute for mu = 0")
+    if params.get("alpha") is not None and params["mu"] == 1.0:
+        errors.append("mu: the mean never decays at mu = 1, so alpha has no window")
     return errors
 
 
@@ -339,7 +322,7 @@ _SCHEMAS = {
     "gas-mean": (
         {
             "region": _Param(_conv_region, required=True),
-            "t_values": _Param(_conv_float_list(minimum=0.0), required=True),
+            "t_values": _Param(_conv_list(_conv_float(minimum=0.0)), required=True),
             "tail_tol": _Param(_conv_float(minimum=0.0, exclusive=True), default=1e-12),
             "fit": _Param(_conv_bool, default=False),
             "fit_epsilon": _Param(_conv_float(minimum=0.0, exclusive=True), default=0.04),
@@ -351,8 +334,8 @@ _SCHEMAS = {
     ),
     "gas-scaling": (
         {
-            "n_values": _Param(_conv_int_list(increasing=True), required=True),
-            "k_values": _Param(_conv_int_list(increasing=True), required=True),
+            "n_values": _Param(_conv_list(_conv_int(), increasing=True), required=True),
+            "k_values": _Param(_conv_list(_conv_int(), increasing=True), required=True),
             "histories": _Param(_conv_int(minimum=1), required=True),
             "epsilon": _Param(_conv_float(minimum=0.0, maximum=1.0, exclusive=True), required=True),
             "t0": _Param(_conv_float(minimum=0.0), default=0.0),
@@ -621,8 +604,6 @@ def _exec_kac_ensemble(cfg: RunConfig, path):
     schedule_block = None
     if p.get("alpha") is not None:
         sched = ring_bound_schedule(p["epsilon"], p["alpha"], p["mu"])
-        if math.isinf(sched.t_start):
-            raise ValueError("mean never decays at mu in {0, 1}; no window exists")
         window = (sched.t_start, sched.window_end(p["n"]))
         seq = sched.sequence_bound(p["n"])
         per = sched.per_time_bound(p["n"])

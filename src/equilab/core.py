@@ -9,13 +9,16 @@ as natural logarithms (:class:`LogProbability`).
 
 Random number streams are counter-based (Philox) and keyed by a
 ``(master_seed, stream_id)`` pair, which makes every ensemble result
-bit-identical regardless of how work is scheduled across processes.
+bit-identical regardless of how work is scheduled across processes.  Every
+count, time and seed goes through :func:`as_int`, the package's one integer
+rule, so a non-integer is refused, never truncated.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
+import operator
 import os
 from dataclasses import dataclass
 from functools import total_ordering
@@ -39,6 +42,18 @@ UNDERFLOW_LINEAR = 1e-300
 _UNDERFLOW_LOG = math.log(UNDERFLOW_LINEAR)
 
 _TWO64 = 2**64
+
+
+def as_int(value, name: str, lo=0, hi=math.inf) -> int:
+    try:
+        if isinstance(value, bool):  # an int subclass; numpy refuses np.bool_ too
+            raise TypeError
+        value = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if not (lo <= value <= hi):
+        raise ValueError(f"{name} must lie in [{lo}, {hi}], got {value}")
+    return value
 
 
 def format_float(x: float) -> str:
@@ -228,8 +243,7 @@ class TimeGrid:
             raise ValueError("t0 must be finite and >= 0")
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
             raise ValueError("dt must be finite and > 0")
-        if self.k_count < 1:
-            raise ValueError("k_count must be >= 1")
+        object.__setattr__(self, "k_count", as_int(self.k_count, "k_count", 1))
 
     @property
     def times(self) -> np.ndarray:
@@ -351,8 +365,8 @@ class RngStream:
     stream_id: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "master_seed", int(self.master_seed) % _TWO64)
-        object.__setattr__(self, "stream_id", int(self.stream_id) % _TWO64)
+        for name in ("master_seed", "stream_id"):
+            object.__setattr__(self, name, as_int(getattr(self, name), name, -math.inf) % _TWO64)
 
     def generator(self) -> np.random.Generator:
         key = np.array([self.master_seed, self.stream_id], dtype=np.uint64)
@@ -362,16 +376,17 @@ class RngStream:
 def stream_generators(master_seed: int, first_id: int, count: int):
     """Yield the generators of stream ids ``first_id .. first_id + count - 1``.
 
-    Internal to the ensembles.  One Philox generator is re-keyed for each id
-    through its public ``state`` setter: key (master_seed, id) mod 2^64,
-    counter 0, an empty output buffer and no cached uint32, which is the
-    state :meth:`RngStream.generator` starts from, so every stream draws
-    exactly what ``RngStream(master_seed, id).generator()`` draws.  Building
-    a fresh Philox per stream costs several times more, because its
-    constructor also seeds a throw-away ``SeedSequence`` from OS entropy.
-    Each yielded generator is the same object, valid until the next yield.
+    Internal to the ensembles, which pass Python ints.  One Philox generator
+    is re-keyed for each id through its public ``state`` setter: key
+    (master_seed, id) mod 2^64, counter 0, an empty output buffer and no
+    cached uint32, which is the state :meth:`RngStream.generator` starts
+    from, so every stream draws exactly what
+    ``RngStream(master_seed, id).generator()`` draws.  Building a fresh
+    Philox per stream costs several times more, because its constructor also
+    seeds a throw-away ``SeedSequence`` from OS entropy.  Each yielded
+    generator is the same object, valid until the next yield.
     """
-    key = np.array([int(master_seed) % _TWO64, 0], dtype=np.uint64)
+    key = np.array([master_seed % _TWO64, 0], dtype=np.uint64)
     state = {
         "bit_generator": "Philox",
         "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
@@ -382,7 +397,7 @@ def stream_generators(master_seed: int, first_id: int, count: int):
     }
     bit_gen = np.random.Philox(key=key)
     gen = np.random.Generator(bit_gen)
-    for stream_id in range(int(first_id), int(first_id) + count):
+    for stream_id in range(first_id, first_id + count):
         key[1] = stream_id % _TWO64
         bit_gen.state = state
         yield gen

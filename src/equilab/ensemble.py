@@ -29,10 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    RngStream, TimeGrid, TorusRegion, atomic_text, stream_generators, write_csv,
+    RngStream, TimeGrid, TorusRegion, as_int, atomic_text, stream_generators, write_csv,
 )
 from .gas import BoxCounter, ObservableSeries, trace
-from .kac import _as_time, ring_steps
+from .kac import ring_steps
 from .sampler import InitialMeasureSpec, sample_microstate
 
 __all__ = [
@@ -88,19 +88,15 @@ class ScalingExperimentSpec:
     master_seed: int
 
     def __post_init__(self):
-        nv = tuple(int(v) for v in self.n_values)
-        kv = tuple(int(v) for v in self.k_values)
-        object.__setattr__(self, "n_values", nv)
-        object.__setattr__(self, "k_values", kv)
-        if not nv or any(b <= a for a, b in zip(nv, nv[1:])) or nv[0] < 1:
-            raise ValueError("n_values must be nonempty and strictly increasing")
-        if not kv or any(b <= a for a, b in zip(kv, kv[1:])) or kv[0] < 1:
-            raise ValueError("k_values must be nonempty and strictly increasing")
-        if kv[-1] > self.grid.k_count:
+        for name in ("n_values", "k_values"):
+            vals = tuple(as_int(v, name, 1) for v in getattr(self, name))
+            if not vals or any(b <= a for a, b in zip(vals, vals[1:])):
+                raise ValueError(f"{name} must be nonempty and strictly increasing")
+            object.__setattr__(self, name, vals)
+        if self.k_values[-1] > self.grid.k_count:
             raise ValueError("largest K exceeds the time grid length")
-        object.__setattr__(self, "histories", _as_time(self.histories, "histories"))
-        if self.histories < 1:
-            raise ValueError("histories must be >= 1")
+        object.__setattr__(self, "histories", as_int(self.histories, "histories", 1))
+        object.__setattr__(self, "master_seed", as_int(self.master_seed, "master_seed", -math.inf))
         if not (self.epsilon > 0.0):
             raise ValueError("epsilon must be > 0")
 
@@ -392,17 +388,14 @@ def run_kac_ensemble(
     t_lo <= t <= t_hi, the quantity the ring bound schedule controls.  The
     ends may be fractional, negative or infinite, but not NaN.
     """
-    n_sites = _as_time(n_sites, "n_sites")
-    if n_sites < 1:
-        raise ValueError("n must be >= 1")
+    n_sites = as_int(n_sites, "n_sites", 1)
     if not (0.0 < mu <= 1.0):
         raise ValueError("mu must lie in (0, 1]")
-    t_max = _as_time(t_max, "t_max")
+    t_max = as_int(t_max, "t_max")
     if t_max > 2 * n_sites:
         raise ValueError("t_max beyond one full period 2N is redundant")
-    histories = _as_time(histories, "histories")
-    if histories < 1:
-        raise ValueError("histories must be >= 1")
+    histories = as_int(histories, "histories", 1)
+    seed = as_int(seed, "seed", -math.inf)
     if not (epsilon > 0.0):
         raise ValueError("epsilon must be > 0")
     # |Delta| <= N, so the int64 sums of Delta^2 stay exact while M * N^2 < 2^63.

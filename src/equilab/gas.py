@@ -22,6 +22,7 @@ from .core import (
     GasMicrostate,
     TimeGrid,
     TorusRegion,
+    as_int,
     fractional_part,
     write_csv,
 )
@@ -196,8 +197,7 @@ def zermelo_state(n: int, x0, p0) -> GasMicrostate:
     coarse observable is exactly periodic: a recurrent orbit by
     construction.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = as_int(n, "n", 1)
     x = np.atleast_1d(np.asarray(x0, dtype=float))
     p = np.atleast_1d(np.asarray(p0, dtype=float))
     if x.shape != p.shape or x.ndim != 1:

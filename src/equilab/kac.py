@@ -28,12 +28,11 @@ map as written, site by site, and stay as the independent oracle for it.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LogProbability, RngStream
+from .core import LogProbability, RngStream, as_int
 
 __all__ = [
     "KacConfiguration",
@@ -56,18 +55,6 @@ _last_ring = None  # (dtype, bytes, (N, P, P_N)) of delta_closed_form's last rin
 #: in one pass; 2^18 bytes stepped as fast but raised the ring ensemble's
 #: peak RSS by about 0.5 MiB.
 _RING_BLOCK = 1 << 17
-
-
-def _as_time(value, name: str, t_max: float = math.inf) -> int:
-    try:
-        if isinstance(value, bool):  # an int subclass; numpy refuses np.bool_ too
-            raise TypeError
-        value = operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
-    if not (0 <= value <= t_max):
-        raise ValueError(f"{name} must lie in [0, {t_max}], got {value}")
-    return value
 
 
 def _as_pm_one(values, name: str) -> np.ndarray:
@@ -111,7 +98,7 @@ class KacConfiguration:
         c.setflags(write=False)
         object.__setattr__(self, "markers", m)
         object.__setattr__(self, "colors", c)
-        object.__setattr__(self, "time", int(self.time))
+        object.__setattr__(self, "time", as_int(self.time, "time", -math.inf))
 
     @classmethod
     def all_white(cls, markers) -> "KacConfiguration":
@@ -218,7 +205,7 @@ def ring_trace(config: KacConfiguration, t_max: int) -> np.ndarray:
     Runs the one ring through :func:`ring_steps` and takes N - 2 * its black
     counts.
     """
-    t_max = _as_time(t_max, "t_max")
+    t_max = as_int(t_max, "t_max")
     black = np.empty(t_max + 1, dtype=np.int64)
     t = 0
     for _, counts in ring_steps(config.markers < 0, config.colors < 0, t_max):
@@ -253,15 +240,14 @@ def delta_closed_form(markers, t: int) -> int:
         if arr.dtype != object:
             _last_ring = memo
     n, parity, ring_odd = memo[2]
-    q, r = divmod(_as_time(t, "t", 2 * n), n)
+    q, r = divmod(as_int(t, "t", hi=2 * n), n)
     odd = np.count_nonzero(parity[r : r + n] ^ parity[:n])
     return (-1) ** (ring_odd * q) * (n - 2 * int(odd))
 
 
 def sample_markers(n: int, mu: float, rng: RngStream) -> np.ndarray:
     """I.i.d. markers with P(marked) = mu, as a +-1 int8 array."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = as_int(n, "n", 1)
     if not (0.0 < mu <= 1.0):
         raise ValueError("mu must lie in (0, 1]")
     gen = rng.generator()
@@ -278,7 +264,7 @@ def expected_delta_bar(mu: float, t: int, n_sites: int) -> float:
     """
     if not (0.0 <= mu <= 1.0):
         raise ValueError("mu must lie in [0, 1]")
-    t = _as_time(t, "t")
+    t = as_int(t, "t")
     if t > n_sites:
         raise ValueError(
             f"the product formula holds only for t <= N = {n_sites}, got t = {t}"
@@ -331,11 +317,10 @@ def brute_force_expectation(n: int, mu: float, t: int) -> BruteForceMoments:
     it the ground-truth oracle for the closed form and the (1-2 mu)^t mean.
     Refuses N > 20 (the enumeration is 2^N).
     """
-    if not (1 <= n <= _BRUTE_LIMIT):
-        raise ValueError(f"brute force enumeration requires 1 <= N <= {_BRUTE_LIMIT}")
+    n = as_int(n, "n", 1, _BRUTE_LIMIT)
     if not (0.0 <= mu <= 1.0):
         raise ValueError("mu must lie in [0, 1]")
-    t = _as_time(t, "t", 2 * n)
+    t = as_int(t, "t", hi=2 * n)
     total = 1 << n
     mean_acc = 0.0
     sq_acc = 0.0

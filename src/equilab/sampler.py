@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GasMicrostate, RngStream, TorusRegion
+from .core import GasMicrostate, RngStream, TorusRegion, as_int
 
 __all__ = [
     "UniformPositions",
@@ -81,7 +81,7 @@ class PointMixturePositions:
     weights: tuple
 
     def __post_init__(self):
-        pts = tuple(tuple(float(v) for v in np.atleast_1d(p)) for p in self.points)
+        pts = tuple(PointPositions(p).point for p in self.points)
         wts = tuple(float(w) for w in self.weights)
         if len(pts) != len(wts) or not pts:
             raise ValueError("points and weights must be non-empty and match in length")
@@ -92,9 +92,6 @@ class PointMixturePositions:
         dims = {len(p) for p in pts}
         if len(dims) != 1:
             raise ValueError("all mixture points must share one dimension")
-        for p in pts:
-            if any(not (0.0 <= v < 1.0) for v in p):
-                raise ValueError("point coordinates must lie in [0, 1)")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", wts)
 
@@ -195,10 +192,8 @@ def sample_microstate(
     Positions come first in the stream, then momenta, so enlarging n or
     swapping the momentum law changes draws in the obvious prefix fashion.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
+    n = as_int(n, "n", 1)
+    dim = as_int(dim, "dim", 1)
     gen = rng.generator()
     x = spec.positions.sample(n, dim, gen)
     p = spec.momenta.sample(n, dim, gen)

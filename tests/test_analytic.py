@@ -639,3 +639,19 @@ def test_macro_estimator_validation():
     with pytest.raises(ValueError):
         macro_estimator(1e19, 1.0, 1e-3, 1.5)
 
+
+@pytest.mark.parametrize(
+    "law",
+    [
+        UniformPositions(TorusRegion((0.0, 0.0), (0.5, 1.0))),
+        PointPositions((0.25, 0.5)),
+        PointMixturePositions(((0.25, 0.5), (0.5, 0.75)), (0.5, 0.5)),
+    ],
+    ids=["uniform", "point", "mixture"],
+)
+def test_position_law_dimension_must_match_the_region(law):
+    initial = InitialMeasureSpec(law, GaussianMomenta(1.0))
+    with pytest.raises(
+        ValueError, match="^position law dimension 2 does not match region dimension 1$"
+    ):
+        expected_fraction(initial, TorusRegion.interval(0.0, 0.5), 1.0)

@@ -116,12 +116,15 @@ def test_region_converter_handles_boxes():
         ("[gas-trace]\nn=10\nregion=0,0.5\ndt=1\nk_count=2\nsigma=1\nmean_speed=1\n", "sigma"),
         ("[gas-trace]\nn=10\nregion=0,0.5\ndt=1\nk_count=2\nposition=point\n", "position_point"),
         ("[gas-trace]\nn=10\nregion=0,0.5\ndt=1\nk_count=2\nposition=point\nposition_point=0.1,0.2\n", "position_point"),
+        ("[gas-trace]\nn=10\nregion=0,0.5\ndt=1\nk_count=2\nposition_region=0,0.5;0,1\n", "position_region"),
+        ("[gas-trace]\nn=10\nregion=0,0.5\ndt=1\nk_count=2\nposition_region=0.2,0.2\n", "position_region"),
         ("[gas-trace]\nn=10\nregion=0,0.5\ndt=1\nk_count=2\nmomentum=tabulated\n", "momentum_grid"),
         ("[gas-trace]\nn=10\nregion=0,0.5\ndt=1\nk_count=2\nmomentum=tabulated\nmomentum_grid=0,1\nmomentum_density=-1,1\n", "momentum_grid"),
         ("[gas-trace]\nn=10\nregion=0,0.5\ndt=1\nk_count=2\nmomentum_grid=0,1\n", "momentum_grid"),
         ("[gas-reverse]\nn=10\nregion=0,0.5\nreverse_time=1.0\ndt=0.3\n", "dt"),
         ("[kac-trace]\nn=16\nmu=0.25\nt_max=33\n", "t_max"),
         ("[kac-trace]\nn=16\nmu=0\nt_max=8\n", "mu"),
+        ("[kac-ensemble]\nn=64\nmu=1.0\nhistories=10\nt_max=8\nepsilon=0.2\nalpha=0.5\n", "mu"),
         ("[kac-brute]\nn=8\nmu=0.25\nt=17\n", "t"),
         ("[bounds]\nepsilon=0.04\nn=1000\nc_mu=0.5\n", "c_mu"),
         ("[macro]\nn0=1e19\ncell_volume=1e-3\nsub_volume=1.0\ndelta_pi=5e-6\n", "sub_volume"),
@@ -320,13 +323,44 @@ def test_kac_brute_site_limit_is_config_error(tmp_path, capsys):
 
 
 def test_runtime_failure_exit_code(tmp_path, capsys):
-    # mu = 1 passes validation but admits no decay window, which only
-    # surfaces once the schedule is evaluated.
-    ini = "[kac-ensemble]\nn=64\nmu=1.0\nhistories=10\nt_max=8\nepsilon=0.2\nalpha=0.5\n"
+    # An output path that is a file passes validation, but the run cannot
+    # make it a directory.
     out = tmp_path / "out"
-    code = _run(tmp_path, "kac-ensemble", ini, "--out", str(out))
+    out.write_text("")
+    code = _run(tmp_path, "kac-brute", TINY_RUNS["kac-brute"][1], "--out", str(out))
     assert code == 3
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_kac_ensemble_window_at_mu_one_is_a_config_error(tmp_path, capsys):
+    # The mean never decays at mu = 1, so alpha's window can never exist;
+    # without alpha the same ring runs.
+    ini = "[kac-ensemble]\nn=64\nmu=1.0\nhistories=10\nt_max=8\nepsilon=0.2\n"
+    out = tmp_path / "out"
+    assert _run(tmp_path, "kac-ensemble", ini + "alpha=0.5\n", "--out", str(out)) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: mu: ")
+    assert not out.exists()
+    assert _run(tmp_path, "kac-ensemble", ini, "--out", str(out)) == 0
+
+
+@pytest.mark.parametrize(
+    "point, message",
+    [
+        ("1.0", "point coordinates must lie in [0, 1)"),
+        ("-0.25", "point coordinates must lie in [0, 1)"),
+        ("nan", "must be finite, got 'nan'"),
+        ("", "list must not be empty"),
+        (" , ", "list must not be empty"),
+    ],
+)
+def test_point_position_errors_exit_2(tmp_path, capsys, point, message):
+    ini = f"{GAS_TRACE_INI}position = point\nposition_point = {point}\n"
+    out = tmp_path / "out"
+    assert _run(tmp_path, "gas-trace", ini, "--out", str(out)) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"config error: position_point: {message}"]
+    assert not out.exists()
 
 
 def test_kac_ensemble_workers_do_not_change_bytes(tmp_path):

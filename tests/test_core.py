@@ -166,6 +166,20 @@ def test_time_grid_validation(t0: float, dt: float, k: int):
         TimeGrid(t0, dt, k)
 
 
+@pytest.mark.parametrize("k", [2.5, 3.0, True, "3"])
+def test_time_grid_k_count_must_be_an_integer(k):
+    # k_count = 2.5 once gave 3 instants.
+    with pytest.raises(TypeError, match="^k_count must be an integer, got "):
+        TimeGrid(0.0, 1.0, k)
+
+
+def test_time_grid_k_count_range_and_numpy_integers():
+    with pytest.raises(ValueError, match="^k_count must lie in \\[1, inf\\], got 0$"):
+        TimeGrid(0.0, 1.0, 0)
+    grid = TimeGrid(0.0, 1.0, np.int64(3))
+    assert type(grid.k_count) is int and grid.times.tolist() == [1.0, 2.0, 3.0]
+
+
 # ---------------------------------------------------------------------------
 # LogProbability
 
@@ -237,6 +251,22 @@ def test_rng_stream_reproducible():
     a = RngStream(1234, 5).generator().random(10**6)
     b = RngStream(1234, 5).generator().random(10**6)
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("name", ["master_seed", "stream_id"])
+@pytest.mark.parametrize("value", [1.5, 2.0, True, "3", None])
+def test_rng_stream_key_must_be_integers(name, value):
+    # RngStream(1.5) once drew what RngStream(1) draws.
+    with pytest.raises(TypeError, match=f"^{name} must be an integer, got "):
+        RngStream(**{"master_seed": 1, "stream_id": 0, name: value})
+
+
+def test_rng_stream_stores_its_key_as_ints_mod_2_64():
+    stream = RngStream(np.int64(-3), np.uint64(2**64 - 1))
+    assert (stream.master_seed, stream.stream_id) == (2**64 - 3, 2**64 - 1)
+    assert type(stream.master_seed) is int and type(stream.stream_id) is int
+    want = RngStream(2**64 - 3, -1).generator().random(4)
+    assert np.array_equal(stream.generator().random(4), want)
 
 
 def test_rng_stream_distinct_ids_decorrelate():

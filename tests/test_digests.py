@@ -6,8 +6,9 @@ kernel, the gas-mean, kac-brute, bounds and macro digests before every CSV
 went through one writer, and the Gaussian and 2-D gas-mean digests before
 the Fourier series got one stopping rule for every momentum law, and the
 N = 1001 ring digest before the ring chunk moved to cache-sized tiles and
-re-keyed streams, and the scaling-drops digest before the gas chunk dropped
-exceeded histories by swap-fill.  None may move when a kernel, the sampling
+re-keyed streams, the scaling-drops digest before the gas chunk dropped
+exceeded histories by swap-fill, and the two ``position = point`` digests
+before the point law took over the command line's point check.  None may move when a kernel, the sampling
 path, the process pool, the writer or the series evaluation changes: any
 such change that alters a single byte of a result is a behaviour change, not
 a refactor.
@@ -85,6 +86,18 @@ CONFIGS = {
         "gas-mean", "gas_mean.csv",
         f"region = 0,0.5;0.25,0.75\nt_values = {_TIMES}\n",
     ),
+    # All particles start at one point: a 2-D trace and a tabulated mean.
+    "trace-point": (
+        "gas-trace", "gas_trace.csv",
+        "n = 500\nregion = 0,0.5;0.25,0.75\ndt = 0.05\nk_count = 100\n"
+        "position = point\nposition_point = 0.25,0.5\nseed = 3\n",
+    ),
+    "gas-mean-point": (
+        "gas-mean", "gas_mean.csv",
+        "region = 0.1,0.6\nt_values = 0,0.25,0.5,1,2,3.5,7\nposition = point\n"
+        "position_point = 0.3\nmomentum = tabulated\n"
+        "momentum_grid = -2,-1,0,0.5,2\nmomentum_density = 0,1,3,1,0.2\n",
+    ),
     "kac-brute": (
         "kac-brute", "kac_brute.csv",
         "n = 13\nmu = 0.3\nt = 9\n",
@@ -114,6 +127,8 @@ DIGESTS = {
     "gas-mean": "9cdbff04d6e6a8637225f3224e734671457cdef5c8020c00875248ed8887f90b",
     "gas-mean-gaussian": "8ba389d2dc7b7c2d5b316eb3bbed8e1745b1df1b7900f0f826402c3201c048c8",
     "gas-mean-box2d": "56f71be4f9ba43d940ae1f5c062e406ad292a51f3f1e8044d09d8ec0b3f27ba0",
+    "trace-point": "5de4d90938b74281df5f887131b326605918767874cb8679c0c5d99c20b6af1a",
+    "gas-mean-point": "cd8b35e28bd58e2b014faebbc95af24032ada3c292b276639f2586ccd537484f",
     "kac-brute": "71d13f0048009cfed73b77c73520596fcdc119cb98da70d717ddecd30f298853",
     "bounds": "707253d2348df399a82cb2fd3ec557e2797cb49ea409d468410c9172f4c8118a",
     "macro": "889ae58a9399ae10ea71e897d62f16c7c7c1f75b9e8f0af7efa4154d976ad1b0",
@@ -150,13 +165,15 @@ def test_scaling_csv_digest(tmp_path, name, workers):
     assert _digest(tmp_path, name, workers) == DIGESTS[name]
 
 
-@pytest.mark.parametrize("name", ["trace", "reverse", "kac-trace"])
+@pytest.mark.parametrize("name", ["trace", "reverse", "kac-trace", "trace-point"])
 def test_single_history_csv_digest(tmp_path, name):
     assert _digest(tmp_path, name, 1) == DIGESTS[name]
 
 
 @pytest.mark.parametrize(
-    "name", ["gas-mean", "gas-mean-gaussian", "gas-mean-box2d", "kac-brute", "bounds", "macro"]
+    "name",
+    ["gas-mean", "gas-mean-gaussian", "gas-mean-box2d", "gas-mean-point", "kac-brute",
+     "bounds", "macro"],
 )
 def test_analytic_csv_digest(tmp_path, name):
     assert _digest(tmp_path, name, 1) == DIGESTS[name]

@@ -95,6 +95,42 @@ def test_scaling_spec_histories_must_be_an_integer(histories):
     assert type(spec.histories) is int and spec.histories == 200
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        # Once truncated to N = 100 and 200.
+        ("n_values", (100.7, 200.2)),
+        ("n_values", (50, 2.5)),
+        ("n_values", (True, 100)),
+        ("n_values", ("3", 100)),
+        ("k_values", (1.9,)),
+        ("k_values", (True,)),
+        ("k_values", ("3",)),
+        ("master_seed", 1.5),
+        ("master_seed", True),
+        ("master_seed", "3"),
+    ],
+)
+def test_scaling_spec_counts_and_seed_must_be_integers(name, value):
+    with pytest.raises(TypeError, match=f"^{name} must be an integer, got "):
+        dataclasses.replace(_small_spec(0.04), **{name: value})
+
+
+def test_scaling_spec_stores_numpy_integers_as_ints():
+    spec = dataclasses.replace(
+        _small_spec(0.04),
+        n_values=np.array([50, 100]),
+        k_values=(np.int64(1), np.int32(3)),
+        master_seed=np.int64(99),
+    )
+    assert spec.n_values == (50, 100) and spec.k_values == (1, 3)
+    assert spec.master_seed == 99
+    for v in (*spec.n_values, *spec.k_values, spec.master_seed):
+        assert type(v) is int
+    with pytest.raises(ValueError, match="^n_values must lie in \\[1, inf\\], got 0$"):
+        dataclasses.replace(spec, n_values=(0, 50))
+
+
 def test_scaling_epsilon_above_range_gives_zero_deviations():
     # |f - 0.5| can never exceed 0.6, so the counter must stay at zero and
     # the fit is skipped with a warning.
@@ -530,7 +566,7 @@ def test_kac_ensemble_validation():
     for mu in (0.0, 1.5):
         with pytest.raises(ValueError, match="mu must lie in"):
             run_kac_ensemble(16, mu, 10, t_max=4, epsilon=0.1, seed=0)
-    with pytest.raises(ValueError, match="n must be >= 1"):
+    with pytest.raises(ValueError, match="^n_sites must lie in \\[1, inf\\], got 0$"):
         run_kac_ensemble(0, 0.3, 10, t_max=0, epsilon=0.1, seed=0)
 
 
@@ -541,8 +577,9 @@ def test_kac_ensemble_t_max_must_be_an_integer(monkeypatch, t_max):
         run_kac_ensemble(16, 0.3, 10, t_max=t_max, epsilon=0.1, seed=0)
 
 
-@pytest.mark.parametrize("name", ["n_sites", "histories"])
-@pytest.mark.parametrize("value", [16.0, 10.5, True, "16", None])
+# seed = 1.5 once ran as seed 1, bit for bit.
+@pytest.mark.parametrize("name", ["n_sites", "histories", "t_max", "seed"])
+@pytest.mark.parametrize("value", [16.0, 10.5, True, "16", None, 1.5])
 def test_kac_ensemble_counts_must_be_integers(monkeypatch, name, value):
     monkeypatch.setattr(ensemble, "_map_chunks", lambda *a: pytest.fail("chunks ran"))
     args = {"n_sites": 16, "mu": 0.3, "histories": 10, "t_max": 4, "epsilon": 0.1, "seed": 0}
@@ -551,11 +588,14 @@ def test_kac_ensemble_counts_must_be_integers(monkeypatch, name, value):
 
 
 def test_kac_ensemble_accepts_numpy_integer_counts():
-    want = run_kac_ensemble(16, 0.3, 10, t_max=4, epsilon=0.1, seed=0)
-    got = run_kac_ensemble(np.int32(16), 0.3, np.int64(10), t_max=4, epsilon=0.1, seed=0)
+    want = run_kac_ensemble(16, 0.3, 10, t_max=4, epsilon=0.1, seed=1)
+    got = run_kac_ensemble(
+        np.int32(16), 0.3, np.int64(10), t_max=np.int64(4), epsilon=0.1, seed=np.int64(1)
+    )
     assert type(got.n_sites) is int and type(got.histories) is int
     for field in ("mean", "variance", "p_dev"):
         assert np.array_equal(getattr(got, field), getattr(want, field))
+
 
 
 def test_kac_ensemble_t_max_range_messages():

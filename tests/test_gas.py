@@ -235,6 +235,13 @@ def test_zermelo_state_is_periodic_and_binary():
     assert set(np.unique(series.values)) <= {0.0, 1.0}
 
 
+@pytest.mark.parametrize("n", [2.5, 10.0, True, "10"])
+def test_zermelo_state_n_must_be_an_integer(n):
+    with pytest.raises(TypeError, match="^n must be an integer, got "):
+        zermelo_state(n, 0.25, 1.0)
+    assert zermelo_state(np.int64(3), 0.25, 1.0).n == 3
+
+
 def test_zermelo_state_validation():
     with pytest.raises(ValueError):
         zermelo_state(10, 0.25, 0.0)

@@ -293,8 +293,11 @@ _ONES = np.ones(4, dtype=np.int8)
         (lambda t: brute_force_expectation(4, 0.3, t), "t"),
         (lambda t: ring_trace(KacConfiguration.all_white(_ONES), t), "t_max"),
         (lambda t: expected_delta_bar(0.25, t, 10), "t"),
+        (lambda n: brute_force_expectation(n, 0.3, 2), "n"),
+        (lambda n: sample_markers(n, 0.3, RngStream(0)), "n"),
     ],
-    ids=["closed_form", "brute_force", "ring_trace", "expected_delta_bar"],
+    ids=["closed_form", "brute_force", "ring_trace", "expected_delta_bar", "brute_force_n",
+         "sample_markers"],
 )
 @pytest.mark.parametrize("value", [1.5, 2.0, "3", None, True])
 def test_times_must_be_integers(call, name, value):
@@ -308,6 +311,30 @@ def test_numpy_integer_times_accepted():
     assert deltas.shape == (17,)
     assert delta_closed_form(markers, np.int64(11)) == deltas[11]
     assert brute_force_expectation(4, 0.3, np.int32(2)) == brute_force_expectation(4, 0.3, 2)
+    assert brute_force_expectation(np.int64(4), 0.3, 2) == brute_force_expectation(4, 0.3, 2)
+    want = sample_markers(9, 0.3, RngStream(2))
+    assert np.array_equal(sample_markers(np.int64(9), 0.3, RngStream(2)), want)
+
+
+def test_configuration_time_must_be_an_integer():
+    ones = np.ones(4, dtype=np.int8)
+    with pytest.raises(TypeError, match="^time must be an integer, got 1.5$"):
+        KacConfiguration(ones, ones, 1.5)
+    config = KacConfiguration(ones, ones, np.int64(-2))
+    assert type(config.time) is int and step(config).time == -1
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: brute_force_expectation(0, 0.3, 0), "n must lie in \\[1, 20\\], got 0"),
+        (lambda: brute_force_expectation(21, 0.3, 0), "n must lie in \\[1, 20\\], got 21"),
+        (lambda: sample_markers(0, 0.3, RngStream(0)), "n must lie in \\[1, inf\\], got 0"),
+    ],
+)
+def test_site_counts_out_of_range(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 # ---------------------------------------------------------------------------

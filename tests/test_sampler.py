@@ -174,3 +174,44 @@ def test_sample_microstate_validates_counts():
         sample_microstate(spec, 0, 1, RngStream(0, 0))
     with pytest.raises(ValueError):
         sample_microstate(spec, 5, 0, RngStream(0, 0))
+
+
+@pytest.mark.parametrize("name", ["n", "dim"])
+@pytest.mark.parametrize("value", [2.5, 1.0, True, "3"])
+def test_sample_microstate_counts_must_be_integers(name, value):
+    spec = InitialMeasureSpec(PointPositions((0.5,)), GaussianMomenta(1.0))
+    args = {"n": 5, "dim": 1, name: value}
+    with pytest.raises(TypeError, match=f"^{name} must be an integer, got "):
+        sample_microstate(spec, args["n"], args["dim"], RngStream(0, 0))
+
+
+def test_sample_microstate_accepts_numpy_integer_counts():
+    spec = InitialMeasureSpec(PointPositions((0.5,)), GaussianMomenta(1.0))
+    want = sample_microstate(spec, 5, 1, RngStream(3, 0))
+    got = sample_microstate(spec, np.int64(5), np.int32(1), RngStream(3, 0))
+    assert np.array_equal(got.momenta, want.momenta) and got.n == 5
+
+
+@pytest.mark.parametrize(
+    "law, message",
+    [
+        (UniformPositions(TorusRegion((0.0, 0.0), (0.5, 1.0))),
+         "position region has dimension 2, expected 1"),
+        (PointPositions((0.25, 0.5)), "point has dimension 2, expected 1"),
+        (PointMixturePositions(((0.25, 0.5), (0.5, 0.75)), (0.5, 0.5)),
+         "mixture points have dimension 2, expected 1"),
+    ],
+    ids=["uniform", "point", "mixture"],
+)
+def test_position_laws_refuse_another_dimension(law, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        law.sample(4, 1, RngStream(0, 0).generator())
+
+
+@pytest.mark.parametrize("point", [(1.0,), (-0.25,), (0.5, math.nan)])
+def test_point_laws_refuse_points_off_the_torus(point):
+    with pytest.raises(ValueError, match="point coordinates must lie in \\[0, 1\\)"):
+        PointPositions(point)
+    # The mixture checks each of its points through PointPositions.
+    with pytest.raises(ValueError, match="point coordinates must lie in \\[0, 1\\)"):
+        PointMixturePositions(((0.5,) * len(point), point), (0.5, 0.5))
