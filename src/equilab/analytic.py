@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LogProbability, TorusRegion
+from .core import LogProbability, TorusRegion, as_int, as_real
 from .sampler import (
     GaussianMomenta,
     InitialMeasureSpec,
@@ -47,6 +47,7 @@ from .sampler import (
     PointPositions,
     TabulatedMomenta,
     UniformPositions,
+    check_dim,
 )
 
 __all__ = [
@@ -85,12 +86,10 @@ def _interval_transform(a: float, b: float, ells: np.ndarray) -> np.ndarray:
 
 
 def _momentum_char(law, u: np.ndarray) -> np.ndarray:
-    """Characteristic function E exp(i u p) of one momentum component."""
+    """Characteristic function E exp(i u p) of one Gaussian or tabulated momentum component."""
     if isinstance(law, GaussianMomenta):
         return np.exp(-0.5 * (law.sigma * u) ** 2)
-    if isinstance(law, TabulatedMomenta):
-        return _tabulated_char(law, u)
-    raise ValueError(f"unsupported momentum law {type(law).__name__}")
+    return _tabulated_char(law, u)
 
 
 #: Below this |u h| the closed forms of A and B lose more than 1e-15 to
@@ -151,29 +150,20 @@ def _position_components(law, dim: int):
     the per-axis factorization, which keeps the product formula valid.
     """
     if isinstance(law, UniformPositions):
-        if law.region.dim != dim:
-            raise ValueError(
-                f"position law dimension {law.region.dim} does not match region dimension {dim}"
-            )
         axes = [
             ("uniform", lo, up) for lo, up in zip(law.region.lower, law.region.upper)
         ]
-        return [(1.0, axes)]
-    if isinstance(law, PointPositions):
-        if len(law.point) != dim:
-            raise ValueError(
-                f"position law dimension {len(law.point)} does not match region dimension {dim}"
-            )
-        return [(1.0, [("point", v) for v in law.point])]
-    if isinstance(law, PointMixturePositions):
-        if len(law.points[0]) != dim:
-            raise ValueError(
-                f"position law dimension {len(law.points[0])} does not match region dimension {dim}"
-            )
-        return [
+        components = [(1.0, axes)]
+    elif isinstance(law, PointPositions):
+        components = [(1.0, [("point", v) for v in law.point])]
+    elif isinstance(law, PointMixturePositions):
+        components = [
             (w, [("point", v) for v in pt]) for pt, w in zip(law.points, law.weights)
         ]
-    raise ValueError(f"unsupported position law {type(law).__name__}")
+    else:
+        raise ValueError(f"unsupported position law {type(law).__name__}")
+    check_dim(law, dim)
+    return components
 
 
 def _position_transform(desc, ells: np.ndarray):
@@ -276,8 +266,7 @@ def expected_fraction(
     ts = np.atleast_1d(times).astype(float)
     if not np.all((ts >= 0.0) & np.isfinite(ts)):
         raise ValueError("t must be finite and >= 0")
-    if not (tail_tol > 0.0 and math.isfinite(tail_tol)):
-        raise ValueError("tail_tol must be finite and > 0")
+    as_real(tail_tol, "tail_tol", 0, open_lo=True, finite=True)
     momentum = initial.momenta
     if not isinstance(momentum, (GaussianMomenta, TabulatedMomenta)):
         raise ValueError(f"unsupported momentum law {type(momentum).__name__}")
@@ -308,14 +297,11 @@ class DecayEstimate:
     r: float
 
     def __post_init__(self):
-        if not (self.c_mu > 0.0 and math.isfinite(self.c_mu)):
-            raise ValueError("c_mu must be finite and > 0")
-        if not (self.r > 0.0 and math.isfinite(self.r)):
-            raise ValueError("r must be finite and > 0")
+        as_real(self.c_mu, "c_mu", 0, open_lo=True, finite=True)
+        as_real(self.r, "r", 0, open_lo=True, finite=True)
 
     def bound(self, t: float) -> float:
-        if t <= 0.0:
-            raise ValueError("decay bound is defined for t > 0")
+        as_real(t, "t", 0, open_lo=True)
         return self.c_mu * t ** (-2.0 * self.r)
 
 
@@ -391,14 +377,10 @@ class ScenarioParameters:
     eta: float = 0.5
 
     def __post_init__(self):
-        if not (0.0 < self.epsilon < 1.0):
-            raise ValueError("epsilon must lie in (0, 1)")
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if not (self.k_count >= 1):
-            raise ValueError("k_count must be >= 1")
-        if not (0.0 < self.eta < 1.0):
-            raise ValueError("eta must lie in (0, 1)")
+        as_real(self.epsilon, "epsilon", 0, 1, open_lo=True, open_hi=True)
+        as_real(self.n, "n", 1)
+        as_real(self.k_count, "k_count", 1)
+        as_real(self.eta, "eta", 0, 1, open_lo=True, open_hi=True)
 
 
 def hoeffding_tail(epsilon: float, n: int) -> LogProbability:
@@ -407,10 +389,8 @@ def hoeffding_tail(epsilon: float, n: int) -> LogProbability:
     epsilon = 0 is allowed and yields the vacuous bound 2 (flagged, with the
     raw log preserved).
     """
-    if epsilon < 0.0:
-        raise ValueError("epsilon must be >= 0")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    as_real(epsilon, "epsilon", 0)
+    as_real(n, "n", 1)
     return LogProbability.from_log(math.log(2.0) - 2.0 * epsilon**2 * n)
 
 
@@ -434,19 +414,15 @@ def log_sequence_capacity(epsilon: float, n: int) -> float:
     With K = K_n the eta = 1/2 scenario bound collapses to exp(-eps^2 n / 4).
     Returned as a log because K_n overflows floats already at eps^2 n ~ 2800.
     """
-    if not (epsilon > 0.0):
-        raise ValueError("epsilon must be > 0")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    as_real(epsilon, "epsilon", 0, open_lo=True)
+    as_real(n, "n", 1)
     return 0.25 * epsilon**2 * n - math.log(2.0)
 
 
 def equilibration_time(decay: DecayEstimate, epsilon: float, eta: float = 0.5) -> float:
     """Smallest t with c_mu t^(-2r) <= eta * epsilon, i.e. (c_mu/(eta eps))^(1/2r)."""
-    if not (epsilon > 0.0):
-        raise ValueError("epsilon must be > 0")
-    if not (0.0 < eta < 1.0):
-        raise ValueError("eta must lie in (0, 1)")
+    as_real(epsilon, "epsilon", 0, open_lo=True)
+    as_real(eta, "eta", 0, 1, open_lo=True, open_hi=True)
     return (decay.c_mu / (eta * epsilon)) ** (1.0 / (2.0 * decay.r))
 
 
@@ -456,8 +432,7 @@ def partition_scenario_bound(params: ScenarioParameters, l_count: int) -> LogPro
     Uses the self-balancing instant budget (K = K_n at eta = 1/2) per cell,
     so only epsilon and n enter besides L.
     """
-    if l_count < 1:
-        raise ValueError("l_count must be >= 1")
+    l_count = as_int(l_count, "l_count", 1)
     log_bound = math.log(l_count) - 0.25 * params.epsilon**2 * params.n
     return LogProbability.from_log(log_bound)
 
@@ -473,10 +448,8 @@ def markov_bound(epsilon: float, n: int, t_large: bool) -> LogProbability:
             "markov_bound holds only after the mean deviation has fallen below "
             "epsilon/2; pass t_large=True to assert that"
         )
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be > 0")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    as_real(epsilon, "epsilon", 0, open_lo=True)
+    as_real(n, "n", 1)
     return LogProbability.from_log(math.log(4.0) - math.log(epsilon**2 * n))
 
 
@@ -518,14 +491,12 @@ def macro_estimator(
     instants.  Everything stays in log space: realistic numbers produce
     exponents in the hundreds to thousands.
     """
-    if n0 <= 0.0 or cell_volume <= 0.0 or sub_volume <= 0.0:
-        raise ValueError("n0 and volumes must be > 0")
+    for name, value in (("n0", n0), ("cell_volume", cell_volume), ("sub_volume", sub_volume)):
+        as_real(value, name, 0, open_lo=True)
     if sub_volume >= cell_volume:
         raise ValueError("sub_volume must be smaller than cell_volume")
-    if not (0.0 < delta_pi < 1.0):
-        raise ValueError("delta_pi must lie in (0, 1)")
-    if k_count < 1:
-        raise ValueError("k_count must be >= 1")
+    as_real(delta_pi, "delta_pi", 0, 1, open_lo=True, open_hi=True)
+    as_real(k_count, "k_count", 1)
     n = n0 * cell_volume
     epsilon = (sub_volume / cell_volume) * delta_pi
     exponent = -2.0 * epsilon**2 * n

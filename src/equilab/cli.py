@@ -62,6 +62,7 @@ from .sampler import (
     PointPositions,
     TabulatedMomenta,
     UniformPositions,
+    check_dim,
     sample_microstate,
     thermal_momenta,
 )
@@ -205,73 +206,62 @@ def _region_from(params, key="region") -> TorusRegion:
     return TorusRegion(lo, up)
 
 
-def _check_measure(params) -> list:
-    """Cross-field validation of the position/momentum law block.
+def _position_law(params):
+    if params["position"] == "point":
+        law = PointPositions(params["position_point"])
+    else:
+        law = UniformPositions(_region_from(params, "position_region"))
+    check_dim(law, len(params["region"][0]))
+    return law
 
-    Builds the laws once so the law constructors' own checks surface as
-    config errors; fills in the defaults (position region = observed region,
-    mean speed 1) as a side effect.
+
+def _momentum_law(params):
+    if params["momentum"] == "tabulated":
+        return TabulatedMomenta(params["momentum_grid"], params["momentum_density"])
+    if params.get("sigma") is not None:
+        return GaussianMomenta(params["sigma"])
+    return thermal_momenta(params["mean_speed"], len(params["region"][0]))
+
+
+def _check_measure(params) -> list:
+    """Key rules of the position/momentum law block, then the laws' own checks.
+
+    Fills in the defaults (position region = observed region, mean speed 1)
+    as a side effect.  Once the keys are consistent, both laws are built
+    once, and a law's error is reported under the key that feeds it.
     """
     errors = []
-    dim = len(params["region"][0])
     if params["position"] == "point":
-        pt = params.get("position_point")
-        if pt is None:
+        if params.get("position_point") is None:
             errors.append("position_point: required when position = point")
-        elif len(pt) != dim:
-            errors.append(
-                f"position_point: dimension {len(pt)} does not match region dimension {dim}"
-            )
-        else:
-            try:
-                PointPositions(pt)
-            except ValueError as exc:
-                errors.append(f"position_point: {exc}")
-    else:
-        if params.get("position_region") is None:
-            params["position_region"] = params["region"]
-        lo, up = params["position_region"]
-        if len(lo) != dim:
-            errors.append(
-                f"position_region: dimension {len(lo)} does not match region dimension {dim}"
-            )
-        elif any(b <= a for a, b in zip(lo, up)):
-            errors.append("position_region: region must have positive measure")
+    elif params.get("position_region") is None:
+        params["position_region"] = params["region"]
     if params["momentum"] == "gaussian":
         if params.get("sigma") is not None and params.get("mean_speed") is not None:
             errors.append("sigma: give either sigma or mean_speed, not both")
         if params.get("sigma") is None and params.get("mean_speed") is None:
             params["mean_speed"] = 1.0
-        if params.get("mean_speed") is not None and dim > 3:
-            errors.append("mean_speed: mean-speed calibration needs dim <= 3; give sigma")
         if params.get("momentum_grid") is not None or params.get("momentum_density") is not None:
             errors.append("momentum_grid: only valid with momentum = tabulated")
     else:
         for key in ("momentum_grid", "momentum_density"):
             if params.get(key) is None:
                 errors.append(f"{key}: required when momentum = tabulated")
-        if not errors:
-            try:
-                TabulatedMomenta(params["momentum_grid"], params["momentum_density"])
-            except ValueError as exc:
-                errors.append(f"momentum_grid: {exc}")
+    if errors:
+        return errors
+    position_key = "position_point" if params["position"] == "point" else "position_region"
+    momentum_key = ("momentum_grid" if params["momentum"] == "tabulated"
+                    else "sigma" if params.get("sigma") is not None else "mean_speed")
+    for key, build in ((position_key, _position_law), (momentum_key, _momentum_law)):
+        try:
+            build(params)
+        except ValueError as exc:
+            errors.append(f"{key}: {exc}")
     return errors
 
 
 def _build_initial(params) -> InitialMeasureSpec:
-    dim = len(params["region"][0])
-    if params["position"] == "point":
-        positions = PointPositions(params["position_point"])
-    else:
-        positions = UniformPositions(_region_from(params, "position_region"))
-    if params["momentum"] == "gaussian":
-        if params.get("sigma") is not None:
-            momenta = GaussianMomenta(params["sigma"])
-        else:
-            momenta = thermal_momenta(params["mean_speed"], dim)
-    else:
-        momenta = TabulatedMomenta(params["momentum_grid"], params["momentum_density"])
-    return InitialMeasureSpec(positions, momenta)
+    return InitialMeasureSpec(_position_law(params), _momentum_law(params))
 
 
 def _check_reverse(params) -> list:

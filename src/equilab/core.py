@@ -11,13 +11,16 @@ Random number streams are counter-based (Philox) and keyed by a
 ``(master_seed, stream_id)`` pair, which makes every ensemble result
 bit-identical regardless of how work is scheduled across processes.  Every
 count, time and seed goes through :func:`as_int`, the package's one integer
-rule, so a non-integer is refused, never truncated.
+rule, so a non-integer is refused, never truncated; every scalar real-valued
+parameter goes through :func:`as_real`, its one real-number rule, which
+refuses NaN, booleans and non-numbers.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
+import numbers
 import operator
 import os
 from dataclasses import dataclass
@@ -54,6 +57,21 @@ def as_int(value, name: str, lo=0, hi=math.inf) -> int:
     if not (lo <= value <= hi):
         raise ValueError(f"{name} must lie in [{lo}, {hi}], got {value}")
     return value
+
+
+def as_real(value, name: str, lo=-math.inf, hi=math.inf, *, open_lo=False, open_hi=False,
+            finite=False) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
+    above = lo < value if open_lo else lo <= value
+    below = value < hi if open_hi else value <= hi
+    if above and below and not (finite and math.isinf(value)):
+        return
+    if hi < math.inf:
+        rule = f"lie in {'(' if open_lo else '['}{lo}, {hi}{')' if open_hi else ']'}"
+    else:
+        rule = f"be {'finite and ' if finite else ''}{'>' if open_lo else '>='} {lo}"
+    raise ValueError(f"{name} must {rule}, got {value}")
 
 
 def format_float(x: float) -> str:
@@ -239,10 +257,8 @@ class TimeGrid:
     k_count: int
 
     def __post_init__(self):
-        if not (self.t0 >= 0.0 and math.isfinite(self.t0)):
-            raise ValueError("t0 must be finite and >= 0")
-        if not (self.dt > 0.0 and math.isfinite(self.dt)):
-            raise ValueError("dt must be finite and > 0")
+        as_real(self.t0, "t0", 0, finite=True)
+        as_real(self.dt, "dt", 0, open_lo=True, finite=True)
         object.__setattr__(self, "k_count", as_int(self.k_count, "k_count", 1))
 
     @property

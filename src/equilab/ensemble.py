@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    RngStream, TimeGrid, TorusRegion, as_int, atomic_text, stream_generators, write_csv,
+    RngStream, TimeGrid, TorusRegion, as_int, as_real, atomic_text, stream_generators, write_csv,
 )
 from .gas import BoxCounter, ObservableSeries, trace
 from .kac import ring_steps
@@ -97,8 +97,7 @@ class ScalingExperimentSpec:
             raise ValueError("largest K exceeds the time grid length")
         object.__setattr__(self, "histories", as_int(self.histories, "histories", 1))
         object.__setattr__(self, "master_seed", as_int(self.master_seed, "master_seed", -math.inf))
-        if not (self.epsilon > 0.0):
-            raise ValueError("epsilon must be > 0")
+        as_real(self.epsilon, "epsilon", 0, open_lo=True)
 
 
 @dataclass(frozen=True)
@@ -239,12 +238,10 @@ def fit_exponential(points, epsilon: float) -> FitResult:
     ``points`` is a list of (n, p) pairs; zero rates carry no log-space
     information and are dropped with a warning.  Unweighted in log space.
     """
-    if not (epsilon > 0.0):
-        raise ValueError("epsilon must be > 0")
+    as_real(epsilon, "epsilon", 0, open_lo=True)
     xs, ys = [], []
     for n, p in points:
-        if p < 0.0:
-            raise ValueError("probabilities must be >= 0")
+        as_real(p, "p", 0)
         if p == 0.0:
             warnings.warn(f"dropping zero-rate point at N={n}: no log-space value")
             continue
@@ -389,15 +386,13 @@ def run_kac_ensemble(
     ends may be fractional, negative or infinite, but not NaN.
     """
     n_sites = as_int(n_sites, "n_sites", 1)
-    if not (0.0 < mu <= 1.0):
-        raise ValueError("mu must lie in (0, 1]")
+    as_real(mu, "mu", 0, 1, open_lo=True)
     t_max = as_int(t_max, "t_max")
     if t_max > 2 * n_sites:
         raise ValueError("t_max beyond one full period 2N is redundant")
     histories = as_int(histories, "histories", 1)
     seed = as_int(seed, "seed", -math.inf)
-    if not (epsilon > 0.0):
-        raise ValueError("epsilon must be > 0")
+    as_real(epsilon, "epsilon", 0, open_lo=True)
     # |Delta| <= N, so the int64 sums of Delta^2 stay exact while M * N^2 < 2^63.
     sq_bound = histories * n_sites**2
     if sq_bound >= 1 << 63:

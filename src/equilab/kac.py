@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LogProbability, RngStream, as_int
+from .core import LogProbability, RngStream, as_int, as_real
 
 __all__ = [
     "KacConfiguration",
@@ -248,8 +248,7 @@ def delta_closed_form(markers, t: int) -> int:
 def sample_markers(n: int, mu: float, rng: RngStream) -> np.ndarray:
     """I.i.d. markers with P(marked) = mu, as a +-1 int8 array."""
     n = as_int(n, "n", 1)
-    if not (0.0 < mu <= 1.0):
-        raise ValueError("mu must lie in (0, 1]")
+    as_real(mu, "mu", 0, 1, open_lo=True)
     gen = rng.generator()
     marked = gen.random(n) < mu
     out = np.where(marked, np.int8(-1), np.int8(1))
@@ -262,9 +261,9 @@ def expected_delta_bar(mu: float, t: int, n_sites: int) -> float:
     The window products behind Delta(t) involve distinct markers only while
     t <= N, so the formula is refused past one revolution.
     """
-    if not (0.0 <= mu <= 1.0):
-        raise ValueError("mu must lie in [0, 1]")
+    as_real(mu, "mu", 0, 1)
     t = as_int(t, "t")
+    n_sites = as_int(n_sites, "n_sites", 1)
     if t > n_sites:
         raise ValueError(
             f"the product formula holds only for t <= N = {n_sites}, got t = {t}"
@@ -318,8 +317,7 @@ def brute_force_expectation(n: int, mu: float, t: int) -> BruteForceMoments:
     Refuses N > 20 (the enumeration is 2^N).
     """
     n = as_int(n, "n", 1, _BRUTE_LIMIT)
-    if not (0.0 <= mu <= 1.0):
-        raise ValueError("mu must lie in [0, 1]")
+    as_real(mu, "mu", 0, 1)
     t = as_int(t, "t", hi=2 * n)
     total = 1 << n
     mean_acc = 0.0
@@ -362,9 +360,10 @@ class RingBoundSchedule:
     t_start_exact: float
 
     def window_end(self, n_sites: int) -> float:
-        return 0.5 * n_sites**self.alpha
+        return 0.5 * as_int(n_sites, "n_sites", 1) ** self.alpha
 
     def _log_per_time(self, n_sites: int) -> float:
+        n_sites = as_int(n_sites, "n_sites", 1)
         half_sq = 0.5 * self.epsilon**2
         return math.log(2.0) + half_sq - half_sq * n_sites ** (1.0 - self.alpha)
 
@@ -383,12 +382,9 @@ def ring_bound_schedule(epsilon: float, alpha: float, mu: float) -> RingBoundSch
     mu = 1/2 the mean vanishes after one step, so t_start = 1, while mu in
     {0, 1} never decays (t_start = inf).
     """
-    if not (epsilon > 0.0):
-        raise ValueError("epsilon must be > 0")
-    if not (0.0 < alpha < 1.0):
-        raise ValueError("alpha must lie in (0, 1)")
-    if not (0.0 <= mu <= 1.0):
-        raise ValueError("mu must lie in [0, 1]")
+    as_real(epsilon, "epsilon", 0, open_lo=True)
+    as_real(alpha, "alpha", 0, 1, open_lo=True, open_hi=True)
+    as_real(mu, "mu", 0, 1)
     min_sites = (4.0 / epsilon) ** (1.0 / (1.0 - alpha))
     lam = abs(1.0 - 2.0 * mu)
     if lam == 0.0:

@@ -4,7 +4,9 @@ An initial measure is a product: a position law on the torus times an i.i.d.
 momentum law per particle.  Position laws cover the cases used throughout
 the package (uniform on a box, a single point, a finite mixture of points);
 momentum laws are an isotropic Gaussian or a tabulated one-dimensional
-density applied independently per component.
+density applied independently per component.  Each position law carries
+its dimension as ``dim``, and :func:`check_dim` is the one rule that it
+matches the dimension asked for.
 
 Every draw goes through an :class:`~equilab.core.RngStream`, so a sampled
 microstate is a pure function of (law, n, dim, master_seed, stream_id).
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GasMicrostate, RngStream, TorusRegion, as_int
+from .core import GasMicrostate, RngStream, TorusRegion, as_int, as_real
 
 __all__ = [
     "UniformPositions",
@@ -30,6 +32,11 @@ __all__ = [
     "sigma_for_mean_speed",
     "thermal_momenta",
 ]
+
+
+def check_dim(law, dim: int) -> None:
+    if law.dim != dim:
+        raise ValueError(f"position law dimension {law.dim} does not match region dimension {dim}")
 
 
 @dataclass(frozen=True)
@@ -46,11 +53,12 @@ class UniformPositions:
         object.__setattr__(self, "_lo", lo)
         object.__setattr__(self, "_width", width)
 
+    @property
+    def dim(self) -> int:
+        return self.region.dim
+
     def sample(self, n: int, dim: int, gen: np.random.Generator) -> np.ndarray:
-        if self.region.dim != dim:
-            raise ValueError(
-                f"position region has dimension {self.region.dim}, expected {dim}"
-            )
+        check_dim(self, dim)
         # gen.random() lands in [0, 1), so samples respect the half-open box.
         return self._lo + gen.random((n, dim)) * self._width
 
@@ -63,13 +71,18 @@ class PointPositions:
 
     def __post_init__(self):
         pt = tuple(float(v) for v in np.atleast_1d(self.point))
+        if not pt:
+            raise ValueError("point must not be empty")
         if any(not (0.0 <= v < 1.0) for v in pt):
             raise ValueError("point coordinates must lie in [0, 1)")
         object.__setattr__(self, "point", pt)
 
+    @property
+    def dim(self) -> int:
+        return len(self.point)
+
     def sample(self, n: int, dim: int, gen: np.random.Generator) -> np.ndarray:
-        if len(self.point) != dim:
-            raise ValueError(f"point has dimension {len(self.point)}, expected {dim}")
+        check_dim(self, dim)
         return np.tile(np.asarray(self.point, dtype=float), (n, 1))
 
 
@@ -95,11 +108,12 @@ class PointMixturePositions:
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", wts)
 
+    @property
+    def dim(self) -> int:
+        return len(self.points[0])
+
     def sample(self, n: int, dim: int, gen: np.random.Generator) -> np.ndarray:
-        if len(self.points[0]) != dim:
-            raise ValueError(
-                f"mixture points have dimension {len(self.points[0])}, expected {dim}"
-            )
+        check_dim(self, dim)
         idx = gen.choice(len(self.points), size=n, p=np.asarray(self.weights))
         return np.asarray(self.points, dtype=float)[idx]
 
@@ -111,8 +125,7 @@ class GaussianMomenta:
     sigma: float
 
     def __post_init__(self):
-        if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
-            raise ValueError("sigma must be finite and > 0")
+        as_real(self.sigma, "sigma", 0, open_lo=True, finite=True)
 
     def sample(self, n: int, dim: int, gen: np.random.Generator) -> np.ndarray:
         return self.sigma * gen.standard_normal((n, dim))
@@ -147,33 +160,31 @@ class TabulatedMomenta:
             raise ValueError("density must not vanish identically")
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "density", d)
-
-    def _cdf_nodes(self):
-        g = np.asarray(self.grid)
-        d = np.asarray(self.density)
-        seg = 0.5 * (d[1:] + d[:-1]) * np.diff(g)
+        # Inverse-CDF tables: node CDF, normalized segment start densities and slopes.
+        nodes = np.asarray(g)
+        f = np.asarray(d)
+        seg = 0.5 * (f[1:] + f[:-1]) * np.diff(nodes)
         cdf = np.concatenate([[0.0], np.cumsum(seg)])
-        return g, cdf / cdf[-1]
+        f = f / seg.sum()  # normalized node densities
+        object.__setattr__(self, "_nodes", nodes)
+        object.__setattr__(self, "_cdf", cdf / cdf[-1])
+        object.__setattr__(self, "_f0", f[:-1])
+        object.__setattr__(self, "_slope", np.diff(f) / np.diff(nodes))
 
     def sample(self, n: int, dim: int, gen: np.random.Generator) -> np.ndarray:
-        g, cdf = self._cdf_nodes()
-        f = np.asarray(self.density, dtype=float)
-        seg_mass = 0.5 * (f[1:] + f[:-1]) * np.diff(g)
-        f = f / seg_mass.sum()  # normalized node densities
-        slope = np.diff(f) / np.diff(g)
         u = gen.random((n, dim))
-        j = np.searchsorted(cdf, u, side="right") - 1
-        j = np.clip(j, 0, len(g) - 2)
+        j = np.searchsorted(self._cdf, u, side="right") - 1
+        j = np.clip(j, 0, len(self._nodes) - 2)
         # Solve f0*y + slope*y^2/2 = v for the within-segment offset y, using
         # the cancellation-free root 2v / (f0 + sqrt(f0^2 + 2*slope*v)); the
         # discriminant interpolates f0^2 -> f1^2 so it never goes negative.
-        v = u - cdf[j]
-        f0 = f[:-1][j]
-        s = slope[j]
+        v = u - self._cdf[j]
+        f0 = self._f0[j]
+        s = self._slope[j]
         disc = np.maximum(f0 * f0 + 2.0 * s * v, 0.0)
         denom = f0 + np.sqrt(disc)
         y = np.where(denom > 0.0, 2.0 * v / np.where(denom > 0.0, denom, 1.0), 0.0)
-        return g[j] + y
+        return self._nodes[j] + y
 
 
 @dataclass(frozen=True)
@@ -207,8 +218,7 @@ def sigma_for_mean_speed(mean_speed: float, dim: int) -> float:
     distribution with mean sigma * sqrt(2) * Gamma((d+1)/2) / Gamma(d/2),
     which this inverts.  Supported for dim in {1, 2, 3}.
     """
-    if not (mean_speed > 0.0 and math.isfinite(mean_speed)):
-        raise ValueError("mean_speed must be finite and > 0")
+    as_real(mean_speed, "mean_speed", 0, open_lo=True, finite=True)
     if dim not in (1, 2, 3):
         raise ValueError("mean-speed calibration is defined for dim in {1, 2, 3}")
     chi_mean = math.sqrt(2.0) * math.gamma((dim + 1) / 2.0) / math.gamma(dim / 2.0)

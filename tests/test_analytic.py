@@ -655,3 +655,84 @@ def test_position_law_dimension_must_match_the_region(law):
         ValueError, match="^position law dimension 2 does not match region dimension 1$"
     ):
         expected_fraction(initial, TorusRegion.interval(0.0, 0.5), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# Input rules
+
+
+def test_partition_cell_count_must_be_an_integer():
+    with pytest.raises(TypeError, match="^l_count must be an integer, got 2.5$"):
+        partition_scenario_bound(ScenarioParameters(0.1, 100), 2.5)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: log_sequence_capacity(0.1, math.nan), "n must be >= 1, got nan"),
+        (lambda: DecayEstimate(0.5, 1.0).bound(math.nan), "t must be > 0, got nan"),
+        (lambda: ScenarioParameters(0.1, math.nan), "n must be >= 1, got nan"),
+    ],
+    ids=["log_sequence_capacity", "decay_bound", "scenario_parameters"],
+)
+def test_nan_inputs_are_refused_by_name(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: DecayEstimate(0.0, 1.0), "c_mu must be finite and > 0, got 0.0"),
+        (lambda: DecayEstimate(1.0, math.inf), "r must be finite and > 0, got inf"),
+        (lambda: DecayEstimate(1.0, 1.0).bound(-1.0), "t must be > 0, got -1.0"),
+        (lambda: ScenarioParameters(1.0, 100), "epsilon must lie in \\(0, 1\\), got 1.0"),
+        (lambda: ScenarioParameters(0.1, 0.5), "n must be >= 1, got 0.5"),
+        (lambda: ScenarioParameters(0.1, 100, 0.5), "k_count must be >= 1, got 0.5"),
+        (lambda: ScenarioParameters(0.1, 100, 1, 0.0), "eta must lie in \\(0, 1\\), got 0.0"),
+        (lambda: hoeffding_tail(-0.1, 100), "epsilon must be >= 0, got -0.1"),
+        (lambda: hoeffding_tail(0.1, 0), "n must be >= 1, got 0"),
+        (lambda: log_sequence_capacity(0.0, 100), "epsilon must be > 0, got 0.0"),
+        (lambda: equilibration_time(DecayEstimate(1.0, 1.0), 0.1, 1.0),
+         "eta must lie in \\(0, 1\\), got 1.0"),
+        (lambda: partition_scenario_bound(ScenarioParameters(0.1, 100), 0),
+         "l_count must lie in \\[1, inf\\], got 0"),
+        (lambda: markov_bound(0.0, 100, t_large=True), "epsilon must be > 0, got 0.0"),
+        (lambda: markov_bound(0.1, math.nan, t_large=True), "n must be >= 1, got nan"),
+        (lambda: macro_estimator(0.0, 1.0, 0.5, 0.1), "n0 must be > 0, got 0.0"),
+        (lambda: macro_estimator(1e19, -1.0, 0.5, 0.1), "cell_volume must be > 0, got -1.0"),
+        (lambda: macro_estimator(1e19, 1.0, math.nan, 0.1), "sub_volume must be > 0, got nan"),
+        (lambda: macro_estimator(1e19, 1.0, 0.5, 0.1, 0.0), "k_count must be >= 1, got 0.0"),
+    ],
+)
+def test_bound_inputs_out_of_range(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
+def test_fit_decay_refuses_times_that_are_not_positive():
+    spec = InitialMeasureSpec(PointPositions((0.2,)), GaussianMomenta(0.25))
+    with pytest.raises(ValueError, match="^fit times must be > 0$"):
+        fit_decay(spec, TorusRegion.interval(0.0, 0.5), [0.0, 1.0])
+
+
+def test_fit_decay_refuses_growing_deviations():
+    with pytest.raises(ValueError, match="^no decay detected"):
+        analytic._fit_decay_to([1.0, 2.0, 4.0], [0.01, 0.02, 0.04])
+
+
+def test_expected_fraction_refuses_an_unsupported_position_law():
+    class Oddball:
+        pass
+
+    spec = InitialMeasureSpec(Oddball(), GaussianMomenta(1.0))
+    with pytest.raises(ValueError, match="^unsupported position law Oddball$"):
+        expected_fraction(spec, TorusRegion.interval(0.0, 0.5), 1.0)
+
+
+@pytest.mark.parametrize("t", [0.0, 0.5, [0.0, 0.5, 3.0]])
+def test_expected_fraction_of_a_zero_width_region_is_zero(t):
+    law = UniformPositions(TorusRegion.interval(0.2, 0.6))
+    spec = InitialMeasureSpec(law, GaussianMomenta(1.0))
+    assert np.all(expected_fraction(spec, TorusRegion.interval(0.3, 0.3), t) == 0.0)
+

@@ -136,6 +136,48 @@ def test_cross_field_checks(section, key):
     assert any(e.startswith(key + ":") for e in errs), errs
 
 
+_TRACE_KEYS = "[gas-trace]\nn=10\ndt=1\nk_count=2\n"
+
+
+@pytest.mark.parametrize(
+    "section, line",
+    [
+        (_TRACE_KEYS + "region=0,0.5\nposition=point\nposition_point=0.1,0.2\n",
+         "position_point: position law dimension 2 does not match region dimension 1"),
+        (_TRACE_KEYS + "region=0,0.5\nposition_region=0,0.5;0,1\n",
+         "position_region: position law dimension 2 does not match region dimension 1"),
+        (_TRACE_KEYS + "region=0,0.5\nposition_region=0.2,0.2\n",
+         "position_region: uniform position law needs a region of positive measure"),
+        (_TRACE_KEYS + "region=0,0.5;0,0.5;0,0.5;0,0.5\n",
+         "mean_speed: mean-speed calibration is defined for dim in {1, 2, 3}"),
+        (_TRACE_KEYS + "region=0,0.5\nmomentum=tabulated\nmomentum_grid=0,1\n"
+         "momentum_density=-1,1\n", "momentum_grid: density values must be >= 0"),
+        (_TRACE_KEYS + "region=0,0.5\nposition=banana\n",
+         "position: must be one of uniform, point; got 'banana'"),
+        (SCALING_INI.replace("k_values = 1,3", "k_values = 3,1"),
+         "k_values: values must be strictly increasing, got '3,1'"),
+        ("[gas-mean]\nregion=0,0.5\nt_values=1\nfit=maybe\n",
+         "fit: expected a boolean, got 'maybe'"),
+    ],
+    ids=["point_dim", "region_dim", "region_width", "mean_speed_dim", "tabulated", "choice",
+         "increasing", "bool"],
+)
+def test_config_error_lines(section, line):
+    command = section[section.index("[") + 1:section.index("]")]
+    assert _errors(section, command) == [line]
+
+
+def test_malformed_config_file_is_one_config_error():
+    errs = _errors("region = 0,0.5\n", "gas-trace")
+    assert len(errs) == 1 and errs[0].startswith("config: File contains no section headers")
+
+
+@pytest.mark.parametrize("value", ["0", "false", "No", " off "])
+def test_bool_keys_accept_false_spellings(value):
+    cfg = parse_config(f"[gas-mean]\nregion=0,0.5\nt_values=1\nfit={value}\n", "gas-mean")
+    assert cfg.parameters["fit"] is False
+
+
 def test_multiple_errors_collected_together():
     errs = _errors(
         SCALING_INI, "gas-scaling", {"epsilon": "2", "histories": "0", "dt": "-1"}

@@ -166,6 +166,16 @@ def test_time_grid_validation(t0: float, dt: float, k: int):
         TimeGrid(t0, dt, k)
 
 
+@pytest.mark.parametrize(
+    "t0, dt, message",
+    [(-1.0, 1.0, "t0 must be finite and >= 0, got -1.0"),
+     (0.0, math.inf, "dt must be finite and > 0, got inf")],
+)
+def test_time_grid_messages(t0, dt, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        TimeGrid(t0, dt, 1)
+
+
 @pytest.mark.parametrize("k", [2.5, 3.0, True, "3"])
 def test_time_grid_k_count_must_be_an_integer(k):
     # k_count = 2.5 once gave 3 instants.

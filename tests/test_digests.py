@@ -7,8 +7,10 @@ went through one writer, and the Gaussian and 2-D gas-mean digests before
 the Fourier series got one stopping rule for every momentum law, and the
 N = 1001 ring digest before the ring chunk moved to cache-sized tiles and
 re-keyed streams, the scaling-drops digest before the gas chunk dropped
-exceeded histories by swap-fill, and the two ``position = point`` digests
-before the point law took over the command line's point check.  None may move when a kernel, the sampling
+exceeded histories by swap-fill, the two ``position = point`` digests
+before the point law took over the command line's point check, and the two
+tabulated-momentum samples before the tabulated law built its inverse-CDF
+tables once.  None may move when a kernel, the sampling
 path, the process pool, the writer or the series evaluation changes: any
 such change that alters a single byte of a result is a behaviour change, not
 a refactor.
@@ -98,6 +100,18 @@ CONFIGS = {
         "position_point = 0.3\nmomentum = tabulated\n"
         "momentum_grid = -2,-1,0,0.5,2\nmomentum_density = 0,1,3,1,0.2\n",
     ),
+    # Tabulated momenta sampled by inverse CDF: a trace and a scaling run.
+    "trace-tabulated": (
+        "gas-trace", "gas_trace.csv",
+        "n = 1000\nregion = 0,0.5\ndt = 0.05\nk_count = 100\nmomentum = tabulated\n"
+        "momentum_grid = -2,-1,0,0.5,2\nmomentum_density = 0,1,3,1,0.2\nseed = 3\n",
+    ),
+    "scaling-tabulated": (
+        "gas-scaling", "gas_scaling.csv",
+        "n_values = 50,200\nk_values = 1,4,10\nhistories = 300\nepsilon = 0.06\n"
+        "dt = 0.7\nregion = 0,0.5\nmomentum = tabulated\nmomentum_grid = -3,-1,0,1,3\n"
+        "momentum_density = 0,0.5,1,0.5,0\nseed = 7\n",
+    ),
     "kac-brute": (
         "kac-brute", "kac_brute.csv",
         "n = 13\nmu = 0.3\nt = 9\n",
@@ -129,6 +143,8 @@ DIGESTS = {
     "gas-mean-box2d": "56f71be4f9ba43d940ae1f5c062e406ad292a51f3f1e8044d09d8ec0b3f27ba0",
     "trace-point": "5de4d90938b74281df5f887131b326605918767874cb8679c0c5d99c20b6af1a",
     "gas-mean-point": "cd8b35e28bd58e2b014faebbc95af24032ada3c292b276639f2586ccd537484f",
+    "trace-tabulated": "9062c8a685faaab85be4956e4339a3eb7dd12651e7078abc202f624d9aa0f0bc",
+    "scaling-tabulated": "c44a88b648188c8135eb9db0b2dc35e1a4e79c44537fe10d5149bdde1e4c22f7",
     "kac-brute": "71d13f0048009cfed73b77c73520596fcdc119cb98da70d717ddecd30f298853",
     "bounds": "707253d2348df399a82cb2fd3ec557e2797cb49ea409d468410c9172f4c8118a",
     "macro": "889ae58a9399ae10ea71e897d62f16c7c7c1f75b9e8f0af7efa4154d976ad1b0",
@@ -159,13 +175,17 @@ def _summary(tmp_path, name, workers):
     return json.loads(path.read_text(encoding="utf-8"))
 
 
-@pytest.mark.parametrize("name", ["scaling-1d", "scaling-2d", "scaling-drops"])
+@pytest.mark.parametrize(
+    "name", ["scaling-1d", "scaling-2d", "scaling-drops", "scaling-tabulated"]
+)
 @pytest.mark.parametrize("workers", [1, 2])
 def test_scaling_csv_digest(tmp_path, name, workers):
     assert _digest(tmp_path, name, workers) == DIGESTS[name]
 
 
-@pytest.mark.parametrize("name", ["trace", "reverse", "kac-trace", "trace-point"])
+@pytest.mark.parametrize(
+    "name", ["trace", "reverse", "kac-trace", "trace-point", "trace-tabulated"]
+)
 def test_single_history_csv_digest(tmp_path, name):
     assert _digest(tmp_path, name, 1) == DIGESTS[name]
 

@@ -354,6 +354,11 @@ def test_fit_exponential_rejects_nan_epsilon():
         fit_exponential([(10, 0.1), (20, 0.01)], math.nan)
 
 
+def test_fit_exponential_refuses_a_nan_rate():
+    with pytest.raises(ValueError, match="^p must be >= 0, got nan$"):
+        fit_exponential([(100, math.nan), (200, 0.1), (300, 0.01)], 0.1)
+
+
 # ---------------------------------------------------------------------------
 # Fluctuation traces
 
@@ -584,6 +589,15 @@ def test_kac_ensemble_counts_must_be_integers(monkeypatch, name, value):
     monkeypatch.setattr(ensemble, "_map_chunks", lambda *a: pytest.fail("chunks ran"))
     args = {"n_sites": 16, "mu": 0.3, "histories": 10, "t_max": 4, "epsilon": 0.1, "seed": 0}
     with pytest.raises(TypeError, match=f"^{name} must be an integer, got "):
+        run_kac_ensemble(**{**args, name: value})
+
+
+@pytest.mark.parametrize("name", ["mu", "epsilon"])
+@pytest.mark.parametrize("value", [True, "0.3", None])
+def test_kac_ensemble_rates_must_be_real_numbers(monkeypatch, name, value):
+    monkeypatch.setattr(ensemble, "_map_chunks", lambda *a: pytest.fail("chunks ran"))
+    args = {"n_sites": 16, "mu": 0.3, "histories": 10, "t_max": 4, "epsilon": 0.1, "seed": 0}
+    with pytest.raises(TypeError, match=f"^{name} must be a real number, got "):
         run_kac_ensemble(**{**args, name: value})
 
 

@@ -284,6 +284,7 @@ def test_closed_form_object_markers():
 
 
 _ONES = np.ones(4, dtype=np.int8)
+_SCHEDULE = ring_bound_schedule(0.15, 0.5, 0.3)
 
 
 @pytest.mark.parametrize(
@@ -295,14 +296,49 @@ _ONES = np.ones(4, dtype=np.int8)
         (lambda t: expected_delta_bar(0.25, t, 10), "t"),
         (lambda n: brute_force_expectation(n, 0.3, 2), "n"),
         (lambda n: sample_markers(n, 0.3, RngStream(0)), "n"),
+        (lambda n: expected_delta_bar(0.3, 2, n), "n_sites"),
+        (lambda n: _SCHEDULE.window_end(n), "n_sites"),
+        (lambda n: _SCHEDULE.sequence_bound(n), "n_sites"),
     ],
     ids=["closed_form", "brute_force", "ring_trace", "expected_delta_bar", "brute_force_n",
-         "sample_markers"],
+         "sample_markers", "expected_delta_bar_n", "window_end", "sequence_bound"],
 )
 @pytest.mark.parametrize("value", [1.5, 2.0, "3", None, True])
 def test_times_must_be_integers(call, name, value):
     with pytest.raises(TypeError, match=f"^{name} must be an integer, got "):
         call(value)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda mu: sample_markers(4, mu, RngStream(0)),
+        lambda mu: expected_delta_bar(mu, 2, 10),
+        lambda mu: brute_force_expectation(4, mu, 2),
+        lambda mu: ring_bound_schedule(0.15, 0.5, mu),
+    ],
+    ids=["sample_markers", "expected_delta_bar", "brute_force", "ring_bound_schedule"],
+)
+@pytest.mark.parametrize("value", [True, "0.3", None])
+def test_marker_rates_must_be_real_numbers(call, value):
+    with pytest.raises(TypeError, match="^mu must be a real number, got "):
+        call(value)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: sample_markers(4, 0.0, RngStream(0)), "mu must lie in \\(0, 1\\], got 0.0"),
+        (lambda: expected_delta_bar(1.5, 2, 10), "mu must lie in \\[0, 1\\], got 1.5"),
+        (lambda: brute_force_expectation(4, -0.1, 2), "mu must lie in \\[0, 1\\], got -0.1"),
+        (lambda: ring_bound_schedule(0.15, 0.5, math.nan), "mu must lie in \\[0, 1\\], got nan"),
+        (lambda: ring_bound_schedule(0.15, 1.0, 0.3), "alpha must lie in \\(0, 1\\), got 1.0"),
+    ],
+    ids=["sample_markers", "expected_delta_bar", "brute_force", "schedule_mu", "schedule_alpha"],
+)
+def test_marker_rates_out_of_range(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 def test_numpy_integer_times_accepted():

@@ -108,6 +108,21 @@ def test_gaussian_momenta_half_normal_mean():
     assert abs(np.abs(p).mean() - expect) < 3.0 * sd / math.sqrt(p.size)
 
 
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: GaussianMomenta(math.inf), ValueError, "sigma must be finite and > 0, got inf"),
+        (lambda: GaussianMomenta(True), TypeError, "sigma must be a real number, got True"),
+        (lambda: sigma_for_mean_speed(math.nan, 1), ValueError,
+         "mean_speed must be finite and > 0, got nan"),
+    ],
+    ids=["sigma_inf", "sigma_bool", "mean_speed_nan"],
+)
+def test_momentum_scales_are_real_numbers(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
+
+
 def test_tabulated_momenta_ks_against_cdf():
     # Triangular density on [-1, 1]; its CDF is available in closed form.
     law = TabulatedMomenta((-1.0, 0.0, 1.0), (0.0, 1.0, 0.0))
@@ -196,10 +211,11 @@ def test_sample_microstate_accepts_numpy_integer_counts():
     "law, message",
     [
         (UniformPositions(TorusRegion((0.0, 0.0), (0.5, 1.0))),
-         "position region has dimension 2, expected 1"),
-        (PointPositions((0.25, 0.5)), "point has dimension 2, expected 1"),
+         "position law dimension 2 does not match region dimension 1"),
+        (PointPositions((0.25, 0.5)),
+         "position law dimension 2 does not match region dimension 1"),
         (PointMixturePositions(((0.25, 0.5), (0.5, 0.75)), (0.5, 0.5)),
-         "mixture points have dimension 2, expected 1"),
+         "position law dimension 2 does not match region dimension 1"),
     ],
     ids=["uniform", "point", "mixture"],
 )
@@ -215,3 +231,19 @@ def test_point_laws_refuse_points_off_the_torus(point):
     # The mixture checks each of its points through PointPositions.
     with pytest.raises(ValueError, match="point coordinates must lie in \\[0, 1\\)"):
         PointMixturePositions(((0.5,) * len(point), point), (0.5, 0.5))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: PointPositions(()), lambda: PointMixturePositions(((),), (1.0,))],
+    ids=["point", "mixture"],
+)
+def test_point_laws_refuse_an_empty_point_when_built(build):
+    with pytest.raises(ValueError, match="^point must not be empty$"):
+        build()
+
+
+def test_position_laws_carry_their_dimension():
+    assert UniformPositions(TorusRegion((0.0, 0.0), (0.5, 1.0))).dim == 2
+    assert PointPositions((0.25, 0.5, 0.75)).dim == 3
+    assert PointMixturePositions(((0.25,), (0.5,)), (0.5, 0.5)).dim == 1
