@@ -383,7 +383,8 @@ def run_kac_ensemble(
     own stream.  ``window`` (t_lo, t_hi), if given, additionally counts
     histories with an epsilon exceedance at some integer t with
     t_lo <= t <= t_hi, the quantity the ring bound schedule controls.  The
-    ends may be fractional, negative or infinite, but not NaN.
+    ends are real numbers and may be fractional, negative or infinite, but
+    not NaN.
     """
     n_sites = as_int(n_sites, "n_sites", 1)
     as_real(mu, "mu", 0, 1, open_lo=True)
@@ -401,9 +402,9 @@ def run_kac_ensemble(
             "the limit of the int64 sums of Delta^2"
         )
     if window is not None:
+        as_real(window[0], "t_lo")
+        as_real(window[1], "t_hi")
         window = (float(window[0]), float(window[1]))
-        if math.isnan(window[0]) or math.isnan(window[1]):
-            raise ValueError("window ends must not be NaN")
         if window[0] > window[1]:
             raise ValueError("window must satisfy t_lo <= t_hi")
     payloads = []

@@ -10,12 +10,13 @@ marked site:
 The dynamics is deterministic, invertible, and 2N-periodic.  The observable
 is the white-minus-black count Delta(t) and its fraction delta_bar; from an
 all-white start Delta(t) is a sum of marker-window products, which this
-module evaluates both by iterating the map and in closed form via prefix
-parities of the doubled ring, kept for the last ring seen, and, for small
-rings, by exact enumeration over all 2^N marker sequences.  The enumeration
-takes each sequence as an integer code and counts window parities by popcount
-of the code masked to each window; it shares no code with the closed form or
-the stepping kernel, so the three serve as mutual oracles.
+module evaluates both by iterating the map and in closed form, as one
+popcount of the doubled ring's prefix parities held in one Python int for
+the last ring seen, and, for small rings, by exact enumeration over all 2^N
+marker sequences.  The enumeration takes each sequence as an integer code and
+counts window parities by popcount of the code masked to each window; it
+shares no code with the closed form or the stepping kernel, so the three
+serve as mutual oracles.
 
 :func:`ring_steps` is the one stepping rule for evolving rings: it advances
 one ring or a block of rings in the frame that rotates with the balls (see
@@ -49,12 +50,16 @@ __all__ = [
     "ring_bound_schedule",
 ]
 
-_last_ring = None  # (dtype, bytes, (N, P, P_N)) of delta_closed_form's last ring
+_last_ring = None  # (dtype, bytes, N, P bits, 2^N - 1, P_N) of delta_closed_form's last ring
 #: Bytes of packed states per block of :func:`ring_steps`.  With its shifted
 #: markers a block steps inside a core's L2 cache, and the block is counted
 #: in one pass; 2^18 bytes stepped as fast but raised the ring ensemble's
 #: peak RSS by about 0.5 MiB.
 _RING_BLOCK = 1 << 17
+#: Bit shifts of the 8 shifted copies of :func:`ring_steps`, and the left
+#: shifts that feed each copy its top bits from the next word.
+_SHIFTS = np.arange(8, dtype=np.uint64)[:, None, None]
+_SHIFTS_LEFT = 64 - _SHIFTS[1:]
 
 
 def _as_pm_one(values, name: str) -> np.ndarray:
@@ -142,26 +147,28 @@ def ring_steps(marked: np.ndarray, black: np.ndarray, t_max: int):
 
     Sites are packed 8 per byte, site k in bit k % 8 of byte k // 8.  The
     doubled marked array is packed once, in 8 copies shifted by 0..7 bits, so
-    the window at s is the ceil(N/8) whole bytes from byte s >> 3 of copy
-    s & 7, and a step is one uint8 XOR of it into the next row of a block of
-    about ``_RING_BLOCK`` bytes.  Each block is counted at once and
-    yielded as ``(states, counts)``: ``states`` of shape (b, ..., W) holds the
-    packed rings at b consecutive times, W = ceil(N/8) rounded up to whole
-    uint64 words, every bit past site N - 1 clear; ``counts`` of shape
-    (b, ...) is their uint32 black counts, so Delta = N - 2 * counts.  Both
-    are overwritten by the next block.
+    the window at s is the W whole bytes from byte s >> 3 of copy s & 7, and
+    a step is one uint8 XOR of it into the next row of a block of about
+    ``_RING_BLOCK`` bytes.  The bits a window carries past site N - 1 only
+    reach the same bits of later rows, and are cleared once per block.  Each
+    block is counted at once and yielded as ``(states, counts)``: ``states``
+    of shape (b, ..., W) holds the packed rings at b consecutive times,
+    W = ceil(N/8) rounded up to whole uint64 words, every bit past site N - 1
+    clear; ``counts`` of shape (b, ...) is their uint32 black counts, so
+    Delta = N - 2 * counts.  Both are overwritten by the next block.
     """
     n = marked.shape[-1]
     lead = marked.shape[:-1]
     marked = marked.reshape(-1, n)
     h = marked.shape[0]
-    nbytes = -(-n // 8)
-    width = -(-nbytes // 8) * 8
-    # Windows start at s <= last, so each copy needs ``span`` whole uint64
-    # words, and the packed doubled array one more to feed their top bits.
-    # Its bits past 2N only reach the cleared tail.
+    words = -(-n // 64)
+    width = 8 * words
+    # Windows start at s <= last and span the full row width, so each copy
+    # needs ``span`` whole uint64 words, and the packed doubled array one
+    # more to feed their top bits.  Its bits past 2N only reach the cleared
+    # tail.
     last = max(min(t_max, n) - 1, 0)
-    span = -(-((last >> 3) + nbytes) // 8)
+    span = -(-(last >> 3) // 8) + words
     doubled = np.zeros((h, 64 * (span + 1)), dtype=bool)
     doubled[:, :n] = marked
     wrap = min(n, doubled.shape[1] - n)
@@ -170,31 +177,31 @@ def ring_steps(marked: np.ndarray, black: np.ndarray, t_max: int):
     packed = np.packbits(doubled, axis=-1, bitorder="little").view("<u8")
     del doubled
     shifted = np.empty((8, h, 8 * span), dtype=np.uint8)
-    lo, hi = packed[:, :-1], packed[:, 1:]
-    by = np.arange(8, dtype=np.uint64)[:, None, None]
     as_words = shifted.view("<u8")
-    np.right_shift(lo, by, out=as_words)
-    as_words[1:] |= hi << (64 - by[1:])
+    np.right_shift(packed[:, :-1], _SHIFTS, out=as_words)
+    as_words[1:] |= packed[:, 1:] << _SHIFTS_LEFT
     rows = max(1, min(t_max + 1, _RING_BLOCK // (h * width)))
     block = np.zeros((rows, h, width), dtype=np.uint8)
-    words = block.view(np.uint64)
+    top = block.view(np.uint64)[:, :, -1]
+    top_mask = np.uint64((1 << (n % 64)) - 1) if n % 64 else None
     counts = np.empty((rows, h), dtype=np.uint32)
-    states = [block[i, :, :nbytes] for i in range(rows)]
-    tail = (1 << (n % 8)) - 1
-    state = states[0]
-    state[...] = np.packbits(black, axis=-1, bitorder="little").reshape(-1, nbytes)
-    first = 1
+    state = block[0]
+    nbytes = -(-n // 8)
+    state[:, :nbytes] = np.packbits(black, axis=-1, bitorder="little").reshape(-1, nbytes)
+    xor = np.bitwise_xor
+    s = 0
     for t in range(0, t_max + 1, rows):
         b = min(rows, t_max + 1 - t)
-        for i in range(first, b):
-            s = (t + i - 1) % n
-            np.bitwise_xor(state, shifted[s & 7, :, s >> 3 : (s >> 3) + nbytes],
-                           out=states[i])
-            state = states[i]
-        first = 0
-        if tail:
-            block[:b, :, nbytes - 1] &= tail
-        np.add.reduce(np.bitwise_count(words[:b]), axis=-1, dtype=np.uint32,
+        for row in block[1 if t == 0 else 0 : b]:
+            o = s >> 3
+            xor(state, shifted[s & 7, :, o : o + width], out=row)
+            state = row
+            s += 1
+            if s == n:
+                s = 0
+        if top_mask is not None:
+            top[:b] &= top_mask
+        np.add.reduce(np.bitwise_count(block[:b].view(np.uint64)), axis=-1, dtype=np.uint32,
                       out=counts[:b])
         yield block[:b].reshape((b, *lead, width)), counts[:b].reshape((b, *lead))
 
@@ -215,16 +222,19 @@ def ring_trace(config: KacConfiguration, t_max: int) -> np.ndarray:
 
 
 def delta_closed_form(markers, t: int) -> int:
-    """Delta(t) from the all-white start, in O(N) via prefix parities.
+    """Delta(t) from the all-white start, via prefix parities in one integer.
 
     Each window product is (-1)^(marked count in the window), so with P_i
     the parity of the marked count among the first i sites of the doubled
     ring xi_0..xi_{N-1} xi_0..xi_{N-1}, Delta(t) = N - 2 * #{s < N : P_{s+t}
     != P_s} for t <= N.  Past one revolution every window also holds the
-    whole ring once, so Delta(qN + r) = (-1)^(mq) Delta(r) for t <= 2N.
+    whole ring once, so Delta(t) = (-1)^m Delta(t - N) for N < t <= 2N.
 
-    The last ring's P is kept under the dtype and bytes of ``markers``, not
-    its identity, so it cannot go stale: equal bytes are the same validated
+    P_0..P_2N are kept as the bits of one Python int, bit i = P_i, so the
+    count is one popcount: #{s < N : P_{s+r} != P_s} is
+    ``(((bits >> r) ^ bits) & (2^N - 1)).bit_count()``.  The last ring's
+    bits are kept under the dtype and bytes of ``markers``, not its
+    identity, so they cannot go stale: equal bytes are the same validated
     values, and a ring changed in place has new bytes.  Object arrays miss.
     """
     global _last_ring
@@ -236,13 +246,15 @@ def delta_closed_form(markers, t: int) -> int:
         parity = np.zeros(2 * n + 1, dtype=np.uint8)
         np.bitwise_xor.accumulate((m < 0).view(np.uint8), out=parity[1 : n + 1])
         np.bitwise_xor(parity[1 : n + 1], parity[n], out=parity[n + 1 :])
-        memo = (arr.dtype, arr.tobytes(), (n, parity, bool(parity[n])))
+        bits = int.from_bytes(np.packbits(parity, bitorder="little").tobytes(), "little")
+        memo = (arr.dtype, arr.tobytes(), n, bits, (1 << n) - 1, bool(parity[n]))
         if arr.dtype != object:
             _last_ring = memo
-    n, parity, ring_odd = memo[2]
-    q, r = divmod(as_int(t, "t", hi=2 * n), n)
-    odd = np.count_nonzero(parity[r : r + n] ^ parity[:n])
-    return (-1) ** (ring_odd * q) * (n - 2 * int(odd))
+    _, _, n, bits, mask, ring_odd = memo
+    t = as_int(t, "t", hi=2 * n)
+    r = t - n if t > n else t
+    delta = n - 2 * (((bits >> r) ^ bits) & mask).bit_count()
+    return -delta if ring_odd and t > n else delta
 
 
 def sample_markers(n: int, mu: float, rng: RngStream) -> np.ndarray:

@@ -219,6 +219,7 @@ def sigma_for_mean_speed(mean_speed: float, dim: int) -> float:
     which this inverts.  Supported for dim in {1, 2, 3}.
     """
     as_real(mean_speed, "mean_speed", 0, open_lo=True, finite=True)
+    dim = as_int(dim, "dim", -math.inf)
     if dim not in (1, 2, 3):
         raise ValueError("mean-speed calibration is defined for dim in {1, 2, 3}")
     chi_mean = math.sqrt(2.0) * math.gamma((dim + 1) / 2.0) / math.gamma(dim / 2.0)

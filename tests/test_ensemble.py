@@ -542,7 +542,19 @@ def test_kac_ensemble_window_ends_compare_as_reals(window):
 
 @pytest.mark.parametrize("window", [(math.nan, 10.0), (0.0, math.nan), (math.nan, math.nan)])
 def test_kac_ensemble_rejects_nan_window_ends(window):
-    with pytest.raises(ValueError, match="NaN"):
+    with pytest.raises(ValueError, match="got nan$"):
+        run_kac_ensemble(16, 0.3, 10, t_max=4, epsilon=0.1, seed=0, window=window)
+
+
+@pytest.mark.parametrize(
+    "window, message",
+    [((True, 5.0), "t_lo must be a real number, got True"),
+     (("1", 5.0), "t_lo must be a real number, got '1'"),
+     ((0.0, False), "t_hi must be a real number, got False")],
+)
+def test_kac_ensemble_window_ends_must_be_real_numbers(window, message):
+    # float() used to run (True, "5") as the window (1.0, 5.0).
+    with pytest.raises(TypeError, match=f"^{message}$"):
         run_kac_ensemble(16, 0.3, 10, t_max=4, epsilon=0.1, seed=0, window=window)
 
 

@@ -104,6 +104,41 @@ def test_closed_form_equals_iteration_on_edge_rings(markers):
         assert delta_closed_form(markers, t) == deltas[t]
 
 
+@pytest.mark.parametrize("n", [1, 2, 29, 30, 31, 32, 33, 61, 62, 63, 64, 65, 127, 128, 129])
+def test_closed_form_across_digit_byte_and_word_boundaries(n: int):
+    # P_0..P_2N are the bits of one Python int: N near 30 and 60 crosses
+    # CPython's 30-bit digits, N near 32, 64 and 128 the bytes and uint64
+    # words of the packed parities and of the stepping kernel.
+    markers = _random_markers(n, 1000 + n, mu=0.5)
+    state = KacConfiguration.all_white(markers)
+    deltas = ring_trace(state, 2 * n)
+    for t in range(2 * n + 1):
+        assert delta_closed_form(markers, t) == deltas[t] == state.colors.sum(dtype=np.int64)
+        state = step(state)
+
+
+def test_closed_form_on_a_ring_past_two_to_the_sixteen():
+    # At t = N every ball has left each site once, so every color is (-1)^m,
+    # and at t = 2N the ring is white again; step and inverse_step reach the
+    # times next to those from there.
+    n = (1 << 16) + 1
+    markers = _random_markers(n, 17, mu=0.5)
+    white = KacConfiguration.all_white(markers)
+    turned = KacConfiguration(markers, np.full(n, (-1) ** white.marker_count, np.int8), n)
+    states = {
+        0: white,
+        1: step(white),
+        n - 1: inverse_step(turned),
+        n: turned,
+        n + 1: step(turned),
+        2 * n - 1: inverse_step(white),
+        2 * n: white,
+    }
+    deltas = ring_trace(white, 2 * n)
+    for t, state in states.items():
+        assert delta_closed_form(markers, t) == deltas[t] == state.colors.sum(dtype=np.int64)
+
+
 @pytest.mark.parametrize("n", [1, 2, 7, 64])
 def test_ring_trace_from_random_colors_matches_step(n: int):
     # t_max = 3N takes the rotating frame's marker slice past one period.
@@ -150,6 +185,25 @@ def test_ring_steps_batch_from_random_colors_matches_step(monkeypatch, n: int):
                 configs[r] = step(configs[r])
             t += 1
     assert t == 3 * n + 1
+
+
+@pytest.mark.parametrize("block", [8, 24, 56])
+@pytest.mark.parametrize("n", [*range(1, 10), 63, 64, 65])
+def test_ring_trace_blocks_split_mid_trace_and_across_the_wrap(monkeypatch, n: int, block: int):
+    # Blocks of 1, 3 or 7 rows (1, 1 or 3 at N = 65, where a row is two
+    # words) end mid-trace and at every phase of the window start s, which
+    # wraps at N, and t_max = 3N + 1 runs past the period 2N.
+    monkeypatch.setattr(kac, "_RING_BLOCK", block)
+    markers = _random_markers(n, 7 * n)
+    gen = RngStream(n, 3).generator()
+    config = KacConfiguration(markers, np.where(gen.random(n) < 0.5, np.int8(1), np.int8(-1)))
+    want = []
+    state = config
+    for _ in range(3 * n + 2):
+        want.append(int(state.colors.sum(dtype=np.int64)))
+        state = step(state)
+    for t_max in (0, 1, n, 2 * n, 3 * n + 1):
+        assert ring_trace(config, t_max).tolist() == want[: t_max + 1]
 
 
 def test_closed_form_hand_values():

@@ -123,6 +123,19 @@ def test_momentum_scales_are_real_numbers(call, error, message):
         call()
 
 
+@pytest.mark.parametrize("dim", [True, 2.0])
+def test_mean_speed_dimension_must_be_an_integer(dim):
+    # `dim not in (1, 2, 3)` let True run as dimension 1 and 2.0 as 2.
+    with pytest.raises(TypeError, match=f"^dim must be an integer, got {dim!r}$"):
+        sigma_for_mean_speed(1.0, dim)
+
+
+@pytest.mark.parametrize("dim", [-1, 0, 4])
+def test_mean_speed_dimension_out_of_range(dim):
+    with pytest.raises(ValueError, match="^mean-speed calibration is defined for dim in"):
+        sigma_for_mean_speed(1.0, dim)
+
+
 def test_tabulated_momenta_ks_against_cdf():
     # Triangular density on [-1, 1]; its CDF is available in closed form.
     law = TabulatedMomenta((-1.0, 0.0, 1.0), (0.0, 1.0, 0.0))
