@@ -426,7 +426,12 @@ def run_kac_ensemble(
     n = n_sites
     mean = sum_d / (m * n)
     if m > 1:
-        variance = (sum_d2 - sum_d.astype(float) ** 2 / m) / ((m - 1) * n * n)
+        # m * sum(D^2) - sum(D)^2 in Python ints, divided once: exact up to
+        # the final rounding, where subtracting the float sum(D)^2 / m cancels.
+        den = m * (m - 1) * n * n
+        variance = np.array(
+            [(m * s2 - s1 * s1) / den for s1, s2 in zip(sum_d.tolist(), sum_d2.tolist())]
+        )
     else:
         variance = np.zeros(t_max + 1)
     p_dev = exceed / m

@@ -136,8 +136,8 @@ DIGESTS = {
     "trace": "f0e2262b8c25a5347b8d20e618be7ba03d6af4bec761bab8ad7bbd6a89816975",
     "reverse": "a9ba0de6e57fd6c61f252eaaa94e5c12ab95f3a68895412cec46e7b72cbdbde7",
     "kac-trace": "01dcca612b133a8e01f4041890b4cf064b4efa8a9a4877c28e1b48109bec8bca",
-    "kac-ensemble": "9f27a6505c6c98da2442d18f765cf5e6b2e77b8406e1cf38445f4f76111b68e6",
-    "kac-ensemble-odd": "3d2916d1c7220388ee73c66413209d977c8655dc614b3547dda3a3808be96782",
+    "kac-ensemble": "692644fa44ddd510847ed485819ba149c9cfdb8f6288edbe2c8c711730e7744b",
+    "kac-ensemble-odd": "b3593bf8ebef6e72fbb48dc92688671b7567a74f61e488be386e467241251523",
     "gas-mean": "9cdbff04d6e6a8637225f3224e734671457cdef5c8020c00875248ed8887f90b",
     "gas-mean-gaussian": "8ba389d2dc7b7c2d5b316eb3bbed8e1745b1df1b7900f0f826402c3201c048c8",
     "gas-mean-box2d": "56f71be4f9ba43d940ae1f5c062e406ad292a51f3f1e8044d09d8ec0b3f27ba0",

@@ -681,6 +681,18 @@ def test_kac_ensemble_rejects_int64_overflow_at_once(monkeypatch):
         run_kac_ensemble(2**31, 0.3, 2, t_max=0, epsilon=0.1, seed=0)
 
 
+def test_kac_ensemble_variance_is_exact_for_crafted_sums(monkeypatch):
+    # Three histories at N = 2^20 with Delta = N, N, N - 2: the exact sample
+    # variance of delta_bar is 8 / (6 N^2), which subtracting the float
+    # (sum Delta)^2 / m from sum Delta^2 misses by 6 parts in 10^5.
+    n, m = 1 << 20, 3
+    sums = (np.array([3 * n - 2]), np.array([3 * n * n - 4 * n + 4]), np.array([0]), 0)
+    monkeypatch.setattr(ensemble, "_map_chunks", lambda *a: [sums])
+    res = run_kac_ensemble(n, 0.3, m, t_max=0, epsilon=0.1, seed=0)
+    assert res.variance.tolist() == [8 / (6 * n * n)]
+    assert res.mean.tolist() == [(3 * n - 2) / (3 * n)]
+
+
 def test_wall_time_scales_linearly_in_histories():
     # Performance regression guard: 4x the histories should cost about 4x
     # the time (factor-2 tolerance, min of two repetitions each).

@@ -40,6 +40,29 @@ def test_step_hand_example():
     assert after.time == 1
 
 
+@pytest.mark.parametrize(
+    "markers", [np.array([-1, 1, 1, -1], dtype=np.int8), np.array([-1, 1, 1, -1]), [-1, 1, 1, -1]],
+    ids=["int8", "int64", "list"],
+)
+def test_all_white_checks_markers_once_and_owns_read_only_copies(monkeypatch, markers):
+    calls = []
+
+    def counting(values, name):
+        calls.append(name)
+        return _as_pm_one(values, name)
+
+    monkeypatch.setattr(kac, "_as_pm_one", counting)
+    config = KacConfiguration.all_white(markers)
+    assert calls == ["markers"]
+    assert config.markers.tolist() == [-1, 1, 1, -1] and config.colors.tolist() == [1] * 4
+    assert config.time == 0 and type(config.time) is int
+    for arr in (config.markers, config.colors):
+        assert arr.dtype == np.int8 and not arr.flags.writeable
+        assert not np.shares_memory(arr, np.asarray(markers))
+    with pytest.raises(ValueError, match="read-only"):
+        config.markers[0] = 1
+
+
 def test_no_markers_stay_white():
     config = KacConfiguration.all_white(np.ones(16, dtype=np.int8))
     for _ in range(5):
@@ -155,44 +178,54 @@ def test_ring_trace_from_random_colors_matches_step(n: int):
         state = step(state)
 
 
+# _ACCUMULATE_WORDS values that send every block down one path of
+# ring_steps: XOR-accumulated, then stepped one row at a time.
+_BLOCK_PATHS = (1 << 30, 0)
+
+
 @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 63, 64, 65])
 def test_ring_steps_batch_from_random_colors_matches_step(monkeypatch, n: int):
     # A (h, N) block of rings with random start colors; in the rotating
     # frame the ball that starts at site k sits at site k + t, so rolling
     # each unpacked state by t must give its ring's colors after t
     # applications of step, and each count its black sites.  t_max = 3N
-    # takes the marker window past one period, N around multiples of 8
-    # covers the byte tail, and blocks of at most 7 times make the states
-    # cross many blocks.
+    # takes the marker window past one period (t_max < 8 at N <= 2), N
+    # around multiples of 8 covers the byte tail, and blocks of at most 7
+    # or 29 times make the states cross many blocks, with s wrapping at N
+    # inside them; 29 rows fill several rows of one residue of s mod 8.
     h = 5
-    monkeypatch.setattr(kac, "_RING_BLOCK", 7 * h * 8)
     gen = RngStream(n, 2).generator()
     markers = np.stack([_random_markers(n, 100 * n + r) for r in range(h)])
     colors = np.where(gen.random((h, n)) < 0.5, np.int8(1), np.int8(-1))
-    configs = [KacConfiguration(markers[r], colors[r]) for r in range(h)]
-    t = 0
-    for states, counts in ring_steps(markers < 0, colors < 0, 3 * n):
-        assert states.shape[:2] == counts.shape and counts.shape[1] == h
-        assert states.shape[0] <= 7
-        for frame, count in zip(states, counts):
-            bits = np.unpackbits(frame, axis=-1, bitorder="little")
-            assert not bits[:, n:].any()  # the byte tail and padding stay clear
-            black = bits[:, :n]
-            assert count.tolist() == black.sum(axis=-1).tolist()
-            for r in range(h):
-                rolled = np.roll(np.where(black[r], np.int8(-1), np.int8(1)), t)
-                assert rolled.tolist() == configs[r].colors.tolist()
-                configs[r] = step(configs[r])
-            t += 1
-    assert t == 3 * n + 1
+    for accumulate in _BLOCK_PATHS:
+        monkeypatch.setattr(kac, "_ACCUMULATE_WORDS", accumulate)
+        for rows in (7, 29):
+            monkeypatch.setattr(kac, "_RING_BLOCK", rows * h * 8)
+            configs = [KacConfiguration(markers[r], colors[r]) for r in range(h)]
+            t = 0
+            for states, counts in ring_steps(markers < 0, colors < 0, 3 * n):
+                assert states.shape[:2] == counts.shape and counts.shape[1] == h
+                assert states.shape[0] <= rows
+                for frame, count in zip(states, counts):
+                    bits = np.unpackbits(frame, axis=-1, bitorder="little")
+                    assert not bits[:, n:].any()  # the byte tail and padding stay clear
+                    black = bits[:, :n]
+                    assert count.tolist() == black.sum(axis=-1).tolist()
+                    for r in range(h):
+                        rolled = np.roll(np.where(black[r], np.int8(-1), np.int8(1)), t)
+                        assert rolled.tolist() == configs[r].colors.tolist(), (accumulate, rows)
+                        configs[r] = step(configs[r])
+                    t += 1
+            assert t == 3 * n + 1
 
 
-@pytest.mark.parametrize("block", [8, 24, 56])
+@pytest.mark.parametrize("block", [8, 24, 56, 296])
 @pytest.mark.parametrize("n", [*range(1, 10), 63, 64, 65])
 def test_ring_trace_blocks_split_mid_trace_and_across_the_wrap(monkeypatch, n: int, block: int):
-    # Blocks of 1, 3 or 7 rows (1, 1 or 3 at N = 65, where a row is two
-    # words) end mid-trace and at every phase of the window start s, which
-    # wraps at N, and t_max = 3N + 1 runs past the period 2N.
+    # Blocks of 1, 3, 7 or 37 rows (1, 1, 3 or 18 at N = 65, where a row is
+    # two words) end mid-trace and at every phase of the window start s,
+    # which wraps at N, and t_max = 3N + 1 runs past the period 2N.  Each
+    # block path steps the same ring.
     monkeypatch.setattr(kac, "_RING_BLOCK", block)
     markers = _random_markers(n, 7 * n)
     gen = RngStream(n, 3).generator()
@@ -202,8 +235,10 @@ def test_ring_trace_blocks_split_mid_trace_and_across_the_wrap(monkeypatch, n: i
     for _ in range(3 * n + 2):
         want.append(int(state.colors.sum(dtype=np.int64)))
         state = step(state)
-    for t_max in (0, 1, n, 2 * n, 3 * n + 1):
-        assert ring_trace(config, t_max).tolist() == want[: t_max + 1]
+    for accumulate in _BLOCK_PATHS:
+        monkeypatch.setattr(kac, "_ACCUMULATE_WORDS", accumulate)
+        for t_max in (0, 1, n, 2 * n, 3 * n + 1):
+            assert ring_trace(config, t_max).tolist() == want[: t_max + 1], accumulate
 
 
 def test_closed_form_hand_values():
