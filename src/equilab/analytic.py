@@ -261,7 +261,7 @@ def expected_fraction(
     series with no stop within ``_MAX_TERMS`` terms raises RuntimeError.
     """
     times = np.asarray(t)
-    if times.ndim > 1 or times.dtype.kind not in "biuf":
+    if times.ndim > 1 or times.dtype.kind not in "iuf":
         raise ValueError("t must be a time or a 1-d sequence of times")
     ts = np.atleast_1d(times).astype(float)
     if not np.all((ts >= 0.0) & np.isfinite(ts)):

@@ -324,8 +324,8 @@ _SCHEMAS = {
     ),
     "gas-scaling": (
         {
-            "n_values": _Param(_conv_list(_conv_int(), increasing=True), required=True),
-            "k_values": _Param(_conv_list(_conv_int(), increasing=True), required=True),
+            "n_values": _Param(_conv_list(_conv_int(minimum=1), increasing=True), required=True),
+            "k_values": _Param(_conv_list(_conv_int(minimum=1), increasing=True), required=True),
             "histories": _Param(_conv_int(minimum=1), required=True),
             "epsilon": _Param(_conv_float(minimum=0.0, maximum=1.0, exclusive=True), required=True),
             "t0": _Param(_conv_float(minimum=0.0), default=0.0),
@@ -484,7 +484,6 @@ def _exec_gas_mean(cfg: RunConfig, path):
     initial = _build_initial(p)
     ts = sorted(set(p["t_values"]))
     values = expected_fraction(initial, region, ts, p["tail_tol"]).tolist()
-    write_csv(path, ("t", "mean"), zip(ts, values))
     devs = [abs(v - region.measure()) for v in values]
     results = {
         "region_measure": region.measure(),
@@ -500,6 +499,8 @@ def _exec_gas_mean(cfg: RunConfig, path):
         results["equilibration_time"] = equilibration_time(
             decay, p["fit_epsilon"], p["fit_eta"]
         )
+    # Written last, so a failing fit leaves no CSV without its summary.
+    write_csv(path, ("t", "mean"), zip(ts, values))
     return results
 
 

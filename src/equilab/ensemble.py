@@ -324,9 +324,9 @@ def _kac_ensemble_chunk(payload):
     row of a tile draws its markers from its own stream as raw Philox words
     compared with :func:`_marker_limit`, the same verdicts as the
     ``random() < mu`` of :func:`~equilab.kac.sample_markers`.  The tile's
-    rings then step together through :func:`~equilab.kac.ring_steps`, all
-    white at t = 0, and the black counts of every t are folded into the
-    accumulators once per tile.
+    rings step together, all white at t = 0, in one call of
+    :func:`~equilab.kac.ring_steps`, whose black counts of every t are folded
+    into the accumulators.
     """
     (n, mu, t_max, epsilon, master_seed, stream_base, count, window) = payload
     width = -(-n // 8) * 8
@@ -334,8 +334,6 @@ def _kac_ensemble_chunk(payload):
     marked = np.empty((rows, n), dtype=bool)
     white = np.zeros(n, dtype=bool)
     limit = _marker_limit(mu)
-    # A uint32 row count is exact, since n < 2**32.
-    black_counts = np.empty((t_max + 1, rows), dtype=np.uint32)
     times = np.arange(t_max + 1)
     in_window = None if window is None else (times >= window[0]) & (times <= window[1])
     threshold = epsilon * n
@@ -351,11 +349,7 @@ def _kac_ensemble_chunk(payload):
                 row.fill(True)
             else:
                 np.less(gen.bit_generator.random_raw(n), limit, out=row)
-        t = 0
-        for _, counts in ring_steps(marked[:h], white, t_max):
-            black_counts[t : t + counts.shape[0], :h] = counts
-            t += counts.shape[0]
-        delta = black_counts[:, :h].astype(np.int64)
+        delta = ring_steps(marked[:h], white, t_max).astype(np.int64)
         delta *= -2
         delta += n
         sum_d += delta.sum(axis=1)

@@ -18,15 +18,15 @@ counts window parities by popcount of the code masked to each window; it
 shares no code with the closed form or the stepping kernel, so the three
 serve as mutual oracles.
 
-:func:`ring_steps` is the one stepping rule for evolving rings: it advances
-one ring or a block of rings in the frame that rotates with the balls (see
-Gottwald & Oliver, SIAM Rev. 51, 2009), bit-packed 8 sites per byte so that
-a step is one byte-wise XOR of a window of the markers.  A block of narrow
-rows, one ring or a few small ones, is filled with its windows and stepped
-by one XOR-accumulate down the block; wider rows, such as the ensemble's
-tiles, are XORed one time step at a time.  Both :func:`ring_trace` and the
-ring ensembles run through it.  :func:`step` and :func:`inverse_step` apply
-the map as written, site by site, and stay as the independent oracle for it.
+:func:`ring_steps` is the one stepping rule for evolving rings: it steps h
+rings in the frame that rotates with the balls (see Gottwald & Oliver, SIAM
+Rev. 51, 2009), bit-packed 8 sites per byte so that a step is one byte-wise
+XOR of a window of the markers, and returns their black counts at every t.
+Narrow rows, one ring or a few small ones, are stepped by one XOR-accumulate
+down a block of times; wider rows, such as the ensemble's tiles, are XORed
+one time step at a time.  :func:`ring_trace` and the ring ensembles each
+make one call to it.  :func:`step` and :func:`inverse_step` apply the map as
+written, site by site, and stay as the independent oracle for it.
 """
 
 from __future__ import annotations
@@ -139,13 +139,14 @@ def inverse_step(config: KacConfiguration) -> KacConfiguration:
     return KacConfiguration(config.markers, new_colors, config.time - 1)
 
 
-def ring_steps(marked: np.ndarray, black: np.ndarray, t_max: int):
-    """Step rings bit-packed and yield their states and black counts, t = 0..t_max.
+def ring_steps(marked: np.ndarray, black: np.ndarray, t_max: int) -> np.ndarray:
+    """Black counts of h rings stepped bit-packed, as a (t_max + 1, h) uint32 array.
 
-    ``marked`` is a bool array with the sites on the last axis: shape (N,)
-    for one ring, (h, N) for h rings; ``black``, the bool start colors,
-    broadcasts against it.  Works in the frame that rotates with the balls:
-    the ball that starts at site k sits at site k + t after t steps with color
+    ``marked`` is an (h, N) bool array, one ring per row; ``black``, the bool
+    start colors, broadcasts against it.  Row t holds each ring's black count
+    after t steps, so Delta = N - 2 * counts.  Works in the frame that
+    rotates with the balls: the ball that starts at site k sits at site k + t
+    after t steps with color
 
         eta_{k+t}(t) = eta_k(0) * prod_{j=0..t-1} xi_{k+j}        (indices mod N),
 
@@ -153,9 +154,10 @@ def ring_steps(marked: np.ndarray, black: np.ndarray, t_max: int):
     indexed by the start site k, is XORed with the length-N window of the
     doubled marked array that starts at s = (t - 1) mod N.
 
-    Sites are packed 8 per byte, site k in bit k % 8 of byte k // 8.  The
-    doubled marked array is packed once, in 8 copies shifted by 0..7 bits, so
-    the window at s is the W whole bytes from byte s >> 3 of copy s & 7.  The
+    Sites are packed 8 per byte, site k in bit k % 8 of byte k // 8, in rows
+    of W bytes, ceil(N/8) rounded up to whole uint64 words.  The doubled
+    marked array is packed once, in 8 copies shifted by 0..7 bits, so the
+    window at s is the W whole bytes from byte s >> 3 of copy s & 7.  The
     states are stepped in blocks of about ``_RING_BLOCK`` bytes, one row per
     time, in one of two ways chosen by the row width:
 
@@ -174,17 +176,9 @@ def ring_steps(marked: np.ndarray, black: np.ndarray, t_max: int):
       384 words on: 2 times at 512, 2.7 times on the 4096-word ensemble tile.
 
     The bits a window carries past site N - 1 only reach the same bits of
-    later rows, and are cleared once per block.  Each block is counted at
-    once and yielded as ``(states, counts)``: ``states`` of shape (b, ..., W)
-    holds the packed rings at b consecutive times, W = ceil(N/8) rounded up
-    to whole uint64 words, every bit past site N - 1 clear; ``counts`` of
-    shape (b, ...) is their uint32 black counts, so Delta = N - 2 * counts.
-    Both are overwritten by the next block.
+    later rows, and are cleared once per block before it is counted.
     """
-    n = marked.shape[-1]
-    lead = marked.shape[:-1]
-    marked = marked.reshape(-1, n)
-    h = marked.shape[0]
+    h, n = marked.shape
     words = -(-n // 64)
     width = 8 * words
     # Windows start at s <= last and span the full row width, so each copy
@@ -202,14 +196,15 @@ def ring_steps(marked: np.ndarray, black: np.ndarray, t_max: int):
         np.ndarray((8, h, 64 * span), bool, doubled, 0, (1, doubled.strides[0], 1)),
         axis=-1, bitorder="little",
     )
+    # Freed before the block is made: a lower peak, and on the ensemble's
+    # tiles fewer heap pages that glibc trims and faults in again per call.
+    del doubled
     rows = max(1, min(t_max + 1, _RING_BLOCK // (h * width)))
     block = np.zeros((rows, h, width), dtype=np.uint8)
     as_words = block.view(np.uint64)
-    counts = np.empty((rows, h), dtype=np.uint32)
-    states = block.reshape((rows, *lead, width))
-    lead_counts = counts.reshape((rows, *lead))
+    counts = np.empty((t_max + 1, h), dtype=np.uint32)
     top_mask = (1 << (n % 64)) - 1 if n % 64 else None
-    states[0, ..., : -(-n // 8)] = np.packbits(black, axis=-1, bitorder="little")
+    block[0, :, : -(-n // 8)] = np.packbits(black, axis=-1, bitorder="little")
     narrow = h * words <= _ACCUMULATE_WORDS
     if narrow:
         flat = as_words.reshape(rows, h * words)
@@ -242,8 +237,9 @@ def ring_steps(marked: np.ndarray, black: np.ndarray, t_max: int):
                 s = s + 1 if s + 1 < n else 0
         if top_mask is not None:
             as_words[:b, :, -1] &= top_mask
-        np.add.reduce(np.bitwise_count(as_words[:b]), axis=-1, dtype=np.uint32, out=counts[:b])
-        yield states[:b], lead_counts[:b]
+        np.add.reduce(np.bitwise_count(as_words[:b]), axis=-1, dtype=np.uint32,
+                      out=counts[t : t + b])
+    return counts
 
 
 def ring_trace(config: KacConfiguration, t_max: int) -> np.ndarray:
@@ -253,12 +249,9 @@ def ring_trace(config: KacConfiguration, t_max: int) -> np.ndarray:
     counts.
     """
     t_max = as_int(t_max, "t_max")
-    black = np.empty(t_max + 1, dtype=np.int64)
-    t = 0
-    for _, counts in ring_steps(config.markers < 0, config.colors < 0, t_max):
-        black[t : t + counts.size] = counts
-        t += counts.size
-    return config.n_sites - 2 * black
+    black = ring_steps(config.markers[None] < 0, config.colors[None] < 0, t_max)[:, 0]
+    # In int64: N minus a uint32 array would stay uint32 and wrap.
+    return config.n_sites - 2 * black.astype(np.int64)
 
 
 def delta_closed_form(markers, t: int) -> int:

@@ -381,7 +381,7 @@ def test_expected_fraction_sequence_refuses_a_bad_time(bad):
     spec, region, _ = _BATCH_CASES["gaussian_point"]
     with pytest.raises(ValueError, match="finite and >= 0"):
         expected_fraction(spec, region, [0.1, 1.0, bad, 2.0])
-    for shape_or_type in ([[0.1, 0.2]], ["0.1"]):
+    for shape_or_type in ([[0.1, 0.2]], ["0.1"], True, [True, False]):
         with pytest.raises(ValueError, match="1-d sequence"):
             expected_fraction(spec, region, shape_or_type)
 

@@ -128,6 +128,8 @@ def test_region_converter_handles_boxes():
         ("[kac-brute]\nn=8\nmu=0.25\nt=17\n", "t"),
         ("[bounds]\nepsilon=0.04\nn=1000\nc_mu=0.5\n", "c_mu"),
         ("[macro]\nn0=1e19\ncell_volume=1e-3\nsub_volume=1.0\ndelta_pi=5e-6\n", "sub_volume"),
+        (SCALING_INI.lstrip().replace("n_values = 50,100", "n_values = 0,100"), "n_values"),
+        (SCALING_INI.lstrip().replace("k_values = 1,3", "k_values = -1,3"), "k_values"),
     ],
 )
 def test_cross_field_checks(section, key):
@@ -493,6 +495,21 @@ def test_gas_mean_with_fit(tmp_path):
     lines = (out / "gas_mean.csv").read_text().splitlines()
     assert lines[0] == "t,mean"
     assert len(lines) == 5
+
+
+def test_gas_mean_failing_fit_writes_no_csv(tmp_path, capsys):
+    # One positive time is too few to fit; the run must fail before its CSV
+    # replaces an earlier run's, and must leave an empty directory empty.
+    out = tmp_path / "out"
+    ini = "[gas-mean]\nregion = 0,0.5\nt_values = {}\nfit = true\n"
+    assert _run(tmp_path, "gas-mean", ini.format("0.3,0.7,1.3"), "--out", str(out)) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert _run(tmp_path, "gas-mean", ini.format("1.0"), "--out", str(out)) == 3
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    fresh = tmp_path / "fresh"
+    assert _run(tmp_path, "gas-mean", ini.format("1.0"), "--out", str(fresh)) == 3
+    assert list(fresh.iterdir()) == []
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_gas_mean_fit_reuses_the_computed_means(tmp_path, monkeypatch):

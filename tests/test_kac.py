@@ -185,38 +185,37 @@ _BLOCK_PATHS = (1 << 30, 0)
 
 @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 63, 64, 65])
 def test_ring_steps_batch_from_random_colors_matches_step(monkeypatch, n: int):
-    # A (h, N) block of rings with random start colors; in the rotating
-    # frame the ball that starts at site k sits at site k + t, so rolling
-    # each unpacked state by t must give its ring's colors after t
-    # applications of step, and each count its black sites.  t_max = 3N
-    # takes the marker window past one period (t_max < 8 at N <= 2), N
-    # around multiples of 8 covers the byte tail, and blocks of at most 7
-    # or 29 times make the states cross many blocks, with s wrapping at N
-    # inside them; 29 rows fill several rows of one residue of s mod 8.
+    # An (h, N) block of rings with random start colors: row t of the
+    # counts must hold each ring's black sites after t applications of step.
+    # t_max = 3N takes the marker window past one period (t_max < 8 at
+    # N <= 2), N around multiples of 8 covers the byte tail, whose dirty
+    # bits the counts would pick up, and blocks of at most 7 or 29 times
+    # make the rings cross many blocks, with s wrapping at N inside them;
+    # 29 rows fill several rows of one residue of s mod 8.
     h = 5
     gen = RngStream(n, 2).generator()
     markers = np.stack([_random_markers(n, 100 * n + r) for r in range(h)])
     colors = np.where(gen.random((h, n)) < 0.5, np.int8(1), np.int8(-1))
+
+    def black_by_step(start_colors):
+        configs = [KacConfiguration(m, c) for m, c in zip(markers, start_colors)]
+        counts = []
+        for _ in range(3 * n + 1):
+            counts.append([int(np.count_nonzero(c.colors < 0)) for c in configs])
+            configs = [step(c) for c in configs]
+        return counts
+
+    want = black_by_step(colors)
+    want_alike = black_by_step([colors[0]] * h)  # a 1-d black starts every ring alike
     for accumulate in _BLOCK_PATHS:
         monkeypatch.setattr(kac, "_ACCUMULATE_WORDS", accumulate)
         for rows in (7, 29):
             monkeypatch.setattr(kac, "_RING_BLOCK", rows * h * 8)
-            configs = [KacConfiguration(markers[r], colors[r]) for r in range(h)]
-            t = 0
-            for states, counts in ring_steps(markers < 0, colors < 0, 3 * n):
-                assert states.shape[:2] == counts.shape and counts.shape[1] == h
-                assert states.shape[0] <= rows
-                for frame, count in zip(states, counts):
-                    bits = np.unpackbits(frame, axis=-1, bitorder="little")
-                    assert not bits[:, n:].any()  # the byte tail and padding stay clear
-                    black = bits[:, :n]
-                    assert count.tolist() == black.sum(axis=-1).tolist()
-                    for r in range(h):
-                        rolled = np.roll(np.where(black[r], np.int8(-1), np.int8(1)), t)
-                        assert rolled.tolist() == configs[r].colors.tolist(), (accumulate, rows)
-                        configs[r] = step(configs[r])
-                    t += 1
-            assert t == 3 * n + 1
+            counts = ring_steps(markers < 0, colors < 0, 3 * n)
+            assert counts.shape == (3 * n + 1, h) and counts.dtype == np.uint32
+            assert counts.tolist() == want, (accumulate, rows)
+            assert ring_steps(markers < 0, colors[0] < 0, 3 * n).tolist() == want_alike
+            assert ring_steps(markers < 0, colors < 0, 0).tolist() == want[:1]
 
 
 @pytest.mark.parametrize("block", [8, 24, 56, 296])
