@@ -39,7 +39,8 @@ def mean_curve():
 
 def fitted_equilibration(epsilon: float = 0.04, eta: float = 0.5):
     fit_times = list(np.linspace(0.2, 1.2, 11))
-    decay = fit_decay(HALF_FULL, REGION, fit_times)
+    deviations = np.abs(expected_fraction(HALF_FULL, REGION, fit_times) - REGION.measure())
+    decay = fit_decay(fit_times, deviations)
     t0 = equilibration_time(decay, epsilon, eta)
     print(f"\nPower envelope fitted on t in [{fit_times[0]}, {fit_times[-1]}]:")
     print(f"  |E f(t) - 1/2| <= {decay.c_mu:.4g} * t^(-{2 * decay.r:.2f})")

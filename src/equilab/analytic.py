@@ -261,7 +261,12 @@ def expected_fraction(
     series with no stop within ``_MAX_TERMS`` terms raises RuntimeError.
     """
     times = np.asarray(t)
-    if times.ndim > 1 or times.dtype.kind not in "iuf":
+    # asarray makes 1.0 of a bool among real times, so a sequence is checked
+    # element by element; an array's dtype already tells.
+    if times.ndim > 1 or times.dtype.kind not in "iuf" or (
+        times.ndim and not isinstance(t, np.ndarray)
+        and any(isinstance(v, (bool, np.bool_)) for v in t)
+    ):
         raise ValueError("t must be a time or a 1-d sequence of times")
     ts = np.atleast_1d(times).astype(float)
     if not np.all((ts >= 0.0) & np.isfinite(ts)):
@@ -321,30 +326,21 @@ def decay_bound_check(
     return True
 
 
-def fit_decay(
-    initial: InitialMeasureSpec,
-    region: TorusRegion,
-    t_values,
-    tail_tol: float = 1e-12,
-) -> DecayEstimate:
-    """Fit (c_mu, r) to the computed mean deviations on a time grid.
+def fit_decay(t_values, deviations) -> DecayEstimate:
+    """Fit (c_mu, r) to mean deviations |E f(t) - |I|| on a time grid.
 
+    The deviations are those of :func:`expected_fraction` at ``t_values``.
     The exponent comes from a least-squares line in log-log space; the
     constant is then raised to the envelope max_i dev_i * t_i^(2r), so the
     fitted bound holds at every fitted point, not just on average.  Points
     whose deviation is below 1e-290 (log-unsafe) are dropped.
     """
     ts = np.asarray(t_values, dtype=float)
+    devs = np.asarray(deviations, dtype=float)
+    if ts.ndim != 1 or ts.shape != devs.shape:
+        raise ValueError("t_values and deviations must be 1-d and of equal length")
     if np.any(ts <= 0.0):
         raise ValueError("fit times must be > 0")
-    devs = np.abs(expected_fraction(initial, region, ts, tail_tol) - region.measure())
-    return _fit_decay_to(ts, devs)
-
-
-def _fit_decay_to(t_values, deviations) -> DecayEstimate:
-    """The fit of :func:`fit_decay` from mean deviations already computed."""
-    ts = np.asarray(t_values, dtype=float)
-    devs = np.asarray(deviations, dtype=float)
     keep = devs > 1e-290
     if np.count_nonzero(keep) < 2:
         raise ValueError("need at least 2 times with nonzero mean deviation to fit")

@@ -29,7 +29,7 @@ from .analytic import (
     DecayEstimate,
     equilibration_time,
     expected_fraction,
-    _fit_decay_to,
+    fit_decay,
     hoeffding_tail,
     log_sequence_capacity,
     macro_estimator,
@@ -490,8 +490,7 @@ def _exec_gas_mean(cfg: RunConfig, path):
         "max_abs_deviation": max(devs),
     }
     if p["fit"]:
-        # The fit of analytic.fit_decay, from the means computed above.
-        decay = _fit_decay_to(
+        decay = fit_decay(
             [t for t in ts if t > 0], [d for t, d in zip(ts, devs) if t > 0]
         )
         results["decay_c_mu"] = decay.c_mu

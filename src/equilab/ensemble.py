@@ -10,10 +10,11 @@ statistic is an integer (deviation counts, color sums, squared color sums);
 chunk results are merged by integer addition, which is exact and
 order-independent.  Identical spec and master seed therefore produce
 byte-identical result files at any worker count, the property the
-determinism checks pin down.  A ring chunk draws its markers as integer
-thresholds on raw Philox words, the same verdicts as ``random() < mu``, and
-steps them bit-packed in cache-sized tiles of about ``_RING_TILE`` sites;
-neither the draw rule nor the tile size changes a byte.
+determinism checks pin down.  A ring chunk draws its markers by the draw
+rule that :mod:`equilab.kac` owns (raw Philox words at most
+``kac.marker_limit(mu)``, the verdicts of ``random() < mu``) and steps them
+bit-packed in cache-sized tiles of about ``_RING_TILE`` sites; the tile
+size changes no byte.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .core import (
     RngStream, TimeGrid, TorusRegion, as_int, as_real, atomic_text, stream_generators, write_csv,
 )
 from .gas import BoxCounter, ObservableSeries, trace
-from .kac import ring_steps
+from .kac import marker_limit, ring_steps
 from .sampler import InitialMeasureSpec, sample_microstate
 
 __all__ = [
@@ -299,19 +300,6 @@ class KacEnsembleResult:
         )
 
 
-def _marker_limit(mu: float) -> int | None:
-    """The uint64 L with ``(x >> 11) * 2**-53 < mu`` exactly when x < L.
-
-    Numpy's ``random()`` is the top 53 bits of a raw Philox word times 2^-53,
-    and mu * 2^53 is exact, so for an integer k = x >> 11, k * 2^-53 < mu
-    holds exactly when k < ceil(mu * 2^53), that is x < ceil(mu * 2^53) << 11.
-    At mu = 1 every draw is below mu and L = 2^64 does not fit a uint64, so
-    None stands for "mark every site".
-    """
-    limit = math.ceil(mu * 2.0**53) << 11
-    return None if limit >= 1 << 64 else limit
-
-
 def _kac_ensemble_chunk(payload):
     """Integer accumulators for one chunk of marker histories.
 
@@ -321,19 +309,18 @@ def _kac_ensemble_chunk(payload):
 
     The chunk works on tiles of about ``_RING_TILE`` sites, whose packed,
     shifted markers and block of states stay in cache while they step.  Each
-    row of a tile draws its markers from its own stream as raw Philox words
-    compared with :func:`_marker_limit`, the same verdicts as the
-    ``random() < mu`` of :func:`~equilab.kac.sample_markers`.  The tile's
-    rings step together, all white at t = 0, in one call of
-    :func:`~equilab.kac.ring_steps`, whose black counts of every t are folded
-    into the accumulators.
+    row of a tile draws its markers from its own stream by the rule of
+    :func:`~equilab.kac.sample_markers`: raw Philox words at most
+    ``kac.marker_limit(mu)``.  The tile's rings step together, all white at
+    t = 0, in one call of :func:`~equilab.kac.ring_steps`, whose black counts
+    of every t are folded into the accumulators.
     """
     (n, mu, t_max, epsilon, master_seed, stream_base, count, window) = payload
     width = -(-n // 8) * 8
     rows = min(count, max(1, _RING_TILE // width))
     marked = np.empty((rows, n), dtype=bool)
     white = np.zeros(n, dtype=bool)
-    limit = _marker_limit(mu)
+    limit = marker_limit(mu)
     times = np.arange(t_max + 1)
     in_window = None if window is None else (times >= window[0]) & (times <= window[1])
     threshold = epsilon * n
@@ -345,10 +332,7 @@ def _kac_ensemble_chunk(payload):
     for start in range(0, count, rows):
         h = min(rows, count - start)
         for row, gen in zip(marked[:h], streams):
-            if limit is None:
-                row.fill(True)
-            else:
-                np.less(gen.bit_generator.random_raw(n), limit, out=row)
+            np.less_equal(gen.bit_generator.random_raw(n), limit, out=row)
         delta = ring_steps(marked[:h], white, t_max).astype(np.int64)
         delta *= -2
         delta += n

@@ -27,6 +27,10 @@ down a block of times; wider rows, such as the ensemble's tiles, are XORed
 one time step at a time.  :func:`ring_trace` and the ring ensembles each
 make one call to it.  :func:`step` and :func:`inverse_step` apply the map as
 written, site by site, and stay as the independent oracle for it.
+
+This module also owns the marker-draw rule: a site is marked when its raw
+Philox word is at most :func:`marker_limit`, the verdicts of numpy's
+``random() < mu``.  :func:`sample_markers` and the ring ensembles draw by it.
 """
 
 from __future__ import annotations
@@ -157,16 +161,18 @@ def ring_steps(marked: np.ndarray, black: np.ndarray, t_max: int) -> np.ndarray:
     Sites are packed 8 per byte, site k in bit k % 8 of byte k // 8, in rows
     of W bytes, ceil(N/8) rounded up to whole uint64 words.  The doubled
     marked array is packed once, in 8 copies shifted by 0..7 bits, so the
-    window at s is the W whole bytes from byte s >> 3 of copy s & 7.  The
-    states are stepped in blocks of about ``_RING_BLOCK`` bytes, one row per
-    time, in one of two ways chosen by the row width:
+    window at s is the W whole bytes from byte s >> 3 of copy s & 7.  One
+    strided view of the copies holds a window at every byte offset, and
+    ``at[t] = (s & 7) * stride + (s >> 3)``, with ``stride`` the bytes of one
+    copy, is the offset of step t's window in it.  The states are stepped in
+    blocks of about ``_RING_BLOCK`` bytes, one row per time, row 0 its
+    window XOR the previous block's last state, in one of two ways chosen by
+    the row width:
 
     - a row of up to ``_ACCUMULATE_WORDS`` uint64 words (one ring, or a few
-      small ones) is filled with its window, row 0 with its window XOR the
-      previous block's last state, and the block is XOR-accumulated down its
-      rows.  Within a run of consecutive s, which ends where s wraps at N,
-      the rows with s = c (mod 8) read windows at consecutive bytes of copy
-      c, so a run is filled by at most 8 strided copies;
+      small ones) is filled with its window, the rest of the block by one
+      gather of the windows at ``at``, and the block is XOR-accumulated down
+      its rows;
     - a wider row, such as a 64-ring tile of the ring ensemble, is the
       previous row XOR its window, one row at a time.  The accumulate walks
       the block column by column, which pays while a column's rows stay in
@@ -199,6 +205,12 @@ def ring_steps(marked: np.ndarray, black: np.ndarray, t_max: int) -> np.ndarray:
     # Freed before the block is made: a lower peak, and on the ensemble's
     # tiles fewer heap pages that glibc trims and faults in again per call.
     del doubled
+    # windows[at[t]] is the (h, W) window that step t XORs into the state.
+    stride, ring = shifted.strides[:2]
+    windows = np.ndarray((shifted.size - (h - 1) * ring - width + 1, h, width), np.uint8,
+                         shifted, 0, (1, ring, 1))
+    s = np.arange(-1, t_max) % n
+    at = (s & 7) * stride + (s >> 3)
     rows = max(1, min(t_max + 1, _RING_BLOCK // (h * width)))
     block = np.zeros((rows, h, width), dtype=np.uint8)
     as_words = block.view(np.uint64)
@@ -206,35 +218,18 @@ def ring_steps(marked: np.ndarray, black: np.ndarray, t_max: int) -> np.ndarray:
     top_mask = (1 << (n % 64)) - 1 if n % 64 else None
     block[0, :, : -(-n // 8)] = np.packbits(black, axis=-1, bitorder="little")
     narrow = h * words <= _ACCUMULATE_WORDS
-    if narrow:
-        flat = as_words.reshape(rows, h * words)
-        # windows[c, o] is the (h, W) window from byte o of copy c.
-        c8, ch, cb = shifted.strides
-        windows = np.ndarray((8, 8 * span - width + 1, h, width), np.uint8, shifted, 0,
-                             (c8, cb, ch, cb))
+    flat = as_words.reshape(rows, h * words)
     xor = np.bitwise_xor
-    s = 0
     for t in range(0, t_max + 1, rows):
         b = min(rows, t_max + 1 - t)
         if t:
-            o = s >> 3
-            xor(block[-1], shifted[s & 7, :, o : o + width], out=block[0])
-            s = s + 1 if s + 1 < n else 0
+            xor(block[-1], windows[at[t]], out=block[0])
         if narrow:
-            r = 1
-            while r < b:
-                run = min(b - r, n - s)
-                for k in range(min(8, run)):
-                    o = (s + k) >> 3
-                    block[r + k : r + run : 8] = windows[(s + k) & 7, o : o + (run - k + 7) // 8]
-                r += run
-                s = s + run if s + run < n else 0
+            block[1:b] = windows[at[t + 1 : t + b]]
             xor.accumulate(flat[:b], axis=0, out=flat[:b])
         else:
             for r in range(1, b):
-                o = s >> 3
-                xor(block[r - 1], shifted[s & 7, :, o : o + width], out=block[r])
-                s = s + 1 if s + 1 < n else 0
+                xor(block[r - 1], windows[at[t + r]], out=block[r])
         if top_mask is not None:
             as_words[:b, :, -1] &= top_mask
         np.add.reduce(np.bitwise_count(as_words[:b]), axis=-1, dtype=np.uint32,
@@ -293,14 +288,30 @@ def delta_closed_form(markers, t: int) -> int:
     return -delta if ring_odd and t > n else delta
 
 
+def marker_limit(mu: float) -> int:
+    """The largest raw Philox word x with ``(x >> 11) * 2**-53 < mu``.
+
+    The one marker-draw rule: a site is marked when its raw word is at most
+    this limit.  Numpy's ``random()`` is the top 53 bits of a raw word times
+    2^-53, and mu * 2^53 is exact, so for an integer k = x >> 11,
+    k * 2^-53 < mu holds exactly when k < ceil(mu * 2^53), that is when
+    x <= ceil(mu * 2^53) * 2^11 - 1.  The verdicts are those of
+    ``random() < mu``; at mu = 1 the limit is 2^64 - 1 and every site is
+    marked.
+    """
+    return (math.ceil(mu * 2.0**53) << 11) - 1
+
+
 def sample_markers(n: int, mu: float, rng: RngStream) -> np.ndarray:
-    """I.i.d. markers with P(marked) = mu, as a +-1 int8 array."""
+    """I.i.d. markers with P(marked) = mu, as a +-1 int8 array.
+
+    Site i is marked when the i-th raw word of the stream is at most
+    :func:`marker_limit`.
+    """
     n = as_int(n, "n", 1)
     as_real(mu, "mu", 0, 1, open_lo=True)
-    gen = rng.generator()
-    marked = gen.random(n) < mu
-    out = np.where(marked, np.int8(-1), np.int8(1))
-    return out
+    marked = rng.generator().bit_generator.random_raw(n) <= marker_limit(mu)
+    return np.where(marked, np.int8(-1), np.int8(1))
 
 
 def expected_delta_bar(mu: float, t: int, n_sites: int) -> float:

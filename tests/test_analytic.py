@@ -381,8 +381,11 @@ def test_expected_fraction_sequence_refuses_a_bad_time(bad):
     spec, region, _ = _BATCH_CASES["gaussian_point"]
     with pytest.raises(ValueError, match="finite and >= 0"):
         expected_fraction(spec, region, [0.1, 1.0, bad, 2.0])
-    for shape_or_type in ([[0.1, 0.2]], ["0.1"], True, [True, False]):
-        with pytest.raises(ValueError, match="1-d sequence"):
+    # A bool among real times would otherwise run as the time 1.0.
+    for shape_or_type in (
+        [[0.1, 0.2]], ["0.1"], True, [True, False], [0.5, True], (np.bool_(False), 1.0),
+    ):
+        with pytest.raises(ValueError, match="^t must be a time or a 1-d sequence of times$"):
             expected_fraction(spec, region, shape_or_type)
 
 
@@ -467,11 +470,15 @@ def test_tiny_envelope_constant_fails():
     assert not decay_bound_check(spec, region, decay, [0.3, 0.5])
 
 
+def _mean_deviations(spec, region, ts):
+    return np.abs(expected_fraction(spec, region, ts) - region.measure())
+
+
 def test_fit_decay_produces_valid_envelope_and_extrapolates():
     spec = InitialMeasureSpec(PointPositions((0.2,)), GaussianMomenta(0.25))
     region = TorusRegion.interval(0.0, 0.5)
     fit_ts = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
-    decay = fit_decay(spec, region, fit_ts)
+    decay = fit_decay(fit_ts, _mean_deviations(spec, region, fit_ts))
     assert decay.r > 0.0
     assert decay_bound_check(spec, region, decay, fit_ts)
     # Gaussian decay accelerates, so the fitted power law keeps holding later.
@@ -485,7 +492,7 @@ def test_fit_decay_needs_two_usable_points():
     region = TorusRegion.interval(0.0, 0.5)
     # Uniform positions give zero deviation at every time.
     with pytest.raises(ValueError):
-        fit_decay(spec, region, [1.0, 2.0, 3.0])
+        fit_decay([1.0, 2.0, 3.0], _mean_deviations(spec, region, [1.0, 2.0, 3.0]))
 
 
 def test_equilibration_time_identities():
@@ -711,14 +718,19 @@ def test_bound_inputs_out_of_range(call, message):
 
 
 def test_fit_decay_refuses_times_that_are_not_positive():
-    spec = InitialMeasureSpec(PointPositions((0.2,)), GaussianMomenta(0.25))
     with pytest.raises(ValueError, match="^fit times must be > 0$"):
-        fit_decay(spec, TorusRegion.interval(0.0, 0.5), [0.0, 1.0])
+        fit_decay([0.0, 1.0], [0.1, 0.05])
 
 
 def test_fit_decay_refuses_growing_deviations():
     with pytest.raises(ValueError, match="^no decay detected"):
-        analytic._fit_decay_to([1.0, 2.0, 4.0], [0.01, 0.02, 0.04])
+        fit_decay([1.0, 2.0, 4.0], [0.01, 0.02, 0.04])
+
+
+@pytest.mark.parametrize("ts, devs", [([1.0, 2.0], [0.1]), ([[1.0, 2.0]], [[0.1, 0.05]])])
+def test_fit_decay_refuses_mismatched_times_and_deviations(ts, devs):
+    with pytest.raises(ValueError, match="^t_values and deviations must be 1-d"):
+        fit_decay(ts, devs)
 
 
 def test_expected_fraction_refuses_an_unsupported_position_law():

@@ -417,6 +417,37 @@ def test_unused_imports_detector():
     assert _unused_imports(source) == ["os (line 2)"]
 
 
+def _private_imports(source: str) -> list:
+    """Private names (one leading underscore) a module imports from a sibling."""
+    return sorted(
+        f"{'.' * node.level}{node.module or ''} {alias.name} (line {node.lineno})"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    )
+
+
+def test_private_imports_detector():
+    source = (
+        "from .core import as_int, _TWO64\nfrom . import __version__, _x\n"
+        "from numpy import _pytesttester\n"
+    )
+    assert _private_imports(source) == [". _x (line 2)", ".core _TWO64 (line 1)"]
+
+
+def test_no_private_names_cross_package_modules():
+    # A name one module needs from another is that module's interface: it
+    # goes without the underscore (out of __all__ if internal, like as_int).
+    package = pathlib.Path(equilab.__file__).parent
+    private = {
+        path.name: names
+        for path in sorted(package.glob("*.py"))
+        if (names := _private_imports(path.read_text(encoding="utf-8")))
+    }
+    assert private == {}
+
+
 def test_no_unused_imports_in_package():
     package = pathlib.Path(equilab.__file__).parent
     unused = {

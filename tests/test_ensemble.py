@@ -637,26 +637,9 @@ _EDGE_MUS = [2.0**-53, 3 * 2.0**-54, 0.1, 0.3, 0.5, 1 - 2.0**-53, 1.0]
 
 
 @pytest.mark.parametrize("mu", _EDGE_MUS)
-def test_marker_limit_matches_random_below_mu(mu: float):
-    # Raw words whose top 53 bits sit just below and at ceil(mu * 2^53),
-    # each with the lowest and highest 11 dropped bits: the integer verdict
-    # must equal numpy's random() = (x >> 11) * 2^-53 compared with mu.
-    limit = ensemble._marker_limit(mu)
-    edge = math.ceil(mu * 2.0**53)
-    tops = [k for k in (0, 1, edge - 2, edge - 1, edge, edge + 1) if 0 <= k < 2**53]
-    words = np.array([(k << 11) | low for k in tops for low in (0, 2047)], dtype=np.uint64)
-    want = (words >> np.uint64(11)).astype(np.float64) * 2.0**-53 < mu
-    if mu == 1.0:
-        assert limit is None and want.all()
-    else:
-        assert (words < np.uint64(limit)).tolist() == want.tolist()
-        assert want.tolist() != [want[0]] * want.size  # both verdicts occur
-
-
-@pytest.mark.parametrize("mu", _EDGE_MUS)
 def test_kac_chunk_markers_equal_sample_markers(monkeypatch, mu: float):
-    # The chunk's raw-word markers against sample_markers' random() < mu,
-    # over two tiles of 3 rings at N = 13.
+    # The chunk's markers against sample_markers', row by row and stream by
+    # stream over two tiles of 3 rings at N = 13.
     n, seed, base, count = 13, 53, 4, 6
     seen = []
 

@@ -470,6 +470,38 @@ def test_sample_markers_all_marked_at_mu_one():
     assert np.all(out == -1)
 
 
+_EDGE_MUS = [2.0**-53, 3 * 2.0**-54, 0.1, 0.3, 0.5, 1 - 2.0**-53, 1.0]
+
+
+@pytest.mark.parametrize("mu", _EDGE_MUS)
+def test_marker_limit_matches_random_below_mu(mu: float):
+    # Raw words whose top 53 bits sit just below and at ceil(mu * 2^53),
+    # each with the lowest and highest 11 dropped bits: the integer verdict
+    # must equal numpy's random() = (x >> 11) * 2^-53 compared with mu.
+    limit = kac.marker_limit(mu)
+    edge = math.ceil(mu * 2.0**53)
+    tops = [k for k in (0, 1, edge - 2, edge - 1, edge, edge + 1) if 0 <= k < 2**53]
+    words = np.array([(k << 11) | low for k in tops for low in (0, 2047)], dtype=np.uint64)
+    want = (words >> np.uint64(11)).astype(np.float64) * 2.0**-53 < mu
+    assert (words <= np.uint64(limit)).tolist() == want.tolist()
+    if mu == 1.0:
+        assert limit == 2**64 - 1 and want.all()
+    else:
+        assert want.tolist() != [want[0]] * want.size  # both verdicts occur
+
+
+@pytest.mark.parametrize("mu", _EDGE_MUS)
+def test_sample_markers_marks_where_random_is_below_mu(mu: float):
+    # The independent oracle of the draw rule: numpy's own random() < mu on
+    # a fresh generator of the same stream.
+    for seed, stream_id in ((0, 0), (7, 3), (-1, 2**40)):
+        want = RngStream(seed, stream_id).generator().random(1000) < mu
+        got = sample_markers(1000, mu, RngStream(seed, stream_id))
+        assert got.dtype == np.int8
+        assert (got == -1).tolist() == want.tolist()
+        assert (got == 1).tolist() == (~want).tolist()
+
+
 def test_sample_markers_concentrates():
     n = 10**5
     out = sample_markers(n, 0.5, RngStream(1, 0))
