@@ -72,6 +72,7 @@ from .kac import (
     brute_force_expectation,
     delta_closed_form,
     expected_delta_bar,
+    expected_delta_sq,
     inverse_step,
     ring_bound_schedule,
     ring_trace,
@@ -140,6 +141,7 @@ __all__ = [
     "brute_force_expectation",
     "delta_closed_form",
     "expected_delta_bar",
+    "expected_delta_sq",
     "inverse_step",
     "ring_bound_schedule",
     "ring_trace",

@@ -371,7 +371,8 @@ def run_kac_ensemble(
         raise ValueError("t_max beyond one full period 2N is redundant")
     histories = as_int(histories, "histories", 1)
     seed = as_int(seed, "seed", -math.inf)
-    as_real(epsilon, "epsilon", 0, open_lo=True)
+    # |delta_bar| <= 1, so epsilon >= 1 would count no deviation at all.
+    as_real(epsilon, "epsilon", 0, 1, open_lo=True, open_hi=True)
     # |Delta| <= N, so the int64 sums of Delta^2 stay exact while M * N^2 < 2^63.
     sq_bound = histories * n_sites**2
     if sq_bound >= 1 << 63:

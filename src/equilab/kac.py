@@ -13,10 +13,12 @@ all-white start Delta(t) is a sum of marker-window products, which this
 module evaluates both by iterating the map and in closed form, as one
 popcount of the doubled ring's prefix parities held in one Python int for
 the last ring seen, and, for small rings, by exact enumeration over all 2^N
-marker sequences.  The enumeration takes each sequence as an integer code and
-counts window parities by popcount of the code masked to each window; it
-shares no code with the closed form or the stepping kernel, so the three
-serve as mutual oracles.
+marker sequences.  The enumeration takes each sequence as an integer code;
+window parity is linear over GF(2), so a code's N window parities are the
+bits of one XOR of per-site window masks, read from a table built once per
+call, and its odd windows one popcount.  It shares no code with the closed
+form or the stepping kernel, so the three serve as mutual oracles.
+:func:`expected_delta_sq` gives the exact second moment E[Delta(t)^2].
 
 :func:`ring_steps` is the one stepping rule for evolving rings: it steps h
 rings in the frame that rotates with the balls (see Gottwald & Oliver, SIAM
@@ -51,6 +53,7 @@ __all__ = [
     "delta_closed_form",
     "sample_markers",
     "expected_delta_bar",
+    "expected_delta_sq",
     "BruteForceMoments",
     "brute_force_expectation",
     "RingBoundSchedule",
@@ -330,6 +333,29 @@ def expected_delta_bar(mu: float, t: int, n_sites: int) -> float:
     return (1.0 - 2.0 * mu) ** t
 
 
+def expected_delta_sq(mu: float, t: int, n_sites: int) -> float:
+    """Ensemble mean of Delta(t)^2 from all white, exact for t <= 2N.
+
+    Delta(t) = sum_s prod_{k in W_s} xi_k over the N windows W_s of t sites
+    (mod N) that the balls have crossed, and the markers are independent
+    with E[xi] = lam = 1 - 2 mu and xi^2 = 1, so E[Delta^2] =
+    sum_{s,r} lam^{|W_s sym W_r|}.  For t <= N two windows d sites apart
+    share max(0, t - d) + max(0, t - N + d) sites, so the double sum is N
+    times a sum over d, O(N) per call.  Past one revolution
+    Delta(N + s) = (-1)^m Delta(s), with m the marker count, and the square
+    is that of t = s.  The variance of delta_bar is
+    E[Delta^2] / N^2 - (1 - 2 mu)^(2t) for t <= N.
+    """
+    as_real(mu, "mu", 0, 1)
+    n_sites = as_int(n_sites, "n_sites", 1)
+    t = as_int(t, "t", hi=2 * n_sites)
+    if t > n_sites:
+        t -= n_sites
+    d = np.arange(n_sites)
+    shared = np.maximum(0, t - d) + np.maximum(0, t - n_sites + d)
+    return n_sites * float(np.sum((1.0 - 2.0 * mu) ** (2 * t - 2 * shared)))
+
+
 @dataclass(frozen=True)
 class BruteForceMoments:
     mean: float
@@ -337,65 +363,106 @@ class BruteForceMoments:
 
 
 _BRUTE_LIMIT = 20
+#: Marker codes per chunk of :func:`brute_force_expectation`.  The moments
+#: are summed chunk by chunk with ``np.sum``, whose pairwise order follows
+#: the chunk length, so this constant fixes their last bits: it must not
+#: change, or every enumerated moment may move by an ulp.
 _BRUTE_CHUNK = 1 << 16
+_CHUNK_BITS = _BRUTE_CHUNK.bit_length() - 1
+
+
+def _xor_span(cols: list) -> np.ndarray:
+    """The XOR of ``cols[b]`` over the set bits b of each index, by doubling."""
+    table = np.zeros(1 << len(cols), dtype=np.uint32)
+    for b, col in enumerate(cols):
+        np.bitwise_xor(table[: 1 << b], col, out=table[1 << b : 2 << b])
+    return table
+
+
+def _window_parities(n: int, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """Window parities of every marker code, as a low and a high table.
+
+    Bit i of a code marks site i, and bit s of its parity vector is the
+    parity of its marked count in W_s, the t sites s..s+t-1 (mod N) that the
+    ball starting at s crosses by time t.  Parity is linear over GF(2), so
+    the vector is the XOR of ``col[b]`` over the code's marked sites b, with
+    bit s of ``col[b]`` set when W_s covers site b an odd number of times:
+    for t <= N, when b lies among the t' = t sites from s; past one
+    revolution W_s also covers the whole ring once, so ``col[b]`` is the
+    complement of that for t' = t - N.  Code c's vector is
+    ``low[c % 2^16] ^ high[c >> 16]`` (``low`` has only 2^N entries below
+    N = 16).
+    """
+    full = (1 << n) - 1
+    tt = t - n if t > n else t
+    run = (1 << tt) - 1
+    flip = full if t > n else 0
+    cols = []
+    for b in range(n):
+        # W_s covers b for s = b - t' + 1 .. b: the run rotated left by k.
+        k = (b - tt + 1) % n
+        cols.append((((run << k) | (run >> (n - k))) & full) ^ flip)
+    return _xor_span(cols[:_CHUNK_BITS]), _xor_span(cols[_CHUNK_BITS:])
 
 
 def _enumerated_deltas(n: int, t: int, codes: np.ndarray) -> np.ndarray:
-    """Delta(t) from all white for each marker code, as int64.
+    """Delta(t) from all white for each uint32 marker code, as int64.
 
-    Bit i of a uint32 code marks site i.  Each window product is (-1)^(marked
-    count in the window), so Delta(t) = N - 2 * (number of the N cyclic
-    windows W_s of length t' with an odd popcount of ``code & W_s``), where
-    t' = t up to one revolution and t' = t - N past it.  Past one revolution
-    every window also holds the whole ring once, hence the extra sign (-1)^m
-    with m the code's own popcount.  Shares no code with
+    Each window product is (-1)^(marked count in the window), so Delta(t) =
+    N - 2 * (number of odd windows), read off the code's parity vector from
+    :func:`_window_parities`, the tables :func:`brute_force_expectation`
+    sums over.  Past one revolution the vector is complemented for codes of
+    odd marked count, which gives the sign (-1)^m.  Shares no code with
     :func:`delta_closed_form` or :func:`ring_steps`.
     """
-    tt = t - n if t > n else t
-    run = (1 << tt) - 1
-    odd = np.zeros(codes.size, dtype=np.int64)
-    for s in range(n):
-        # Sites s..s+tt-1 (mod N): the run shifted left by s, its overflow wrapped to bit 0.
-        window = ((run << s) | (run >> (n - s))) & ((1 << n) - 1)
-        odd += np.bitwise_count(codes & np.uint32(window)) & 1
-    deltas = n - 2 * odd
-    if t > n:
-        deltas *= 1 - 2 * (np.bitwise_count(codes) & 1).astype(np.int64)
-    return deltas
+    low, high = _window_parities(n, t)
+    vectors = low[codes & (low.size - 1)] ^ high[codes >> _CHUNK_BITS]
+    return n - 2 * np.bitwise_count(vectors).astype(np.int64)
 
 
 def brute_force_expectation(n: int, mu: float, t: int) -> BruteForceMoments:
     """Exact moments of delta_bar(t) by summing all 2^N marker sequences.
 
-    Each sequence is a uint32 code whose set bits are the marked sites; its
-    marked count and each window parity are popcounts of the code (see
-    :func:`_enumerated_deltas`), so the enumeration shares no code with the
-    closed form or the stepping kernel.  Each sequence is weighted
-    mu^m (1-mu)^(N-m); the result is exact up to float rounding, which makes
-    it the ground-truth oracle for the closed form and the (1-2 mu)^t mean.
-    Refuses N > 20 (the enumeration is 2^N).
+    Each sequence is a uint32 code whose set bits are the marked sites, and
+    its window parities are one XOR of the tables of
+    :func:`_window_parities` and one popcount, so the enumeration shares no
+    code with the closed form or the stepping kernel.  A sequence with m
+    marked sites is weighted mu^m (1-mu)^(N-m); the result is exact up to
+    float rounding, which makes it the ground-truth oracle for the closed
+    form and the (1-2 mu)^t mean.  The weights and delta_bar values are
+    tabulated by marked and odd-window count, and their products are summed
+    in chunks of ``_BRUTE_CHUNK`` codes in code order.  Refuses N > 20 (the
+    enumeration is 2^N).
     """
     n = as_int(n, "n", 1, _BRUTE_LIMIT)
     as_real(mu, "mu", 0, 1)
     t = as_int(t, "t", hi=2 * n)
-    total = 1 << n
+    low, high = _window_parities(n, t)
+    marked = np.arange(n + 1)
+    # Weights via logs so mu near 0 or 1 cannot underflow intermediate powers.
+    with np.errstate(divide="ignore"):
+        log_w = marked * np.log(mu) if mu > 0 else np.where(marked == 0, 0.0, -np.inf)
+        if mu < 1:
+            log_w = log_w + (n - marked) * np.log1p(-mu)
+        else:
+            log_w = np.where(marked == n, log_w, -np.inf)
+    w = np.exp(log_w)
+    dbar = (n - 2 * marked) / n
+    # A code with m marked sites and o odd windows adds w[m] * dbar[o] to
+    # the mean and that times dbar[o] to the square, its own float products,
+    # tabulated at m * (N + 1) + o.
+    mean_terms = np.multiply.outer(w, dbar)
+    sq_terms = (mean_terms * dbar).ravel()
+    mean_terms = mean_terms.ravel()
+    row = (n + 1) * np.bitwise_count(np.arange(low.size)).astype(np.intp)
     mean_acc = 0.0
     sq_acc = 0.0
-    for start in range(0, total, _BRUTE_CHUNK):
-        codes = np.arange(start, min(start + _BRUTE_CHUNK, total), dtype=np.uint32)
-        marked = np.bitwise_count(codes).astype(np.int64)
-        deltas = _enumerated_deltas(n, t, codes)
-        # Weights via logs so mu near 0 or 1 cannot underflow intermediate powers.
-        with np.errstate(divide="ignore"):
-            log_w = marked * np.log(mu) if mu > 0 else np.where(marked == 0, 0.0, -np.inf)
-            if mu < 1:
-                log_w = log_w + (n - marked) * np.log1p(-mu)
-            else:
-                log_w = np.where(marked == n, log_w, -np.inf)
-        w = np.exp(log_w)
-        dbar = deltas / n
-        mean_acc += float(np.sum(w * dbar))
-        sq_acc += float(np.sum(w * dbar * dbar))
+    for k, mask in enumerate(high):
+        # Chunk k holds the codes k * 2^16 + c, with k.bit_count() more marked sites.
+        at = row + np.bitwise_count(low ^ mask)
+        offset = (n + 1) * k.bit_count()
+        mean_acc += float(np.sum(mean_terms[offset:].take(at)))
+        sq_acc += float(np.sum(sq_terms[offset:].take(at)))
     return BruteForceMoments(mean=mean_acc, variance=sq_acc - mean_acc**2)
 
 

@@ -25,6 +25,7 @@ from equilab.kac import (
     KacConfiguration,
     brute_force_expectation,
     expected_delta_bar,
+    expected_delta_sq,
     ring_steps,
     ring_trace,
     sample_markers,
@@ -427,30 +428,16 @@ def test_kac_ensemble_variance_scales_inversely_with_size():
     assert np.all(scaled < cap)
 
 
-def _exact_delta_sq(n: int, mu: float, t: int) -> float:
-    """E[Delta(t)^2] from the all-white start, exact for 0 <= t <= 2N.
-
-    Delta(t) = sum_a prod_{k in W_a} xi_k over the t-site windows W_a the
-    balls have crossed, so E[Delta^2] = sum_{a,b} lam^{|W_a sym W_b|} with
-    lam = 1 - 2 mu.  For t <= N two windows d sites apart share
-    max(0, t - d) + max(0, t - N + d) sites, so the sum is N times a sum
-    over d.  Past one revolution Delta(N + s) = (-1)^m Delta(s), with m the
-    marker count, and the square is that of t = s.
-    """
-    if t > n:
-        t -= n
-    d = np.arange(n)
-    shared = np.maximum(0, t - d) + np.maximum(0, t - n + d)
-    return n * float(np.sum((1.0 - 2.0 * mu) ** (2 * t - 2 * shared)))
-
-
 @pytest.mark.parametrize("mu", [0.1, 0.3, 0.5])
 def test_exact_delta_sq_matches_brute_force(mu: float):
-    for n in range(1, 13):
-        for t in range(2 * n + 1):
-            exact = brute_force_expectation(n, mu, t)
-            want = exact.variance + exact.mean**2
-            assert abs(_exact_delta_sq(n, mu, t) / n**2 - want) < 1e-12, (n, t)
+    # Every t <= 2N up to N = 16, then N = 20 (16 chunks of codes) on both
+    # sides of t = N/2, N and 2N.
+    cases = [(n, t) for n in (*range(1, 13), 16) for t in range(2 * n + 1)]
+    cases += [(20, t) for t in (1, 3, 7, 10, 11, 19, 20, 21, 30, 33, 39, 40)]
+    for n, t in cases:
+        exact = brute_force_expectation(n, mu, t)
+        want = exact.variance + exact.mean**2
+        assert abs(expected_delta_sq(mu, t, n) / n**2 - want) < 1e-12, (n, t)
 
 
 def test_kac_ensemble_variance_matches_exact_oracle():
@@ -461,7 +448,7 @@ def test_kac_ensemble_variance_matches_exact_oracle():
     assert res.variance[0] == 0.0
     tol = 6.0 * math.sqrt(2.0 / (m - 1))
     for t in range(1, t_max + 1):
-        exact = _exact_delta_sq(n, mu, t) / n**2 - expected_delta_bar(mu, t, n) ** 2
+        exact = expected_delta_sq(mu, t, n) / n**2 - expected_delta_bar(mu, t, n) ** 2
         assert abs(res.variance[t] / exact - 1.0) < tol, t
 
 
@@ -575,8 +562,9 @@ def test_kac_ensemble_csv_deterministic_across_workers(tmp_path):
 def test_kac_ensemble_validation():
     with pytest.raises(ValueError):
         run_kac_ensemble(16, 0.3, 10, t_max=33, epsilon=0.1, seed=0)
-    for epsilon in (0.0, math.nan):
-        with pytest.raises(ValueError, match="epsilon"):
+    # |delta_bar| <= 1: epsilon = 1.5 once ran and reported p_dev = 0.
+    for epsilon in (0.0, math.nan, 1.0, 1.5, math.inf):
+        with pytest.raises(ValueError, match="^epsilon must lie in \\(0, 1\\), got "):
             run_kac_ensemble(16, 0.3, 10, t_max=4, epsilon=epsilon, seed=0)
     with pytest.raises(ValueError):
         run_kac_ensemble(16, 0.3, 10, t_max=4, epsilon=0.1, seed=0, window=(9.0, 3.0))

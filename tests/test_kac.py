@@ -15,6 +15,7 @@ from equilab.kac import (
     brute_force_expectation,
     delta_closed_form,
     expected_delta_bar,
+    expected_delta_sq,
     inverse_step,
     ring_bound_schedule,
     ring_steps,
@@ -382,14 +383,17 @@ _SCHEDULE = ring_bound_schedule(0.15, 0.5, 0.3)
         (lambda t: brute_force_expectation(4, 0.3, t), "t"),
         (lambda t: ring_trace(KacConfiguration.all_white(_ONES), t), "t_max"),
         (lambda t: expected_delta_bar(0.25, t, 10), "t"),
+        (lambda t: expected_delta_sq(0.25, t, 10), "t"),
         (lambda n: brute_force_expectation(n, 0.3, 2), "n"),
         (lambda n: sample_markers(n, 0.3, RngStream(0)), "n"),
         (lambda n: expected_delta_bar(0.3, 2, n), "n_sites"),
+        (lambda n: expected_delta_sq(0.3, 2, n), "n_sites"),
         (lambda n: _SCHEDULE.window_end(n), "n_sites"),
         (lambda n: _SCHEDULE.sequence_bound(n), "n_sites"),
     ],
-    ids=["closed_form", "brute_force", "ring_trace", "expected_delta_bar", "brute_force_n",
-         "sample_markers", "expected_delta_bar_n", "window_end", "sequence_bound"],
+    ids=["closed_form", "brute_force", "ring_trace", "expected_delta_bar", "expected_delta_sq",
+         "brute_force_n", "sample_markers", "expected_delta_bar_n", "expected_delta_sq_n",
+         "window_end", "sequence_bound"],
 )
 @pytest.mark.parametrize("value", [1.5, 2.0, "3", None, True])
 def test_times_must_be_integers(call, name, value):
@@ -402,10 +406,12 @@ def test_times_must_be_integers(call, name, value):
     [
         lambda mu: sample_markers(4, mu, RngStream(0)),
         lambda mu: expected_delta_bar(mu, 2, 10),
+        lambda mu: expected_delta_sq(mu, 2, 10),
         lambda mu: brute_force_expectation(4, mu, 2),
         lambda mu: ring_bound_schedule(0.15, 0.5, mu),
     ],
-    ids=["sample_markers", "expected_delta_bar", "brute_force", "ring_bound_schedule"],
+    ids=["sample_markers", "expected_delta_bar", "expected_delta_sq", "brute_force",
+         "ring_bound_schedule"],
 )
 @pytest.mark.parametrize("value", [True, "0.3", None])
 def test_marker_rates_must_be_real_numbers(call, value):
@@ -418,11 +424,13 @@ def test_marker_rates_must_be_real_numbers(call, value):
     [
         (lambda: sample_markers(4, 0.0, RngStream(0)), "mu must lie in \\(0, 1\\], got 0.0"),
         (lambda: expected_delta_bar(1.5, 2, 10), "mu must lie in \\[0, 1\\], got 1.5"),
+        (lambda: expected_delta_sq(-0.5, 2, 10), "mu must lie in \\[0, 1\\], got -0.5"),
         (lambda: brute_force_expectation(4, -0.1, 2), "mu must lie in \\[0, 1\\], got -0.1"),
         (lambda: ring_bound_schedule(0.15, 0.5, math.nan), "mu must lie in \\[0, 1\\], got nan"),
         (lambda: ring_bound_schedule(0.15, 1.0, 0.3), "alpha must lie in \\(0, 1\\), got 1.0"),
     ],
-    ids=["sample_markers", "expected_delta_bar", "brute_force", "schedule_mu", "schedule_alpha"],
+    ids=["sample_markers", "expected_delta_bar", "expected_delta_sq", "brute_force",
+         "schedule_mu", "schedule_alpha"],
 )
 def test_marker_rates_out_of_range(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -454,6 +462,9 @@ def test_configuration_time_must_be_an_integer():
         (lambda: brute_force_expectation(0, 0.3, 0), "n must lie in \\[1, 20\\], got 0"),
         (lambda: brute_force_expectation(21, 0.3, 0), "n must lie in \\[1, 20\\], got 21"),
         (lambda: sample_markers(0, 0.3, RngStream(0)), "n must lie in \\[1, inf\\], got 0"),
+        (lambda: expected_delta_sq(0.3, 0, 0), "n_sites must lie in \\[1, inf\\], got 0"),
+        (lambda: expected_delta_sq(0.3, 21, 10), "t must lie in \\[0, 20\\], got 21"),
+        (lambda: expected_delta_sq(0.3, -1, 10), "t must lie in \\[0, 20\\], got -1"),
     ],
 )
 def test_site_counts_out_of_range(call, message):
@@ -585,11 +596,18 @@ def test_pm_one_check_verdicts(values, ok):
 # Brute-force enumeration oracle
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n", [*range(1, 9), 17, 20])
 def test_enumerated_deltas_match_ring_trace_per_code(n: int):
     # Every marker code at every t <= 2N: window orientation, t = N and the
     # t > N sign are checked code by code, not only through the moments.
-    codes = np.arange(1 << n, dtype=np.uint32)
+    # Codes past the first 2^16 take their high bits' window parities from a
+    # second table: at N = 17 and 20, a seeded sample with some bit >= 16
+    # set, plus the all-marked code.
+    if n <= 8:
+        codes = np.arange(1 << n, dtype=np.uint32)
+    else:
+        sample = np.random.default_rng(n).integers(1 << 16, 1 << n, size=60, dtype=np.uint32)
+        codes = np.append(sample, np.uint32((1 << n) - 1))
     bits = ((codes[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(np.int8)
     want = np.stack(
         [ring_trace(KacConfiguration.all_white(1 - 2 * row), 2 * n) for row in bits]
@@ -632,6 +650,29 @@ def test_brute_force_degenerate_rates(mu: float):
     got = brute_force_expectation(6, mu, 3)
     assert got.mean == pytest.approx(1.0 if mu == 0.0 else -1.0, abs=1e-14)
     assert got.variance == pytest.approx(0.0, abs=1e-14)
+
+
+# float.hex of (mean, variance), recorded from the enumeration that summed
+# N window popcounts per code.  Every case spans 2 to 16 chunks of 2^16
+# codes, which the kac-brute digest (N = 13, one chunk) does not reach; the
+# moments must stay bit-identical while the per-chunk order of the float
+# sums is kept.
+_MULTI_CHUNK_MOMENTS = {
+    (17, 0.3, 5): ("0x1.4f8b588e368f4p-7", "0x1.4c70d574ecfe1p-4"),
+    (18, 0.25, 6): ("0x1.fffffffffffffp-7", "0x1.7a80000000001p-4"),
+    (18, 0.1, 18): ("0x1.2725dd1d2441ep-6", "0x1.ffd576f6d9a5ap-1"),
+    (19, 0.7, 25): ("-0x1.c25c26849a2e0p-18", "0x1.29b97e4e3b799p-4"),
+    (20, 0.25, 20): ("0x1.000000006c566p-20", "0x1.fffffffffe006p-1"),
+    (20, 0.3, 33): ("0x1.ad7f29abcaf65p-10", "0x1.1acf82f292ad4p-4"),
+    (20, 0.0, 21): ("0x1.0000000000000p+0", "0x0.0p+0"),
+    (20, 1.0, 40): ("0x1.0000000000000p+0", "0x0.0p+0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MULTI_CHUNK_MOMENTS), ids=str)
+def test_brute_force_multi_chunk_moments_are_pinned(case):
+    got = brute_force_expectation(*case)
+    assert (got.mean.hex(), got.variance.hex()) == _MULTI_CHUNK_MOMENTS[case]
 
 
 def test_brute_force_rejects_large_rings():
