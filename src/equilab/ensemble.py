@@ -10,11 +10,12 @@ statistic is an integer (deviation counts, color sums, squared color sums);
 chunk results are merged by integer addition, which is exact and
 order-independent.  Identical spec and master seed therefore produce
 byte-identical result files at any worker count, the property the
-determinism checks pin down.  A ring chunk draws its markers by the draw
-rule that :mod:`equilab.kac` owns (raw Philox words at most
-``kac.marker_limit(mu)``, the verdicts of ``random() < mu``) and steps them
-bit-packed in cache-sized tiles of about ``_RING_TILE`` sites; the tile
-size changes no byte.
+determinism checks pin down.  A gas chunk samples and counts one
+cache-sized tile of about ``_GAS_TILE`` coordinates at a time.  A ring
+chunk draws its markers by the draw rule that :mod:`equilab.kac` owns (raw
+Philox words at most ``kac.marker_limit(mu)``, the verdicts of
+``random() < mu``) and steps them bit-packed in cache-sized tiles of about
+``_RING_TILE`` sites.  Neither tile size changes any byte.
 """
 
 from __future__ import annotations
@@ -51,6 +52,13 @@ __all__ = [
 
 _GAS_CHUNK = 256
 _KAC_CHUNK = 512
+#: Coordinates per gas-chunk tile.  A tile's positions and momenta and the
+#: scratch of its counter (about 1 MiB in all) stay in a core's L2 cache
+#: while the tile is counted at every grid time; a whole 256-history chunk
+#: at N = 3000 is 12 MiB and would stream through memory once per time.
+#: The chunk allocates these buffers once and refills them tile by tile:
+#: allocated per tile, they would be freed and faulted back in every time.
+_GAS_TILE = 1 << 15
 #: Sites per ring-chunk tile.  Its bool markers, their 8 bit-shifted packed
 #: copies and a block of packed states step inside a core's L2 cache; a
 #: whole 512-ring chunk at N = 4096 would stream through memory.
@@ -141,43 +149,59 @@ def _gas_scaling_chunk(payload):
     k-th grid time.  Prefix sums of h[1:] then give the deviation count for
     every K at once.
 
+    The chunk works one tile of about ``_GAS_TILE`` coordinates at a time:
+    it samples the tile's histories, then counts them at every grid time
+    while they are still in cache.  The tile's position and momentum
+    buffers and the one :class:`~equilab.gas.BoxCounter` over them are
+    allocated once per chunk and refilled in place, since a counter built
+    per tile would free its scratch and fault it back in on every tile.
     Each history draws its positions, then its momenta, from its own stream
-    straight into its row of the chunk, exactly the draws of
-    :func:`~equilab.sampler.sample_microstate`.  Live histories are kept in
-    the leading ``live`` rows, with their history ids in ``alive``.  On a
-    step where some histories exceed, each exceeded row among the first
-    ``live`` is a hole, and the surviving rows at or past ``live`` fill the
-    holes (positions, momenta and id together).  A step thus copies at most
-    one row per history that dies, so a chunk copies at most ``count`` rows
-    in all.  Row order changes, but every count is a per-row reduction and
-    ``first`` is indexed by history id, so no result does.
+    straight into its row, exactly the draws of
+    :func:`~equilab.sampler.sample_microstate`, and
+    :meth:`~equilab.gas.BoxCounter.reload` validates the refilled rows.
+
+    Within a tile, live histories are kept in the leading ``live`` rows,
+    with their ids in the chunk in ``alive``.  On a step where some
+    histories exceed, each exceeded row among the first ``live`` is a hole,
+    and the surviving rows at or past ``live`` fill the holes (positions,
+    momenta and id together).  A step thus copies at most one row per
+    history that dies.  Row order changes, but every count is a per-row
+    reduction and ``first`` is indexed by history id, so neither the row
+    order nor the tile size changes any result.
     """
     (n, dim, initial, region, times, epsilon, master_seed, stream_base, count) = payload
-    measure = region.measure()
-    xs = np.empty((count, n, dim))
-    ps = np.empty((count, n, dim))
-    for i, gen in enumerate(stream_generators(master_seed, stream_base, count)):
-        xs[i] = initial.positions.sample(n, dim, gen)
-        ps[i] = initial.momenta.sample(n, dim, gen)
+    # The exceedance verdict of every possible count c, by the float test
+    # |c/n - |I|| > epsilon itself, so a step looks its verdicts up.
+    exceeds = np.abs(np.arange(n + 1) / n - region.measure()) > epsilon
+    rows = max(1, min(count, _GAS_TILE // (n * dim)))
+    # Zeros are a valid state, so the counter is built before the first draw.
+    xs = np.zeros((rows, n, dim))
+    ps = np.zeros((rows, n, dim))
     counter = BoxCounter(region, xs, ps)
     first = np.zeros(count, dtype=np.int64)
-    alive = np.arange(count)
-    for k, t in enumerate(times, start=1):
-        frac = counter.counts(t, alive.size) / n
-        exceeded = np.abs(frac - measure) > epsilon
-        dead = np.count_nonzero(exceeded)
-        if dead == 0:
-            continue
-        first[alive[exceeded]] = k
-        live = alive.size - dead
-        if live == 0:
-            break
-        holes = np.flatnonzero(exceeded[:live])
-        movers = live + np.flatnonzero(~exceeded[live:])
-        xs[holes] = xs[movers]
-        ps[holes] = ps[movers]
-        alive[holes] = alive[movers]
-        alive = alive[:live]
+    streams = stream_generators(master_seed, stream_base, count)
+    for start in range(0, count, rows):
+        h = min(rows, count - start)
+        for i, gen in zip(range(h), streams):
+            xs[i] = initial.positions.sample(n, dim, gen)
+            ps[i] = initial.momenta.sample(n, dim, gen)
+        counter.reload(h)
+        alive = np.arange(start, start + h)
+        for k, t in enumerate(times, start=1):
+            exceeded = exceeds[counter.counts(t, alive.size)]
+            dead = np.count_nonzero(exceeded)
+            if dead == 0:
+                continue
+            first[alive[exceeded]] = k
+            live = alive.size - dead
+            if live == 0:
+                break
+            holes = np.flatnonzero(exceeded[:live])
+            movers = live + np.flatnonzero(~exceeded[live:])
+            xs[holes] = xs[movers]
+            ps[holes] = ps[movers]
+            alive[holes] = alive[movers]
+            alive = alive[:live]
     return np.bincount(first, minlength=len(times) + 1)
 
 

@@ -84,11 +84,6 @@ def positions_at(state: GasMicrostate, t: float) -> np.ndarray:
     return fractional_part(state.positions + state.momenta * float(t))
 
 
-#: Rows of a :class:`BoxCounter` tile hold about this many coordinates, so
-#: the five scratch buffers (about 600 KiB in all) stay in cache between passes.
-_TILE = 1 << 15
-
-
 class BoxCounter:
     """Occupied counts of one box for a batch of histories, at any time t.
 
@@ -96,14 +91,20 @@ class BoxCounter:
     particles on the d-torus.  :meth:`counts` streams them to time t with the
     float operations of :func:`positions_at` (``p*t + x``, ``y - floor(y)``,
     the 1.0 -> 0.0 fold) and counts the half-open box membership of every
-    particle.  It works tile by tile in preallocated scratch, so a call
-    allocates nothing per particle, and it never writes the state arrays:
-    callers may reorder their rows between calls (compacting live
+    particle.  Its scratch is allocated once, here, as large as the batch,
+    so a call allocates nothing per particle, and it never writes the state
+    arrays: callers may reorder their rows between calls (compacting live
     histories to the front, say) and pass how many leading rows to count.
 
-    The arrays are validated once here, with :class:`GasMicrostate`'s
-    errors.  Finiteness at a time t then needs no pass over the data:
-    p*t + x is finite for every particle iff max|p| * |t| is.
+    A caller that counts many batches keeps one counter for all of them: it
+    writes each batch into the same arrays in place and calls :meth:`reload`.
+    The gas-scaling chunk does this with one cache-sized tile of histories;
+    a fresh counter per tile would free its scratch and fault it back in on
+    every tile.
+
+    The rows are validated with :class:`GasMicrostate`'s errors, here and on
+    every :meth:`reload`.  Finiteness at a time t then needs no pass over
+    the data: p*t + x is finite for every particle iff max|p| * |t| is.
     """
 
     def __init__(self, region: TorusRegion, positions: np.ndarray, momenta: np.ndarray):
@@ -116,13 +117,8 @@ class BoxCounter:
             raise ValueError("dim must be >= 1")
         if region.dim != dim:
             raise ValueError(f"region dimension {region.dim} != state dimension {dim}")
-        if not np.isfinite(positions).all() or not np.isfinite(momenta).all():
-            raise ValueError("positions and momenta must be finite")
-        if not ((positions >= 0.0).all() and (positions < 1.0).all()):
-            raise ValueError("positions must lie in [0, 1) coordinatewise")
         self._positions = positions
         self._momenta = momenta
-        self._speed = max(float(momenta.max()), -float(momenta.min()))
         # On an axis whose lower face is 0 a coordinate that rounds to exactly
         # 1.0 folds to 0.0 and is inside, so that axis tests r < upper or
         # r >= 1 (upper <= 1 keeps the two apart); other axes test
@@ -131,47 +127,60 @@ class BoxCounter:
             (k, lo, up, lo == 0.0 < up)
             for k, (lo, up) in enumerate(zip(region.lower, region.upper))
         ]
-        rows = max(1, min(h, _TILE // (n * dim)))
-        self._y = np.empty((rows, n, dim))
-        self._floor = np.empty((rows, n, dim))
-        self._inside = np.empty((rows, n), dtype=bool)
-        self._axis_in = np.empty((rows, n), dtype=bool)
-        self._low = np.empty((rows, n), dtype=bool)
+        self._y = np.empty((h, n, dim))
+        self._floor = np.empty((h, n, dim))
+        self._inside = np.empty((h, n), dtype=bool)
+        self._axis_in = np.empty((h, n), dtype=bool)
+        self._low = np.empty((h, n), dtype=bool)
         self._counts = np.empty(h, dtype=np.int64)
+        self.reload(h)
+
+    def reload(self, rows: int) -> None:
+        """Validate the first ``rows`` histories, rewritten in place by the caller.
+
+        Raises the constructor's errors, and refreshes the speed bound that
+        :meth:`counts` checks; until the next reload, :meth:`counts` counts
+        these rows by default.
+        """
+        xs, ps = self._positions[:rows], self._momenta[:rows]
+        if not np.isfinite(xs).all() or not np.isfinite(ps).all():
+            raise ValueError("positions and momenta must be finite")
+        if not ((xs >= 0.0).all() and (xs < 1.0).all()):
+            raise ValueError("positions must lie in [0, 1) coordinatewise")
+        self._rows = rows
+        self._speed = max(float(ps.max()), -float(ps.min()))
 
     def counts(self, t: float, rows: int | None = None) -> np.ndarray:
-        """Occupied counts of the first ``rows`` histories (default all) at t.
+        """Occupied counts of the first ``rows`` histories at t.
 
-        The returned int64 array is scratch: the next call overwrites it.
+        ``rows`` defaults to the rows of the last validation.  The returned
+        int64 array is scratch: the next call overwrites it.
         """
         t = float(t)
         if not math.isfinite(self._speed * abs(t)):
             raise ValueError("coordinates at time t are not finite")
-        rows = self._positions.shape[0] if rows is None else rows
-        step = self._y.shape[0]
-        for start in range(0, rows, step):
-            stop = min(rows, start + step)
-            m = stop - start
-            y, fl = self._y[:m], self._floor[:m]
-            inside, axis_in, low = self._inside[:m], self._axis_in[:m], self._low[:m]
-            np.multiply(self._momenta[start:stop], t, out=y)
-            np.add(y, self._positions[start:stop], out=y)
-            np.floor(y, out=fl)
-            np.subtract(y, fl, out=y)
-            for k, lo, up, folds in self._axes:
-                r = y[:, :, k]
-                hit = inside if k == 0 else axis_in
-                np.less(r, up, out=hit)
-                if folds:
-                    np.logical_or(hit, np.greater_equal(r, 1.0, out=low), out=hit)
-                else:
-                    np.logical_and(hit, np.greater_equal(r, lo, out=low), out=hit)
-                if k > 0:
-                    np.logical_and(inside, axis_in, out=inside)
-            # A uint32 row sum is exact (a row holds n < 2**32 flags) and runs
-            # about twice as fast as count_nonzero along an axis.
-            self._counts[start:stop] = np.add.reduce(inside.view(np.uint8), axis=1, dtype=np.uint32)
-        return self._counts[:rows]
+        m = self._rows if rows is None else rows
+        y, fl = self._y[:m], self._floor[:m]
+        inside, axis_in, low = self._inside[:m], self._axis_in[:m], self._low[:m]
+        np.multiply(self._momenta[:m], t, out=y)
+        np.add(y, self._positions[:m], out=y)
+        np.floor(y, out=fl)
+        np.subtract(y, fl, out=y)
+        for k, lo, up, folds in self._axes:
+            r = y[:, :, k]
+            hit = inside if k == 0 else axis_in
+            np.less(r, up, out=hit)
+            if folds:
+                np.logical_or(hit, np.greater_equal(r, 1.0, out=low), out=hit)
+            else:
+                np.logical_and(hit, np.greater_equal(r, lo, out=low), out=hit)
+            if k > 0:
+                np.logical_and(inside, axis_in, out=inside)
+        # A uint32 row sum is exact (a row holds n < 2**32 flags) and runs
+        # about twice as fast as count_nonzero along an axis.
+        counts = self._counts[:m]
+        counts[:] = np.add.reduce(inside.view(np.uint8), axis=1, dtype=np.uint32)
+        return counts
 
 
 def fraction_in(state: GasMicrostate, t: float, region: TorusRegion) -> float:

@@ -5,12 +5,13 @@ import dataclasses
 import json
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from equilab import ensemble, gas
-from equilab.core import RngStream, TimeGrid, TorusRegion
+from equilab.core import RngStream, TimeGrid, TorusRegion, fractional_part
 from equilab.ensemble import (
     ScalingExperimentSpec,
     fit_exponential,
@@ -167,6 +168,18 @@ def test_scaling_csv_deterministic_across_workers(tmp_path):
     assert header == "N,K,deviations,M,p_hat,p_hat_over_K,stderr"
 
 
+def _first_exceedances(initial, region, grid, n, epsilon, seed, base, count):
+    """Oracle: each history sampled and traced on its own; its first grid
+    index outside the epsilon band, or 0 if it never leaves."""
+    first = np.zeros(count, dtype=np.int64)
+    for h in range(count):
+        state = sample_microstate(initial, n, region.dim, RngStream(seed, base + h))
+        values = trace(state, region, grid).values
+        over = np.flatnonzero(np.abs(values - region.measure()) > epsilon)
+        first[h] = over[0] + 1 if over.size else 0
+    return first
+
+
 @pytest.mark.parametrize(
     "region, initial",
     [
@@ -199,14 +212,10 @@ def test_scaling_first_exceedances_match_single_history_traces(region, initial):
     )
     res = run_gas_scaling(spec)
     for i, n in enumerate(spec.n_values):
-        hist = np.zeros(grid.k_count + 1, dtype=np.int64)
-        for h in range(spec.histories):
-            state = sample_microstate(
-                initial, n, region.dim, RngStream(17, i * spec.histories + h)
-            )
-            values = trace(state, region, grid).values
-            over = np.flatnonzero(np.abs(values - region.measure()) > spec.epsilon)
-            hist[over[0] + 1 if over.size else 0] += 1
+        first = _first_exceedances(
+            initial, region, grid, n, spec.epsilon, 17, i * spec.histories, spec.histories
+        )
+        hist = np.bincount(first, minlength=grid.k_count + 1)
         assert np.array_equal(res.deviations[i], np.cumsum(hist[1:]))
         assert 0 < res.deviations[i, -1] < spec.histories
 
@@ -233,17 +242,13 @@ def test_scaling_chunk_swap_fill_matches_single_history_traces(monkeypatch):
     no_movers = all_exceed = never = 0
     death_steps = set()
     for n, epsilon in [(8, 0.2), (12, 0.2), (9, 0.25), (16, 0.2)]:
-        monkeypatch.setattr(gas, "_TILE", 3 * n)
+        monkeypatch.setattr(ensemble, "_GAS_TILE", 3 * n)
         steps.clear()
         got = ensemble._gas_scaling_chunk(
             (n, 1, _EQUILIBRIUM, _REGION, times, epsilon, seed, base, count)
         )
-        want = np.zeros(grid.k_count + 1, dtype=np.int64)
-        for h in range(count):
-            state = sample_microstate(_EQUILIBRIUM, n, 1, RngStream(seed, base + h))
-            values = trace(state, _REGION, grid).values
-            over = np.flatnonzero(np.abs(values - _REGION.measure()) > epsilon)
-            want[over[0] + 1 if over.size else 0] += 1
+        first = _first_exceedances(_EQUILIBRIUM, _REGION, grid, n, epsilon, seed, base, count)
+        want = np.bincount(first, minlength=grid.k_count + 1)
         assert got.tolist() == want.tolist()
         for counts in steps:
             exceeded = np.abs(counts / n - _REGION.measure()) > epsilon
@@ -254,6 +259,170 @@ def test_scaling_chunk_swap_fill_matches_single_history_traces(monkeypatch):
         death_steps.update(np.flatnonzero(want[1:]).tolist())
     assert no_movers > 0 and all_exceed > 0 and never > 0
     assert len(death_steps) >= 15
+
+
+class _FoldingMomenta:
+    """Duck-typed momentum law: ``law``'s draws, but -1e-17 on the first axis.
+
+    From the point 1e-17 that coordinate lies in [-3.5e-17, -1.1e-17] for
+    2.1 <= t <= 4.5, where its fractional part rounds to exactly 1.0: the
+    torus point 0.0, inside a box whose lower face is 0.
+    """
+
+    def __init__(self, law):
+        self.law = law
+
+    def sample(self, n, dim, gen):
+        p = self.law.sample(n, dim, gen)
+        p[:, 0] = -1e-17
+        return p
+
+
+_TABULATED = TabulatedMomenta((-2.0, -1.0, 0.0, 0.5, 2.0), (0.0, 1.0, 3.0, 1.0, 0.2))
+_TILE_CASES = {
+    "1d": (_EQUILIBRIUM, _REGION, TimeGrid(0.0, 0.3, 25), 12, 0.2),
+    "2d-box-tabulated": (
+        InitialMeasureSpec(UniformPositions(TorusRegion((0.0, 0.0), (1.0, 1.0))), _TABULATED),
+        TorusRegion((0.0, 0.25), (0.5, 0.75)), TimeGrid(0.0, 0.4, 25), 16, 0.2,
+    ),
+    # The first axis spans the whole torus, so only the fold keeps a
+    # particle there inside: 1.0 < 1.0 is false.
+    "2d-point-fold": (
+        InitialMeasureSpec(PointPositions((1e-17, 0.3)), _FoldingMomenta(_TABULATED)),
+        TorusRegion((0.0, 0.25), (1.0, 0.75)), TimeGrid(2.0, 0.1, 25), 10, 0.2,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TILE_CASES))
+def test_scaling_chunk_is_the_same_at_every_tile_size(monkeypatch, case):
+    # Tiles of 1, 3 and 7 histories and tiles at least as large as the
+    # chunk: a 40-history chunk in 40, 14 (the last of 1 row), 6 (the last
+    # of 5) or 1 tile.  Every tiling must equal the per-history oracle.
+    initial, region, grid, n, epsilon = _TILE_CASES[case]
+    times = tuple(float(t) for t in grid.times)
+    seed, base, count = 31, 7, 40
+    first = _first_exceedances(initial, region, grid, n, epsilon, seed, base, count)
+    want = np.bincount(first, minlength=grid.k_count + 1)
+    if case == "2d-point-fold":
+        # Every grid time folds the first axis onto 0.0, and only the fold
+        # keeps any history alive past the first step.
+        assert (fractional_part(1e-17 - 1e-17 * np.asarray(times)) == 0.0).all()
+        assert want[1] < count
+    for rows in (1, 3, 7, count, 2 * count):
+        monkeypatch.setattr(ensemble, "_GAS_TILE", rows * n * region.dim)
+        got = ensemble._gas_scaling_chunk(
+            (n, region.dim, initial, region, times, epsilon, seed, base, count)
+        )
+        assert got.tolist() == want.tolist(), rows
+        tiles = set((np.flatnonzero(first) // rows).tolist())
+        if rows < count:
+            assert len(tiles) >= 2
+        if count % rows > 1:
+            # Deaths in the last, partial tile of several histories.
+            assert (count - 1) // rows in tiles
+    assert 0 < want[0] < count and len(np.flatnonzero(want[1:])) >= 5
+
+
+@pytest.mark.parametrize("case", sorted(_TILE_CASES))
+def test_scaling_csv_bytes_do_not_depend_on_the_tile_size(monkeypatch, tmp_path, case):
+    initial, region, grid, n, epsilon = _TILE_CASES[case]
+    spec = ScalingExperimentSpec(
+        n_values=(n, 2 * n),
+        k_values=(1, 5, 25),
+        histories=300,
+        epsilon=epsilon,
+        grid=grid,
+        region=region,
+        initial=initial,
+        master_seed=41,
+    )
+    csvs = set()
+    for tile in (1, 3 * n, 7 * 2 * n, ensemble._GAS_TILE, 1 << 30):
+        monkeypatch.setattr(ensemble, "_GAS_TILE", tile * region.dim)
+        path = tmp_path / f"tile{tile}.csv"
+        run_gas_scaling(spec).to_csv(path)
+        csvs.add(path.read_bytes())
+    assert len(csvs) == 1
+
+
+def test_scaling_chunk_samples_and_counts_one_tile_at_a_time(monkeypatch):
+    # A 256-history chunk at N = 3000 is 12 MiB of positions and momenta.
+    # Sampled and counted one cache-sized tile at a time, in buffers and one
+    # counter that live for the whole chunk, it peaks near 1 MiB.
+    built = []
+
+    class _RecordingCounter(gas.BoxCounter):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(ensemble, "BoxCounter", _RecordingCounter)
+    times = tuple(float(t) for t in TimeGrid(0.0, 10.0, 25).times)
+    payload = (3000, 1, _EQUILIBRIUM, _REGION, times, 0.04, 3, 0, 256)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        hist = ensemble._gas_scaling_chunk(payload)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert hist.sum() == 256
+    assert peak <= 2 << 20, f"peak {peak / 2**20:.2f} MiB"
+    assert len(built) == 1
+
+
+class _SpoiledLaw:
+    """Duck-typed law: ``law``'s draws, with one coordinate set to ``value``
+    in the draw of call number ``spoiled`` (0-based), one call per history."""
+
+    def __init__(self, law, spoiled, value):
+        self.law, self.spoiled, self.value, self.calls = law, spoiled, value, 0
+
+    def sample(self, n, dim, gen):
+        out = self.law.sample(n, dim, gen)
+        if self.calls == self.spoiled:
+            out[n // 2, 0] = self.value
+        self.calls += 1
+        return out
+
+
+@pytest.mark.parametrize(
+    "which, value, message",
+    [
+        ("positions", 1.0, "positions must lie in [0, 1) coordinatewise"),
+        ("momenta", math.inf, "positions and momenta must be finite"),
+    ],
+)
+def test_scaling_chunk_validates_every_tile(monkeypatch, which, value, message):
+    # Tiles of 3 histories; only history 4, in the second tile, is invalid.
+    # The refilled tile must fail with the constructor's own error, before
+    # any of its rows is counted.
+    n, count = 8, 8
+    laws = {"positions": _EQUILIBRIUM.positions, "momenta": _EQUILIBRIUM.momenta}
+    spoiled = _SpoiledLaw(laws[which], 4, value)
+    laws[which] = spoiled
+    initial = InitialMeasureSpec(laws["positions"], laws["momenta"])
+    xs, ps = np.full((1, n, 1), 0.5), np.zeros((1, n, 1))
+    {"positions": xs, "momenta": ps}[which][0, n // 2, 0] = value
+    with pytest.raises(ValueError) as direct:
+        gas.BoxCounter(_REGION, xs, ps)
+    assert str(direct.value) == message
+    counted = []
+
+    class _RecordingCounter(gas.BoxCounter):
+        def counts(self, t, rows=None):
+            counted.append(t)
+            return super().counts(t, rows)
+
+    monkeypatch.setattr(ensemble, "BoxCounter", _RecordingCounter)
+    monkeypatch.setattr(ensemble, "_GAS_TILE", 3 * n)
+    # |f - 1/2| <= 1/2 < 0.9: the first tile lives through every time.
+    times = tuple(float(t) for t in TimeGrid(0.0, 0.3, 5).times)
+    with pytest.raises(ValueError) as chunk:
+        ensemble._gas_scaling_chunk((n, 1, initial, _REGION, times, 0.9, 0, 0, count))
+    assert str(chunk.value) == message
+    assert spoiled.calls == 6 and len(counted) == len(times)
 
 
 def test_scaling_folds_a_wrap_onto_one_back_to_zero():

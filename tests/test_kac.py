@@ -278,6 +278,44 @@ def test_periodicity_and_half_period_sign(n: int, seed: int):
     assert np.array_equal(state.colors, config.colors)
 
 
+def _assert_reflection(deltas, marked_counts):
+    """Delta(N - s) = Delta(N + s) = (-1)^m Delta(s) for 0 <= s <= N.
+
+    ``deltas`` is (2N + 1, h), one column per ring.  A window of length
+    N - s is the whole ring times the complementary window of length s, and
+    one of length N + s is the whole ring times a window of length s.
+    """
+    n = deltas.shape[0] // 2
+    s = np.arange(n + 1)
+    signed = (1 - 2 * (np.asarray(marked_counts, dtype=np.int64) % 2)) * deltas[s]
+    np.testing.assert_array_equal(deltas[n - s], signed)
+    np.testing.assert_array_equal(deltas[n + s], signed)
+
+
+@pytest.mark.parametrize("mu", [0.1, 0.3, 0.5])
+@pytest.mark.parametrize("n", [7, 64, 1000])
+def test_reflection_on_ring_steps_and_closed_form(n: int, mu: float):
+    # 16 rings per batch through the kernel; the closed form on 4 of them.
+    marked = np.random.default_rng(n + int(10 * mu)).random((16, n)) < mu
+    m = np.count_nonzero(marked, axis=1)
+    assert {0, 1} <= set((m % 2).tolist())
+    stepped = n - 2 * ring_steps(marked, np.zeros(n, dtype=bool), 2 * n).astype(np.int64)
+    _assert_reflection(stepped, m)
+    closed = np.array(
+        [[delta_closed_form(1 - 2 * row.astype(np.int8), t) for row in marked[:4]]
+         for t in range(2 * n + 1)]
+    )
+    _assert_reflection(closed, m[:4])
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_reflection_on_the_enumeration(n: int):
+    # Every marker sequence of the ring, so every rate mu at once.
+    codes = np.arange(1 << n, dtype=np.uint32)
+    deltas = np.stack([_enumerated_deltas(n, t, codes) for t in range(2 * n + 1)])
+    _assert_reflection(deltas, np.bitwise_count(codes))
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_delta_parity_invariant(seed: int):
     n = 21
