@@ -24,6 +24,7 @@ __version__ = "0.1.0"
 from .core import (
     GasMicrostate,
     LogProbability,
+    ParameterError,
     RngStream,
     TimeGrid,
     TorusRegion,
@@ -97,6 +98,7 @@ __all__ = [
     # core
     "GasMicrostate",
     "LogProbability",
+    "ParameterError",
     "RngStream",
     "TimeGrid",
     "TorusRegion",

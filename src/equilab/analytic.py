@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LogProbability, TorusRegion, as_int, as_real
+from .core import LogProbability, ParameterError, TorusRegion, as_int, as_real
 from .sampler import (
     GaussianMomenta,
     InitialMeasureSpec,
@@ -270,7 +270,7 @@ def expected_fraction(
         raise ValueError("t must be a time or a 1-d sequence of times")
     ts = np.atleast_1d(times).astype(float)
     if not np.all((ts >= 0.0) & np.isfinite(ts)):
-        raise ValueError("t must be finite and >= 0")
+        raise ParameterError("t", "must be finite and >= 0")
     as_real(tail_tol, "tail_tol", 0, open_lo=True, finite=True)
     momentum = initial.momenta
     if not isinstance(momentum, (GaussianMomenta, TabulatedMomenta)):
@@ -490,7 +490,9 @@ def macro_estimator(
     for name, value in (("n0", n0), ("cell_volume", cell_volume), ("sub_volume", sub_volume)):
         as_real(value, name, 0, open_lo=True)
     if sub_volume >= cell_volume:
-        raise ValueError("sub_volume must be smaller than cell_volume")
+        raise ParameterError(
+            "sub_volume", f"must be smaller than cell_volume = {cell_volume}, got {sub_volume}"
+        )
     as_real(delta_pi, "delta_pi", 0, 1, open_lo=True, open_hi=True)
     as_real(k_count, "k_count", 1)
     n = n0 * cell_volume

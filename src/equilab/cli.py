@@ -8,6 +8,18 @@ versions, and wall time, so any published number can be regenerated from
 its summary alone.  Both files are written atomically, so a failed run
 leaves no half-written output.
 
+The command line checks syntax and key combinations; the library checks
+values.  Parsing turns each key's text into an int, float, list, region,
+bool, choice or string, and applies the rules about keys alone: unknown,
+missing and unparsable keys, keys that go together or exclude each other,
+and the run controls ``seed`` >= 0 and ``workers`` >= 1.  Each such problem
+is reported on its own line.  The run then passes the values to the
+library, which owns every domain (epsilon in (0, 1), t <= 2N, ...); its
+first refusal, a :class:`~equilab.core.ParameterError`, is reported under
+the key that fed it.  A command computes all of its results before it
+creates ``--out``, so neither a configuration error nor a failed
+computation touches that directory.
+
 Exit codes: 0 success, 2 configuration error (each problem reported on its
 own stderr line, prefixed by the offending key), 3 runtime failure.
 """
@@ -20,7 +32,7 @@ import math
 import os
 import sys
 import time as _time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,7 +49,7 @@ from .analytic import (
     partition_scenario_bound,
     scenario_bound,
 )
-from .core import RngStream, TimeGrid, TorusRegion, write_csv
+from .core import ParameterError, RngStream, TimeGrid, TorusRegion, as_int, write_csv
 from .ensemble import (
     ScalingExperimentSpec,
     run_gas_scaling,
@@ -88,41 +100,25 @@ class RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# Value converters (string -> typed value, raising ValueError with a reason)
+# Value parsers (string -> typed value, raising ValueError with a reason).
+# They check syntax only; every range belongs to the library.
 
 
-def _conv_int(minimum=None, maximum=None):
-    def conv(s: str):
-        try:
-            v = int(s)
-        except ValueError:
-            f = float(s)  # accept 1e5-style counts
-            if not f.is_integer():
-                raise ValueError(f"expected an integer, got {s!r}")
-            v = int(f)
-        if minimum is not None and v < minimum:
-            raise ValueError(f"must be >= {minimum}, got {v}")
-        if maximum is not None and v > maximum:
-            raise ValueError(f"must be <= {maximum}, got {v}")
-        return v
-
-    return conv
+def _conv_int(s: str) -> int:
+    try:
+        return int(s)
+    except ValueError:
+        f = float(s)  # accept 1e5-style counts
+        if not f.is_integer():
+            raise ValueError(f"expected an integer, got {s!r}") from None
+        return int(f)
 
 
-def _conv_float(minimum=None, maximum=None, exclusive=False):
-    def conv(s: str):
-        v = float(s)
-        if not math.isfinite(v):
-            raise ValueError(f"must be finite, got {s!r}")
-        if minimum is not None and (v <= minimum if exclusive else v < minimum):
-            op = ">" if exclusive else ">="
-            raise ValueError(f"must be {op} {minimum}, got {v}")
-        if maximum is not None and (v >= maximum if exclusive else v > maximum):
-            op = "<" if exclusive else "<="
-            raise ValueError(f"must be {op} {maximum}, got {v}")
-        return v
-
-    return conv
+def _conv_float(s: str) -> float:
+    v = float(s)
+    if not math.isfinite(v):
+        raise ValueError(f"must be finite, got {s!r}")
+    return v
 
 
 def _conv_choice(*options):
@@ -135,13 +131,11 @@ def _conv_choice(*options):
     return conv
 
 
-def _conv_list(inner, increasing=False):
+def _conv_list(inner):
     def conv(s: str):
         vals = tuple(inner(part) for part in s.split(",") if part.strip())
         if not vals:
             raise ValueError("list must not be empty")
-        if increasing and any(b <= a for a, b in zip(vals, vals[1:])):
-            raise ValueError(f"values must be strictly increasing, got {s!r}")
         return vals
 
     return conv
@@ -169,10 +163,6 @@ def _conv_bool(s: str):
     raise ValueError(f"expected a boolean, got {s!r}")
 
 
-def _conv_str(s: str):
-    return s
-
-
 @dataclass(frozen=True)
 class _Param:
     convert: object
@@ -181,23 +171,23 @@ class _Param:
 
 
 _COMMON = {
-    "seed": _Param(_conv_int(minimum=0), default=0),
-    "workers": _Param(_conv_int(minimum=1), default=1),
-    "out": _Param(_conv_str, default="."),
+    "seed": _Param(_conv_int, default=0),
+    "workers": _Param(_conv_int, default=1),
+    "out": _Param(str, default="."),
 }
 
 _POSITION_BLOCK = {
     "position": _Param(_conv_choice("uniform", "point"), default="uniform"),
     "position_region": _Param(_conv_region),
-    "position_point": _Param(_conv_list(_conv_float())),
+    "position_point": _Param(_conv_list(_conv_float)),
 }
 
 _MOMENTUM_BLOCK = {
     "momentum": _Param(_conv_choice("gaussian", "tabulated"), default="gaussian"),
-    "sigma": _Param(_conv_float(minimum=0.0, exclusive=True)),
-    "mean_speed": _Param(_conv_float(minimum=0.0, exclusive=True)),
-    "momentum_grid": _Param(_conv_list(_conv_float())),
-    "momentum_density": _Param(_conv_list(_conv_float())),
+    "sigma": _Param(_conv_float),
+    "mean_speed": _Param(_conv_float),
+    "momentum_grid": _Param(_conv_list(_conv_float)),
+    "momentum_density": _Param(_conv_list(_conv_float)),
 }
 
 
@@ -256,7 +246,7 @@ def _check_measure(params) -> list:
         try:
             build(params)
         except ValueError as exc:
-            errors.append(f"{key}: {exc}")
+            errors.append(f"{key}: {exc.rule if isinstance(exc, ParameterError) else exc}")
     return errors
 
 
@@ -265,26 +255,17 @@ def _build_initial(params) -> InitialMeasureSpec:
 
 
 def _check_reverse(params) -> list:
-    steps = params["reverse_time"] / params["dt"]
+    # Zero has no positive multiple, so dt = 0 is refused here, not divided by.
+    dt = params["dt"]
+    steps = params["reverse_time"] / dt if dt else 0.0
     if abs(steps - round(steps)) > 1e-9 or round(steps) < 1:
         return ["dt: reverse_time must be a positive integer multiple of dt"]
     return []
 
 
-def _check_kac_window(params) -> list:
-    errors = []
-    if params["t_max"] > 2 * params["n"]:
-        errors.append(f"t_max: must be <= 2N = {2 * params['n']}")
-    if params["mu"] <= 0.0:
-        errors.append("mu: sampled rings need mu > 0; use kac-brute for mu = 0")
+def _check_alpha_window(params) -> list:
     if params.get("alpha") is not None and params["mu"] == 1.0:
-        errors.append("mu: the mean never decays at mu = 1, so alpha has no window")
-    return errors
-
-
-def _check_brute(params) -> list:
-    if params["t"] > 2 * params["n"]:
-        return [f"t: must be <= 2N = {2 * params['n']}"]
+        return ["mu: the mean never decays at mu = 1, so alpha has no window"]
     return []
 
 
@@ -296,189 +277,25 @@ def _check_bounds(params) -> list:
     return []
 
 
-_SCHEMAS = {
-    "gas-trace": (
-        {
-            "n": _Param(_conv_int(minimum=1), required=True),
-            "region": _Param(_conv_region, required=True),
-            "t0": _Param(_conv_float(minimum=0.0), default=0.0),
-            "dt": _Param(_conv_float(minimum=0.0, exclusive=True), required=True),
-            "k_count": _Param(_conv_int(minimum=1), required=True),
-            **_POSITION_BLOCK,
-            **_MOMENTUM_BLOCK,
-        },
-        [_check_measure],
-    ),
-    "gas-mean": (
-        {
-            "region": _Param(_conv_region, required=True),
-            "t_values": _Param(_conv_list(_conv_float(minimum=0.0)), required=True),
-            "tail_tol": _Param(_conv_float(minimum=0.0, exclusive=True), default=1e-12),
-            "fit": _Param(_conv_bool, default=False),
-            "fit_epsilon": _Param(_conv_float(minimum=0.0, exclusive=True), default=0.04),
-            "fit_eta": _Param(_conv_float(0.0, 1.0, exclusive=True), default=0.5),
-            **_POSITION_BLOCK,
-            **_MOMENTUM_BLOCK,
-        },
-        [_check_measure],
-    ),
-    "gas-scaling": (
-        {
-            "n_values": _Param(_conv_list(_conv_int(minimum=1), increasing=True), required=True),
-            "k_values": _Param(_conv_list(_conv_int(minimum=1), increasing=True), required=True),
-            "histories": _Param(_conv_int(minimum=1), required=True),
-            "epsilon": _Param(_conv_float(minimum=0.0, maximum=1.0, exclusive=True), required=True),
-            "t0": _Param(_conv_float(minimum=0.0), default=0.0),
-            "dt": _Param(_conv_float(minimum=0.0, exclusive=True), required=True),
-            "region": _Param(_conv_region, required=True),
-            **_POSITION_BLOCK,
-            **_MOMENTUM_BLOCK,
-        },
-        [_check_measure],
-    ),
-    "gas-reverse": (
-        {
-            "n": _Param(_conv_int(minimum=1), required=True),
-            "region": _Param(_conv_region, required=True),
-            "reverse_time": _Param(_conv_float(minimum=0.0, exclusive=True), required=True),
-            "dt": _Param(_conv_float(minimum=0.0, exclusive=True), required=True),
-            **_POSITION_BLOCK,
-            **_MOMENTUM_BLOCK,
-        },
-        [_check_measure, _check_reverse],
-    ),
-    "kac-trace": (
-        {
-            "n": _Param(_conv_int(minimum=1), required=True),
-            "mu": _Param(_conv_float(minimum=0.0, maximum=1.0, exclusive=False), required=True),
-            "t_max": _Param(_conv_int(minimum=0), required=True),
-        },
-        [_check_kac_window],
-    ),
-    "kac-ensemble": (
-        {
-            "n": _Param(_conv_int(minimum=1), required=True),
-            "mu": _Param(_conv_float(minimum=0.0, maximum=1.0, exclusive=False), required=True),
-            "histories": _Param(_conv_int(minimum=1), required=True),
-            "t_max": _Param(_conv_int(minimum=0), required=True),
-            "epsilon": _Param(_conv_float(minimum=0.0, maximum=1.0, exclusive=True), required=True),
-            "alpha": _Param(_conv_float(minimum=0.0, maximum=1.0, exclusive=True)),
-        },
-        [_check_kac_window],
-    ),
-    "kac-brute": (
-        {
-            "n": _Param(_conv_int(minimum=1, maximum=20), required=True),
-            "mu": _Param(_conv_float(minimum=0.0, maximum=1.0), required=True),
-            "t": _Param(_conv_int(minimum=0), required=True),
-        },
-        [_check_brute],
-    ),
-    "bounds": (
-        {
-            "epsilon": _Param(_conv_float(minimum=0.0, maximum=1.0, exclusive=True), required=True),
-            "n": _Param(_conv_int(minimum=1), required=True),
-            "k_count": _Param(_conv_float(minimum=1.0), default=1.0),
-            "eta": _Param(_conv_float(minimum=0.0, maximum=1.0, exclusive=True), default=0.5),
-            "l_count": _Param(_conv_int(minimum=1), default=1),
-            "c_mu": _Param(_conv_float(minimum=0.0, exclusive=True)),
-            "r": _Param(_conv_float(minimum=0.0, exclusive=True)),
-        },
-        [_check_bounds],
-    ),
-    "macro": (
-        {
-            "n0": _Param(_conv_float(minimum=0.0, exclusive=True), required=True),
-            "cell_volume": _Param(_conv_float(minimum=0.0, exclusive=True), required=True),
-            "sub_volume": _Param(_conv_float(minimum=0.0, exclusive=True), required=True),
-            "delta_pi": _Param(_conv_float(minimum=0.0, maximum=1.0, exclusive=True), required=True),
-            "k_count": _Param(_conv_float(minimum=1.0), default=1.0),
-        },
-        [lambda p: ["sub_volume: must be smaller than cell_volume"]
-         if p["sub_volume"] >= p["cell_volume"] else []],
-    ),
-}
-
-COMMANDS = tuple(_SCHEMAS)
-
-
-def parse_config(file_text, command, overrides=None) -> RunConfig:
-    """Merge the command's config section with flag overrides and validate.
-
-    Raises :class:`ConfigError` carrying every problem found (unknown keys,
-    conversion failures, missing required keys, cross-field conflicts); on
-    success returns the fully typed :class:`RunConfig`.
-    """
-    if command not in _SCHEMAS:
-        raise ConfigError([f"command: unknown command {command!r}"])
-    schema, cross_checks = _SCHEMAS[command]
-    full_schema = {**schema, **_COMMON}
-
-    raw = {}
-    if file_text:
-        ini = configparser.ConfigParser(interpolation=None)
-        try:
-            ini.read_string(file_text)
-        except configparser.Error as exc:
-            raise ConfigError([f"config: {exc}"]) from exc
-        if ini.has_section(command):
-            raw.update(dict(ini.items(command)))
-    if overrides:
-        raw.update({k: v for k, v in overrides.items() if v is not None})
-
-    errors = []
-    params = {}
-    for key, value in raw.items():
-        if key not in full_schema:
-            errors.append(f"{key}: unknown key for {command}")
-    for key, spec in full_schema.items():
-        if key in raw:
-            try:
-                params[key] = spec.convert(raw[key])
-            except ValueError as exc:
-                errors.append(f"{key}: {exc}")
-        elif spec.required:
-            errors.append(f"{key}: required key missing")
-        else:
-            params[key] = spec.default
-    if not errors:
-        for check in cross_checks:
-            errors.extend(check(params))
-    if errors:
-        raise ConfigError(errors)
-
-    seed = params.pop("seed")
-    workers = params.pop("workers")
-    out = params.pop("out")
-    return RunConfig(
-        command=command,
-        parameters=params,
-        master_seed=seed,
-        worker_count=workers,
-        output_path=out,
-    )
-
-
 # ---------------------------------------------------------------------------
-# Command executors: each writes its CSV to ``path`` and returns the
-# summary's results block
+# Command runs: each computes everything first and returns the summary's
+# results block and a function that writes the CSV to a path
 
 
-def _exec_gas_trace(cfg: RunConfig, path):
+def _exec_gas_trace(cfg: RunConfig):
     p = cfg.parameters
     region = _region_from(p)
     grid = TimeGrid(p["t0"], p["dt"], p["k_count"])
     series = run_fluctuation_trace(p["n"], _build_initial(p), region, grid, cfg.master_seed)
-    series.to_csv(path)
     return {
         "rows": len(series),
         "region_measure": region.measure(),
         "grid_mean": float(series.values.mean()),
         "grid_std": float(series.values.std(ddof=1)) if len(series) > 1 else 0.0,
-    }
+    }, series.to_csv
 
 
-def _exec_gas_mean(cfg: RunConfig, path):
+def _exec_gas_mean(cfg: RunConfig):
     p = cfg.parameters
     region = _region_from(p)
     initial = _build_initial(p)
@@ -498,12 +315,10 @@ def _exec_gas_mean(cfg: RunConfig, path):
         results["equilibration_time"] = equilibration_time(
             decay, p["fit_epsilon"], p["fit_eta"]
         )
-    # Written last, so a failing fit leaves no CSV without its summary.
-    write_csv(path, ("t", "mean"), zip(ts, values))
-    return results
+    return results, lambda path: write_csv(path, ("t", "mean"), zip(ts, values))
 
 
-def _exec_gas_scaling(cfg: RunConfig, path):
+def _exec_gas_scaling(cfg: RunConfig):
     p = cfg.parameters
     region = _region_from(p)
     spec = ScalingExperimentSpec(
@@ -517,46 +332,35 @@ def _exec_gas_scaling(cfg: RunConfig, path):
         master_seed=cfg.master_seed,
     )
     res = run_gas_scaling(spec, cfg.worker_count)
-    res.to_csv(path)
     comparisons = []
-    all_within = True
     for i, n in enumerate(res.n_values):
-        bound = scenario_bound(ScenarioParameters(p["epsilon"], n, 1, 0.5))
+        bound = scenario_bound(ScenarioParameters(p["epsilon"], n, 1, 0.5)).linear
         for j, k in enumerate(res.k_values):
-            within = res.p_hat_over_k[i, j] <= bound.linear
-            all_within = all_within and within
-            comparisons.append(
-                {
-                    "n": n,
-                    "k": k,
-                    "p_hat_over_k": float(res.p_hat_over_k[i, j]),
-                    "bound": bound.linear,
-                    "within_bound": bool(within),
-                }
-            )
+            rate = float(res.p_hat_over_k[i, j])
+            comparisons.append({"n": n, "k": k, "p_hat_over_k": rate, "bound": bound,
+                                "within_bound": rate <= bound})
+    all_within = all(c["within_bound"] for c in comparisons)
     return {
         "fit": None if res.fit is None else {"a": res.fit.a, "b": res.fit.b},
         "bound_comparisons": comparisons,
-        "all_within_bound": bool(all_within),
-    }
+        "all_within_bound": all_within,
+    }, res.to_csv
 
 
-def _exec_gas_reverse(cfg: RunConfig, path):
+def _exec_gas_reverse(cfg: RunConfig):
     p = cfg.parameters
     region = _region_from(p)
     t_rev = p["reverse_time"]
-    dt = p["dt"]
-    k = int(round(t_rev / dt))
+    forward = TimeGrid(0.0, p["dt"], int(round(t_rev / p["dt"])))
     state = sample_microstate(
         _build_initial(p), p["n"], region.dim, RngStream(cfg.master_seed, 0)
     )
-    forward = TimeGrid(0.0, dt, k)
     flipped = reverse_at(state, t_rev)
     there = trace(state, region, forward)
     back = trace(flipped, region, forward)
     times = np.concatenate([[0.0], there.times, t_rev + back.times])
     values = np.concatenate([[fraction_in(state, 0.0, region)], there.values, back.values])
-    ObservableSeries(times, values).to_csv(path)
+    series = ObservableSeries(times, values)
     final_positions = positions_at(flipped, t_rev)
     err = np.abs(final_positions - state.positions)
     err = np.minimum(err, 1.0 - err)  # distance on the circle
@@ -566,29 +370,26 @@ def _exec_gas_reverse(cfg: RunConfig, path):
         "f_initial": values[0],
         "f_final": values[-1],
         "fraction_restored": bool(values[-1] == values[0]),
-    }
+    }, series.to_csv
 
 
-def _exec_kac_trace(cfg: RunConfig, path):
+def _exec_kac_trace(cfg: RunConfig):
     p = cfg.parameters
     markers = sample_markers(p["n"], p["mu"], RngStream(cfg.master_seed, 0))
+    # First, so that t_max > 2N is refused before the ring is stepped.
+    closed_form_final = delta_closed_form(markers, p["t_max"])
     config = KacConfiguration.all_white(markers)
     deltas = ring_trace(config, p["t_max"])
-    write_csv(
-        path, ("t", "delta", "delta_bar"),
-        ((t, d, d / p["n"]) for t, d in enumerate(deltas.tolist())),
-    )
+    rows = ((t, d, d / p["n"]) for t, d in enumerate(deltas.tolist()))
     return {
         "marker_count": config.marker_count,
         "delta_initial": int(deltas[0]),
         "delta_final": int(deltas[-1]),
-        "closed_form_final_matches": bool(
-            delta_closed_form(markers, p["t_max"]) == int(deltas[-1])
-        ),
-    }
+        "closed_form_final_matches": bool(closed_form_final == int(deltas[-1])),
+    }, lambda path: write_csv(path, ("t", "delta", "delta_bar"), rows)
 
 
-def _exec_kac_ensemble(cfg: RunConfig, path):
+def _exec_kac_ensemble(cfg: RunConfig):
     p = cfg.parameters
     window = None
     schedule_block = None
@@ -612,7 +413,6 @@ def _exec_kac_ensemble(cfg: RunConfig, path):
         p["n"], p["mu"], p["histories"], p["t_max"], p["epsilon"],
         cfg.master_seed, cfg.worker_count, window,
     )
-    res.to_csv(path)
     results = {
         "mean_final": float(res.mean[-1]),
         "max_p_dev": float(res.p_dev.max()),
@@ -621,26 +421,33 @@ def _exec_kac_ensemble(cfg: RunConfig, path):
         results["schedule"] = schedule_block
         results["window_exceed_fraction"] = res.window_exceed_fraction
         results["within_sequence_bound"] = bool(res.window_exceed_fraction <= seq.linear)
-    return results
+    return results, res.to_csv
 
 
-def _exec_kac_brute(cfg: RunConfig, path):
+def _exec_kac_brute(cfg: RunConfig):
     p = cfg.parameters
     moments = brute_force_expectation(p["n"], p["mu"], p["t"])
-    write_csv(path, ("t", "mean", "variance"), [(p["t"], moments.mean, moments.variance)])
-    results = {"mean": moments.mean, "variance": moments.variance}
-    if p["t"] <= p["n"]:
-        expected = expected_delta_bar(p["mu"], p["t"], p["n"])
-        results["product_formula_mean"] = expected
-        results["product_formula_gap"] = abs(moments.mean - expected)
-    return results
+    expected = expected_delta_bar(p["mu"], p["t"], p["n"])
+    return {
+        "mean": moments.mean,
+        "variance": moments.variance,
+        "product_formula_mean": expected,
+        "product_formula_gap": abs(moments.mean - expected),
+    }, lambda path: write_csv(
+        path, ("t", "mean", "variance"), [(p["t"], moments.mean, moments.variance)]
+    )
 
 
 # Linear values below 1e-300 are written as the literal "underflow".
 _BOUNDS_HEADER = ("quantity", "log_value", "linear_value_or_underflow")
 
 
-def _exec_bounds(cfg: RunConfig, path):
+def _bounds_writer(entries):
+    rows = [(name, *prob.csv_fields()) for name, prob in entries]
+    return lambda path: write_csv(path, _BOUNDS_HEADER, rows)
+
+
+def _exec_bounds(cfg: RunConfig):
     p = cfg.parameters
     params = ScenarioParameters(p["epsilon"], p["n"], p["k_count"], p["eta"])
     entries = [
@@ -649,7 +456,6 @@ def _exec_bounds(cfg: RunConfig, path):
         ("partition_sequence", partition_scenario_bound(params, p["l_count"])),
         ("markov_single_time", markov_bound(p["epsilon"], p["n"], t_large=True)),
     ]
-    write_csv(path, _BOUNDS_HEADER, [(name, *prob.csv_fields()) for name, prob in entries])
     results = {
         "log_sequence_capacity": log_sequence_capacity(p["epsilon"], p["n"]),
         "bounds": {
@@ -659,19 +465,14 @@ def _exec_bounds(cfg: RunConfig, path):
     if p.get("c_mu") is not None:
         decay = DecayEstimate(p["c_mu"], p["r"])
         results["equilibration_time"] = equilibration_time(decay, p["epsilon"], p["eta"])
-    return results
+    return results, _bounds_writer(entries)
 
 
-def _exec_macro(cfg: RunConfig, path):
+def _exec_macro(cfg: RunConfig):
     p = cfg.parameters
     est = macro_estimator(
         p["n0"], p["cell_volume"], p["sub_volume"], p["delta_pi"], p["k_count"]
     )
-    entries = [
-        ("macro_single_time", est.single_time_bound),
-        ("macro_sequence", est.sequence_bound),
-    ]
-    write_csv(path, _BOUNDS_HEADER, [(name, *prob.csv_fields()) for name, prob in entries])
     return {
         "epsilon": est.epsilon,
         "n": est.n,
@@ -681,38 +482,206 @@ def _exec_macro(cfg: RunConfig, path):
         "single_time_underflows": est.single_time_bound.underflows,
         "sequence_log": est.sequence_bound.log_value,
         "sequence_linear_or_zero": est.sequence_bound.linear,
-    }
+    }, _bounds_writer([
+        ("macro_single_time", est.single_time_bound),
+        ("macro_sequence", est.sequence_bound),
+    ])
 
 
-# command -> (CSV file name, executor)
-_EXECUTORS = {
-    "gas-trace": ("gas_trace.csv", _exec_gas_trace),
-    "gas-mean": ("gas_mean.csv", _exec_gas_mean),
-    "gas-scaling": ("gas_scaling.csv", _exec_gas_scaling),
-    "gas-reverse": ("gas_reverse.csv", _exec_gas_reverse),
-    "kac-trace": ("kac_trace.csv", _exec_kac_trace),
-    "kac-ensemble": ("kac_ensemble.csv", _exec_kac_ensemble),
-    "kac-brute": ("kac_brute.csv", _exec_kac_brute),
-    "bounds": ("bounds.csv", _exec_bounds),
-    "macro": ("macro_bounds.csv", _exec_macro),
+# ---------------------------------------------------------------------------
+# The command table
+
+
+@dataclass(frozen=True)
+class _Command:
+    """One subcommand: its CSV, its run, its keys and its key-combination checks.
+
+    ``names`` maps each library parameter name that differs from the key
+    feeding it, so a library refusal is reported under the user's key.
+    """
+
+    csv_name: str
+    run: object
+    keys: dict
+    checks: tuple = ()
+    names: dict = field(default_factory=dict)
+
+
+_COMMANDS = {
+    "gas-trace": _Command("gas_trace.csv", _exec_gas_trace, {
+        "n": _Param(_conv_int, required=True),
+        "region": _Param(_conv_region, required=True),
+        "t0": _Param(_conv_float, default=0.0),
+        "dt": _Param(_conv_float, required=True),
+        "k_count": _Param(_conv_int, required=True),
+        **_POSITION_BLOCK,
+        **_MOMENTUM_BLOCK,
+    }, (_check_measure,)),
+    "gas-mean": _Command("gas_mean.csv", _exec_gas_mean, {
+        "region": _Param(_conv_region, required=True),
+        "t_values": _Param(_conv_list(_conv_float), required=True),
+        "tail_tol": _Param(_conv_float, default=1e-12),
+        "fit": _Param(_conv_bool, default=False),
+        "fit_epsilon": _Param(_conv_float, default=0.04),
+        "fit_eta": _Param(_conv_float, default=0.5),
+        **_POSITION_BLOCK,
+        **_MOMENTUM_BLOCK,
+    }, (_check_measure,), {"t": "t_values", "epsilon": "fit_epsilon", "eta": "fit_eta"}),
+    "gas-scaling": _Command("gas_scaling.csv", _exec_gas_scaling, {
+        "n_values": _Param(_conv_list(_conv_int), required=True),
+        "k_values": _Param(_conv_list(_conv_int), required=True),
+        "histories": _Param(_conv_int, required=True),
+        "epsilon": _Param(_conv_float, required=True),
+        "t0": _Param(_conv_float, default=0.0),
+        "dt": _Param(_conv_float, required=True),
+        "region": _Param(_conv_region, required=True),
+        **_POSITION_BLOCK,
+        **_MOMENTUM_BLOCK,
+    }, (_check_measure,), {"k_count": "k_values"}),  # the grid runs to the largest K
+    "gas-reverse": _Command("gas_reverse.csv", _exec_gas_reverse, {
+        "n": _Param(_conv_int, required=True),
+        "region": _Param(_conv_region, required=True),
+        "reverse_time": _Param(_conv_float, required=True),
+        "dt": _Param(_conv_float, required=True),
+        **_POSITION_BLOCK,
+        **_MOMENTUM_BLOCK,
+    }, (_check_measure, _check_reverse)),
+    "kac-trace": _Command("kac_trace.csv", _exec_kac_trace, {
+        "n": _Param(_conv_int, required=True),
+        "mu": _Param(_conv_float, required=True),
+        "t_max": _Param(_conv_int, required=True),
+    }, names={"t": "t_max"}),
+    "kac-ensemble": _Command("kac_ensemble.csv", _exec_kac_ensemble, {
+        "n": _Param(_conv_int, required=True),
+        "mu": _Param(_conv_float, required=True),
+        "histories": _Param(_conv_int, required=True),
+        "t_max": _Param(_conv_int, required=True),
+        "epsilon": _Param(_conv_float, required=True),
+        "alpha": _Param(_conv_float),
+    }, (_check_alpha_window,), {"n_sites": "n"}),
+    "kac-brute": _Command("kac_brute.csv", _exec_kac_brute, {
+        "n": _Param(_conv_int, required=True),
+        "mu": _Param(_conv_float, required=True),
+        "t": _Param(_conv_int, required=True),
+    }),
+    "bounds": _Command("bounds.csv", _exec_bounds, {
+        "epsilon": _Param(_conv_float, required=True),
+        "n": _Param(_conv_int, required=True),
+        "k_count": _Param(_conv_float, default=1.0),
+        "eta": _Param(_conv_float, default=0.5),
+        "l_count": _Param(_conv_int, default=1),
+        "c_mu": _Param(_conv_float),
+        "r": _Param(_conv_float),
+    }, (_check_bounds,)),
+    "macro": _Command("macro_bounds.csv", _exec_macro, {
+        "n0": _Param(_conv_float, required=True),
+        "cell_volume": _Param(_conv_float, required=True),
+        "sub_volume": _Param(_conv_float, required=True),
+        "delta_pi": _Param(_conv_float, required=True),
+        "k_count": _Param(_conv_float, default=1.0),
+    }),
 }
+
+COMMANDS = tuple(_COMMANDS)
+
+
+def parse_config(file_text, command, overrides=None) -> RunConfig:
+    """Merge the command's config section with flag overrides and parse it.
+
+    Raises :class:`ConfigError` carrying every problem found (unknown keys,
+    unparsable values, missing required keys, key-combination conflicts,
+    out-of-range run controls); on success returns the fully typed
+    :class:`RunConfig`.  Parameter values are not range-checked here: the
+    library does that when the config is executed.
+    """
+    if command not in _COMMANDS:
+        raise ConfigError([f"command: unknown command {command!r}"])
+    spec = _COMMANDS[command]
+    full_schema = {**spec.keys, **_COMMON}
+
+    raw = {}
+    if file_text:
+        ini = configparser.ConfigParser(interpolation=None)
+        try:
+            ini.read_string(file_text)
+        except configparser.Error as exc:
+            raise ConfigError([f"config: {exc}"]) from exc
+        if ini.has_section(command):
+            raw.update(dict(ini.items(command)))
+    if overrides:
+        raw.update({k: v for k, v in overrides.items() if v is not None})
+
+    errors = []
+    params = {}
+    for key, value in raw.items():
+        if key not in full_schema:
+            errors.append(f"{key}: unknown key for {command}")
+    for key, param in full_schema.items():
+        if key in raw:
+            try:
+                params[key] = param.convert(raw[key])
+            except ValueError as exc:
+                errors.append(f"{key}: {exc}")
+        elif param.required:
+            errors.append(f"{key}: required key missing")
+        else:
+            params[key] = param.default
+    # seed and workers are the run's own fields, not library parameters.
+    for key, lo in (("seed", 0), ("workers", 1)):
+        if key in params:
+            try:
+                as_int(params[key], key, lo)
+            except ParameterError as exc:
+                errors.append(f"{key}: {exc.rule}")
+    if not errors:
+        for check in spec.checks:
+            errors.extend(check(params))
+    if errors:
+        raise ConfigError(errors)
+
+    seed = params.pop("seed")
+    workers = params.pop("workers")
+    out = params.pop("out")
+    return RunConfig(
+        command=command,
+        parameters=params,
+        master_seed=seed,
+        worker_count=workers,
+        output_path=out,
+    )
 
 
 def execute(config: RunConfig) -> int:
-    """Run a validated config; returns the process exit status."""
+    """Run a parsed config; returns the process exit status.
+
+    The command computes all of its results first.  A
+    :class:`~equilab.core.ParameterError` naming one of the command's keys
+    is a configuration error: it is printed as ``config error: <key>:
+    <rule>`` and gives exit 2.  Any other failure gives exit 3.  The output
+    directory is created, and the CSV and summary written, only after the
+    computation has returned.
+    """
     started = _time.perf_counter()
+    spec = _COMMANDS[config.command]
     out = config.output_path
-    csv_name, executor = _EXECUTORS[config.command]
     summary_name = config.command.replace("-", "_") + "_summary.json"
     try:
+        try:
+            results, write = spec.run(config)
+        except ParameterError as exc:
+            key = spec.names.get(exc.name, exc.name)
+            if key not in spec.keys:
+                raise
+            print(f"config error: {key}: {exc.rule}", file=sys.stderr)
+            return 2
         os.makedirs(out, exist_ok=True)
-        results = executor(config, os.path.join(out, csv_name))
+        write(os.path.join(out, spec.csv_name))
         summary = {
             "command": config.command,
             "parameters": config.parameters,
             "master_seed": config.master_seed,
             "worker_count": config.worker_count,
-            "outputs": [csv_name],
+            "outputs": [spec.csv_name],
             "results": results,
             **run_metadata(started),
         }
@@ -720,7 +689,7 @@ def execute(config: RunConfig) -> int:
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    print(f"wrote {csv_name} and {summary_name}")
+    print(f"wrote {spec.csv_name} and {summary_name}")
     return 0
 
 
@@ -733,8 +702,7 @@ def main(argv=None) -> int:
     top.add_argument("flags", nargs=argparse.REMAINDER, help="the command's flags (see equilab COMMAND --help)")
     first = top.parse_args(argv)
     # Only the requested command's parser is built.
-    schema, _ = _SCHEMAS[first.command]
-    keys = list(schema) + list(_COMMON)
+    keys = list(_COMMANDS[first.command].keys) + list(_COMMON)
     parser = argparse.ArgumentParser(prog=f"equilab {first.command}")
     parser.add_argument("--config", default=None, help="INI file with a [%s] section" % first.command)
     for key in keys:

@@ -13,7 +13,9 @@ bit-identical regardless of how work is scheduled across processes.  Every
 count, time and seed goes through :func:`as_int`, the package's one integer
 rule, so a non-integer is refused, never truncated; every scalar real-valued
 parameter goes through :func:`as_real`, its one real-number rule, which
-refuses NaN, booleans and non-numbers.
+refuses NaN, booleans and non-numbers.  A value outside its parameter's
+domain raises :class:`ParameterError`, which names the parameter, so a
+caller (the command line) can report it under its own key.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from functools import total_ordering
 import numpy as np
 
 __all__ = [
+    "ParameterError",
     "fractional_part",
     "TorusRegion",
     "GasMicrostate",
@@ -47,6 +50,22 @@ _UNDERFLOW_LOG = math.log(UNDERFLOW_LINEAR)
 _TWO64 = 2**64
 
 
+class ParameterError(ValueError):
+    """A parameter value outside its domain.
+
+    ``name`` is the parameter, ``rule`` the domain it breaks with the value
+    it got; the message is the two joined, "n must lie in [1, inf], got 0".
+    """
+
+    def __init__(self, name: str, rule: str):
+        super().__init__(name, rule)  # both in args, so it pickles
+        self.name = name
+        self.rule = rule
+
+    def __str__(self) -> str:
+        return f"{self.name} {self.rule}"
+
+
 def as_int(value, name: str, lo=0, hi=math.inf) -> int:
     try:
         if isinstance(value, bool):  # an int subclass; numpy refuses np.bool_ too
@@ -55,7 +74,7 @@ def as_int(value, name: str, lo=0, hi=math.inf) -> int:
     except TypeError:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
     if not (lo <= value <= hi):
-        raise ValueError(f"{name} must lie in [{lo}, {hi}], got {value}")
+        raise ParameterError(name, f"must lie in [{lo}, {hi}], got {value}")
     return value
 
 
@@ -71,7 +90,7 @@ def as_real(value, name: str, lo=-math.inf, hi=math.inf, *, open_lo=False, open_
         rule = f"lie in {'(' if open_lo else '['}{lo}, {hi}{')' if open_hi else ']'}"
     else:
         rule = f"be {'finite and ' if finite else ''}{'>' if open_lo else '>='} {lo}"
-    raise ValueError(f"{name} must {rule}, got {value}")
+    raise ParameterError(name, f"must {rule}, got {value}")
 
 
 def format_float(x: float) -> str:

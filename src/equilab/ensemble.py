@@ -31,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    RngStream, TimeGrid, TorusRegion, as_int, as_real, atomic_text, stream_generators, write_csv,
+    ParameterError, RngStream, TimeGrid, TorusRegion, as_int, as_real, atomic_text,
+    stream_generators, write_csv,
 )
 from .gas import BoxCounter, ObservableSeries, trace
 from .kac import marker_limit, ring_steps
@@ -100,13 +101,14 @@ class ScalingExperimentSpec:
         for name in ("n_values", "k_values"):
             vals = tuple(as_int(v, name, 1) for v in getattr(self, name))
             if not vals or any(b <= a for a, b in zip(vals, vals[1:])):
-                raise ValueError(f"{name} must be nonempty and strictly increasing")
+                raise ParameterError(name, f"must be nonempty and strictly increasing, got {vals}")
             object.__setattr__(self, name, vals)
         if self.k_values[-1] > self.grid.k_count:
             raise ValueError("largest K exceeds the time grid length")
         object.__setattr__(self, "histories", as_int(self.histories, "histories", 1))
         object.__setattr__(self, "master_seed", as_int(self.master_seed, "master_seed", -math.inf))
-        as_real(self.epsilon, "epsilon", 0, open_lo=True)
+        # |f - |I|| <= 1, so epsilon >= 1 would count no deviation at all.
+        as_real(self.epsilon, "epsilon", 0, 1, open_lo=True, open_hi=True)
 
 
 @dataclass(frozen=True)
@@ -214,6 +216,7 @@ def run_gas_scaling(spec: ScalingExperimentSpec, workers: int = 1) -> ScalingRes
     The fit pools all (n, K) points with nonzero rate; if fewer than two
     such points exist the fit is omitted.
     """
+    workers = as_int(workers, "workers", 1)
     times = tuple(float(t) for t in spec.grid.times)
     dim = spec.region.dim
     m = spec.histories
@@ -390,19 +393,19 @@ def run_kac_ensemble(
     """
     n_sites = as_int(n_sites, "n_sites", 1)
     as_real(mu, "mu", 0, 1, open_lo=True)
-    t_max = as_int(t_max, "t_max")
-    if t_max > 2 * n_sites:
-        raise ValueError("t_max beyond one full period 2N is redundant")
+    # Beyond one full period 2N the ring only repeats itself.
+    t_max = as_int(t_max, "t_max", hi=2 * n_sites)
     histories = as_int(histories, "histories", 1)
     seed = as_int(seed, "seed", -math.inf)
+    workers = as_int(workers, "workers", 1)
     # |delta_bar| <= 1, so epsilon >= 1 would count no deviation at all.
     as_real(epsilon, "epsilon", 0, 1, open_lo=True, open_hi=True)
     # |Delta| <= N, so the int64 sums of Delta^2 stay exact while M * N^2 < 2^63.
     sq_bound = histories * n_sites**2
     if sq_bound >= 1 << 63:
-        raise ValueError(
-            f"histories * N^2 = {sq_bound} reaches 2^63, "
-            "the limit of the int64 sums of Delta^2"
+        raise ParameterError(
+            "histories", f"must keep histories * N^2 below 2^63, the limit of the "
+            f"int64 sums of Delta^2; got {sq_bound}"
         )
     if window is not None:
         as_real(window[0], "t_lo")

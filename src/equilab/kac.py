@@ -318,19 +318,18 @@ def sample_markers(n: int, mu: float, rng: RngStream) -> np.ndarray:
 
 
 def expected_delta_bar(mu: float, t: int, n_sites: int) -> float:
-    """Ensemble mean of delta_bar(t) from all white: (1 - 2 mu)^t.
+    """Ensemble mean of delta_bar(t) from all white, exact for t <= 2N.
 
-    The window products behind Delta(t) involve distinct markers only while
-    t <= N, so the formula is refused past one revolution.
+    For t <= N each window product involves t distinct markers, so the mean
+    is (1 - 2 mu)^t.  Past one revolution a window of t sites holds the
+    whole ring once and t - N of its sites twice; a marker met twice
+    cancels, so the product runs over the other 2N - t markers and the mean
+    is (1 - 2 mu)^(2N - t), back to 1 at the recurrence t = 2N.
     """
     as_real(mu, "mu", 0, 1)
-    t = as_int(t, "t")
     n_sites = as_int(n_sites, "n_sites", 1)
-    if t > n_sites:
-        raise ValueError(
-            f"the product formula holds only for t <= N = {n_sites}, got t = {t}"
-        )
-    return (1.0 - 2.0 * mu) ** t
+    t = as_int(t, "t", hi=2 * n_sites)
+    return (1.0 - 2.0 * mu) ** min(t, 2 * n_sites - t)
 
 
 def expected_delta_sq(mu: float, t: int, n_sites: int) -> float:

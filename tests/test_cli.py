@@ -1,12 +1,21 @@
 """Config parsing, exit codes, and end-to-end runs of the command line."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
-from equilab import analytic, cli
+from equilab import (
+    DecayEstimate, GaussianMomenta, InitialMeasureSpec, KacConfiguration, RngStream,
+    ScalingExperimentSpec, ScenarioParameters, TimeGrid, TorusRegion, UniformPositions,
+    analytic, brute_force_expectation, cli, delta_closed_form, equilibration_time,
+    expected_delta_bar, expected_fraction, fit_decay, hoeffding_tail, log_sequence_capacity,
+    macro_estimator, markov_bound, partition_scenario_bound, ring_bound_schedule, ring_trace,
+    run_fluctuation_trace, run_kac_ensemble, sample_markers, thermal_momenta,
+)
 from equilab.cli import COMMANDS, ConfigError, main, parse_config
 
 GAS_TRACE_INI = """
@@ -79,10 +88,13 @@ def test_integer_keys_accept_scientific_notation():
     assert any(e.startswith("histories:") for e in errs)
 
 
-def test_epsilon_out_of_range_is_itemized():
-    errs = _errors(SCALING_INI, "gas-scaling", {"epsilon": "1.5"})
-    assert len(errs) == 1
-    assert errs[0].startswith("epsilon:")
+def test_epsilon_out_of_range_is_itemized(tmp_path, capsys):
+    # Parsing takes any finite epsilon; the library's refusal is one line.
+    assert parse_config(SCALING_INI, "gas-scaling", {"epsilon": "1.5"}).parameters["epsilon"] == 1.5
+    assert _run(tmp_path, "gas-scaling", SCALING_INI, "--epsilon", "1.5") == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("config error: epsilon:")
 
 
 def test_unknown_key_is_rejected():
@@ -132,10 +144,15 @@ def test_region_converter_handles_boxes():
         (SCALING_INI.lstrip().replace("k_values = 1,3", "k_values = -1,3"), "k_values"),
     ],
 )
-def test_cross_field_checks(section, key):
+def test_cross_field_checks(tmp_path, capsys, section, key):
+    # Key combinations are refused while parsing, values by the library when
+    # the command runs; both exit 2 with a line under the key.
     command = section[1:section.index("]")]
-    errs = _errors(section, command)
-    assert any(e.startswith(key + ":") for e in errs), errs
+    out = tmp_path / "out"
+    assert _run(tmp_path, command, section, "--out", str(out)) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert any(line.startswith(f"config error: {key}:") for line in lines), lines
+    assert not out.exists()
 
 
 _TRACE_KEYS = "[gas-trace]\nn=10\ndt=1\nk_count=2\n"
@@ -157,16 +174,17 @@ _TRACE_KEYS = "[gas-trace]\nn=10\ndt=1\nk_count=2\n"
         (_TRACE_KEYS + "region=0,0.5\nposition=banana\n",
          "position: must be one of uniform, point; got 'banana'"),
         (SCALING_INI.replace("k_values = 1,3", "k_values = 3,1"),
-         "k_values: values must be strictly increasing, got '3,1'"),
+         "k_values: must be nonempty and strictly increasing, got (3, 1)"),
         ("[gas-mean]\nregion=0,0.5\nt_values=1\nfit=maybe\n",
          "fit: expected a boolean, got 'maybe'"),
     ],
     ids=["point_dim", "region_dim", "region_width", "mean_speed_dim", "tabulated", "choice",
          "increasing", "bool"],
 )
-def test_config_error_lines(section, line):
+def test_config_error_lines(tmp_path, capsys, section, line):
     command = section[section.index("[") + 1:section.index("]")]
-    assert _errors(section, command) == [line]
+    assert _run(tmp_path, command, section, "--out", str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err.splitlines() == [f"config error: {line}"]
 
 
 def test_malformed_config_file_is_one_config_error():
@@ -182,10 +200,22 @@ def test_bool_keys_accept_false_spellings(value):
 
 def test_multiple_errors_collected_together():
     errs = _errors(
-        SCALING_INI, "gas-scaling", {"epsilon": "2", "histories": "0", "dt": "-1"}
+        SCALING_INI, "gas-scaling",
+        {"epsilon": "abc", "histories": "1.5", "dt": "inf", "seed": "-1", "banana": "3"},
     )
     keys = {e.split(":")[0] for e in errs}
-    assert keys == {"epsilon", "histories", "dt"}
+    assert keys == {"epsilon", "histories", "dt", "seed", "banana"}
+
+
+def test_library_refusal_is_one_line_the_first(tmp_path, capsys):
+    # Values pass parsing; the library stops at the first it refuses.
+    values = {"epsilon": "2", "histories": "0", "dt": "-1"}
+    assert parse_config(SCALING_INI, "gas-scaling", values).parameters["dt"] == -1.0
+    flags = [text for key, value in values.items() for text in ("--" + key, value)]
+    out = tmp_path / "out"
+    assert _run(tmp_path, "gas-scaling", SCALING_INI, *flags, "--out", str(out)) == 2
+    assert capsys.readouterr().err.splitlines() == ["config error: dt: must be finite and > 0, got -1.0"]
+    assert not out.exists()
 
 
 def test_all_commands_have_schemas():
@@ -324,7 +354,7 @@ def test_config_error_exit_code_and_stderr(tmp_path, capsys):
     code = _run(tmp_path, "gas-scaling", SCALING_INI, "--epsilon", "1.5")
     assert code == 2
     err = capsys.readouterr().err
-    assert err.splitlines() == ["config error: epsilon: must be < 1.0, got 1.5"]
+    assert err.splitlines() == ["config error: epsilon: must lie in (0, 1), got 1.5"]
 
 
 @pytest.mark.parametrize(
@@ -499,7 +529,7 @@ def test_gas_mean_with_fit(tmp_path):
 
 def test_gas_mean_failing_fit_writes_no_csv(tmp_path, capsys):
     # One positive time is too few to fit; the run must fail before its CSV
-    # replaces an earlier run's, and must leave an empty directory empty.
+    # replaces an earlier run's, and must not create a missing directory.
     out = tmp_path / "out"
     ini = "[gas-mean]\nregion = 0,0.5\nt_values = {}\nfit = true\n"
     assert _run(tmp_path, "gas-mean", ini.format("0.3,0.7,1.3"), "--out", str(out)) == 0
@@ -508,7 +538,7 @@ def test_gas_mean_failing_fit_writes_no_csv(tmp_path, capsys):
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
     fresh = tmp_path / "fresh"
     assert _run(tmp_path, "gas-mean", ini.format("1.0"), "--out", str(fresh)) == 3
-    assert list(fresh.iterdir()) == []
+    assert not fresh.exists()
     assert capsys.readouterr().err.startswith("error: ")
 
 
@@ -556,3 +586,222 @@ def test_gas_scaling_run_reports_bound_comparisons(tmp_path):
     lines = (out / "gas_scaling.csv").read_text().splitlines()
     assert lines[0] == "N,K,deviations,M,p_hat,p_hat_over_K,stderr"
     assert len(lines) == 5
+
+
+# ---------------------------------------------------------------------------
+# One owner per value rule: for every numeric key of every command, main()
+# refuses a value (exit 2, one line under the key) exactly when the library
+# calls that consume it refuse it, and with the library's own words.
+
+_HALF = TorusRegion.interval(0.0, 0.5)
+
+
+def _gas_trace_library(p):
+    initial = InitialMeasureSpec(UniformPositions(_HALF), GaussianMomenta(p["sigma"]))
+    grid = TimeGrid(p["t0"], p["dt"], p["k_count"])
+    run_fluctuation_trace(p["n"], initial, _HALF, grid, 0)
+
+
+def _gas_mean_library(p):
+    initial = InitialMeasureSpec(UniformPositions(_HALF), GaussianMomenta(0.25))
+    ts = sorted(set(p["t_values"]))
+    devs = np.abs(expected_fraction(initial, _HALF, ts, p["tail_tol"]) - 0.5)
+    decay = fit_decay([t for t in ts if t > 0], [d for t, d in zip(ts, devs) if t > 0])
+    equilibration_time(decay, p["fit_epsilon"], p["fit_eta"])
+
+
+def _gas_scaling_library(p):
+    initial = InitialMeasureSpec(UniformPositions(TorusRegion.interval(0.0, 1.0)),
+                                 thermal_momenta(1.0, 1))
+    grid = TimeGrid(p["t0"], p["dt"], max(p["k_values"]))
+    ScalingExperimentSpec(p["n_values"], p["k_values"], p["histories"], p["epsilon"],
+                          grid, _HALF, initial, 0)
+
+
+def _kac_trace_library(p):
+    markers = sample_markers(p["n"], p["mu"], RngStream(0, 0))
+    delta_closed_form(markers, p["t_max"])
+    ring_trace(KacConfiguration.all_white(markers), p["t_max"])
+
+
+def _kac_ensemble_library(p):
+    window = None
+    if p.get("alpha") is not None:
+        sched = ring_bound_schedule(p["epsilon"], p["alpha"], p["mu"])
+        window = (sched.t_start, sched.window_end(p["n"]))
+    run_kac_ensemble(p["n"], p["mu"], p["histories"], p["t_max"], p["epsilon"], 0,
+                     window=window)
+
+
+def _kac_brute_library(p):
+    brute_force_expectation(p["n"], p["mu"], p["t"])
+    expected_delta_bar(p["mu"], p["t"], p["n"])
+
+
+def _bounds_library(p):
+    params = ScenarioParameters(p["epsilon"], p["n"], p["k_count"], p["eta"])
+    hoeffding_tail(p["epsilon"], p["n"])
+    partition_scenario_bound(params, p["l_count"])
+    markov_bound(p["epsilon"], p["n"], t_large=True)
+    log_sequence_capacity(p["epsilon"], p["n"])
+    if "c_mu" in p:
+        equilibration_time(DecayEstimate(p["c_mu"], p["r"]), p["epsilon"], p["eta"])
+
+
+def _macro_library(p):
+    macro_estimator(p["n0"], p["cell_volume"], p["sub_volume"], p["delta_pi"], p["k_count"])
+
+
+# command: (fixed INI lines, base values, the library calls the command makes,
+# {key: [value, or (value, other keys' values)]})
+_PARITY = {
+    "gas-trace": (
+        "region = 0,0.5\n", {"n": 20, "t0": 0.0, "dt": 0.5, "k_count": 3, "sigma": 1.0},
+        _gas_trace_library,
+        {"n": [1, 0, -3], "t0": [2.5, -0.5], "dt": [1e-3, 0.0, -1.0], "k_count": [1, 0],
+         "sigma": [1e-3, 0.0, -1.0]},
+    ),
+    "gas-mean": (
+        "region = 0,0.5\nsigma = 0.25\nfit = true\n",
+        {"t_values": (0.5, 1.0, 1.5, 2.0), "tail_tol": 1e-12, "fit_epsilon": 0.04,
+         "fit_eta": 0.5},
+        _gas_mean_library,
+        {"t_values": [(0.0, 1.0, 2.0), (1.0, -1.0)], "tail_tol": [1e-6, 0.0, -1e-12],
+         "fit_epsilon": [2.0, 0.0, -0.1], "fit_eta": [0.99, 1.0, 0.0, 1.5]},
+    ),
+    "gas-scaling": (
+        "region = 0,0.5\nposition_region = 0,1\n",
+        {"n_values": (20, 40), "k_values": (1, 2), "histories": 20, "epsilon": 0.1,
+         "t0": 0.0, "dt": 5.0},
+        _gas_scaling_library,
+        {"n_values": [(20,), (0, 40), (40, 20), (20, 20)],
+         "k_values": [(1,), (0,), (-1, 2), (2, 1)], "histories": [1, 0],
+         "epsilon": [0.999, 1.0, 1.5, 0.0, -0.1], "t0": [1.0, -1.0],
+         "dt": [1.0, 0.0, -5.0]},
+    ),
+    "kac-trace": (
+        "", {"n": 16, "mu": 0.3, "t_max": 32}, _kac_trace_library,
+        {"n": [100, 0, -1], "mu": [1.0, 0.0, 1.5, -0.1], "t_max": [0, 33, -1]},
+    ),
+    "kac-ensemble": (
+        "", {"n": 16, "mu": 0.3, "histories": 20, "t_max": 8, "epsilon": 0.2},
+        _kac_ensemble_library,
+        {"n": [100, 4, 0], "mu": [1.0, 0.0, 1.5],
+         "histories": [1, 0, (10**12, {"n": 4096})], "t_max": [32, 33, -1],
+         "epsilon": [0.999, 1.0, 1.5, 0.0],
+         "alpha": [(0.5, {"n": 4096}), (0.0, {"n": 4096}), (1.0, {"n": 4096})]},
+    ),
+    "kac-brute": (
+        "", {"n": 6, "mu": 0.3, "t": 3}, _kac_brute_library,
+        {"n": [20, 21, 0], "mu": [0.0, 1.0, 1.5, -0.5], "t": [7, 12, 13, -1]},
+    ),
+    "bounds": (
+        "", {"epsilon": 0.1, "n": 100, "k_count": 1.0, "eta": 0.5, "l_count": 1},
+        _bounds_library,
+        {"epsilon": [0.999, 1.0, 0.0], "n": [1, 0], "k_count": [2.5, 0.5],
+         "eta": [0.9, 1.0, 0.0], "l_count": [5, 0],
+         "c_mu": [(0.5, {"r": 1.0}), (0.0, {"r": 1.0})],
+         "r": [(2.0, {"c_mu": 0.5}), (-1.0, {"c_mu": 0.5})]},
+    ),
+    "macro": (
+        "", {"n0": 1e19, "cell_volume": 1.0, "sub_volume": 1e-3, "delta_pi": 5e-6,
+             "k_count": 1.0},
+        _macro_library,
+        {"n0": [1.0, 0.0], "cell_volume": [10.0, 0.0, -1.0], "sub_volume": [1.0, 2.0, 0.0],
+         "delta_pi": [0.5, 1.0, 0.0], "k_count": [2.0, 0.5]},
+    ),
+}
+
+
+def _text(value) -> str:
+    return ",".join(map(repr, value)) if isinstance(value, tuple) else repr(value)
+
+
+def _with_others(case) -> tuple:
+    """A case as (value, other keys' values)."""
+    return case if isinstance(case, tuple) and isinstance(case[-1], dict) else (case, {})
+
+
+_PARITY_CASES = [
+    pytest.param(command, key, *_with_others(case), id=f"{command}-{key}={case!r}")
+    for command, (_, _, _, keys) in _PARITY.items()
+    for key, cases in keys.items()
+    for case in cases
+]
+
+
+@pytest.mark.parametrize("command, key, value, others", _PARITY_CASES)
+def test_cli_refuses_a_value_iff_the_library_does(tmp_path, capsys, command, key, value, others):
+    fixed, base, library, _ = _PARITY[command]
+    values = {**base, **others, key: value}
+    try:
+        library(dict(values))
+        refusal = None
+    except ValueError as exc:
+        refusal = exc
+    ini = f"[{command}]\n{fixed}" + "".join(f"{k} = {_text(v)}\n" for k, v in values.items())
+    out = tmp_path / "out"
+    code = _run(tmp_path, command, ini, "--out", str(out))
+    lines = capsys.readouterr().err.splitlines()
+    if refusal is None:
+        assert code == 0, lines
+    else:
+        assert code == 2, (str(refusal), lines)
+        assert lines == [f"config error: {key}: {refusal.rule}"]
+        assert not out.exists()
+
+
+def test_gas_mean_fit_keys_are_unused_without_fit(tmp_path):
+    # fit_epsilon and fit_eta feed only the fit, so without it nothing refuses them.
+    ini = "[gas-mean]\nregion = 0,0.5\nt_values = 1\nfit_epsilon = -1\nfit_eta = 2\n"
+    assert _run(tmp_path, "gas-mean", ini, "--out", str(tmp_path / "out")) == 0
+
+
+@pytest.mark.parametrize(
+    "body, line",
+    [
+        ("reverse_time = 1\ndt = 0\n", "dt: reverse_time must be a positive integer multiple of dt"),
+        ("reverse_time = 1\ndt = -0.5\n",
+         "dt: reverse_time must be a positive integer multiple of dt"),
+        ("reverse_time = -1\ndt = -0.5\n", "dt: must be finite and > 0, got -0.5"),
+        ("reverse_time = -1\ndt = 0.5\n",
+         "dt: reverse_time must be a positive integer multiple of dt"),
+    ],
+    ids=["dt_zero", "dt_negative", "both_negative", "time_negative"],
+)
+def test_gas_reverse_needs_positive_steps(tmp_path, capsys, body, line):
+    # dt = 0 once raised ZeroDivisionError out of parse_config.
+    out = tmp_path / "out"
+    ini = f"[gas-reverse]\nn = 50\nregion = 0,0.5\n{body}"
+    assert _run(tmp_path, "gas-reverse", ini, "--out", str(out)) == 2
+    assert capsys.readouterr().err.splitlines() == [f"config error: {line}"]
+    assert not out.exists()
+
+
+def test_refusal_naming_no_key_is_a_runtime_failure(tmp_path, capsys, monkeypatch):
+    def run(cfg):
+        raise cli.ParameterError("zeta", "must be > 0, got 0")
+
+    spec = cli._COMMANDS["kac-brute"]
+    monkeypatch.setitem(cli._COMMANDS, "kac-brute", dataclasses.replace(spec, run=run))
+    out = tmp_path / "out"
+    assert _run(tmp_path, "kac-brute", TINY_RUNS["kac-brute"][1], "--out", str(out)) == 3
+    assert capsys.readouterr().err.splitlines() == ["error: zeta must be > 0, got 0"]
+    assert not out.exists()
+
+
+# What each key's text may be turned into; no parser checks a range.
+_PLAIN_PARSERS = {
+    "_conv_int", "_conv_float", "_conv_list.<locals>.conv", "_conv_region", "_conv_bool",
+    "_conv_choice.<locals>.conv", "str",
+}
+
+
+def test_keys_are_read_by_plain_parsers_only():
+    for command, spec in cli._COMMANDS.items():
+        for key, param in {**spec.keys, **cli._COMMON}.items():
+            name = param.convert.__qualname__
+            assert name in _PLAIN_PARSERS, (command, key, name)
+            if name.startswith("_conv_list"):
+                inner = param.convert.__closure__[0].cell_contents
+                assert inner in (cli._conv_int, cli._conv_float), (command, key)

@@ -6,6 +6,7 @@ import importlib
 import itertools
 import math
 import pathlib
+import pickle
 
 import numpy as np
 import pytest
@@ -14,11 +15,14 @@ import equilab
 from equilab.core import (
     GasMicrostate,
     LogProbability,
+    ParameterError,
     RngStream,
     TimeGrid,
     TorusRegion,
     format_float,
     fractional_part,
+    as_int,
+    as_real,
     stream_generators,
     write_csv,
 )
@@ -373,6 +377,43 @@ def test_write_csv_failure_leaves_no_partial_file(tmp_path):
         write_csv(path, ("a", "b"), rows())
     assert path.read_bytes() == b"old\n"
     assert not list(tmp_path.glob("*.tmp"))
+
+
+# ---------------------------------------------------------------------------
+# ParameterError: a refused value names its parameter
+
+
+@pytest.mark.parametrize(
+    "call, name, rule",
+    [
+        (lambda: as_int(0, "n", 1), "n", "must lie in [1, inf], got 0"),
+        (lambda: as_int(33, "t", hi=32), "t", "must lie in [0, 32], got 33"),
+        (lambda: as_real(1.5, "epsilon", 0, 1, open_lo=True, open_hi=True),
+         "epsilon", "must lie in (0, 1), got 1.5"),
+        (lambda: as_real(math.inf, "dt", 0, open_lo=True, finite=True),
+         "dt", "must be finite and > 0, got inf"),
+        (lambda: TimeGrid(0.0, -1.0, 3), "dt", "must be finite and > 0, got -1.0"),
+    ],
+)
+def test_range_failures_raise_parameter_error(call, name, rule):
+    with pytest.raises(ParameterError) as info:
+        call()
+    assert (info.value.name, info.value.rule) == (name, rule)
+    assert str(info.value) == f"{name} {rule}"
+    assert isinstance(info.value, ValueError)
+
+
+def test_parameter_error_pickles():
+    # Ensemble workers hand their exceptions back by pickling them.
+    exc = pickle.loads(pickle.dumps(ParameterError("mu", "must lie in (0, 1], got 0.0")))
+    assert (exc.name, exc.rule, str(exc)) == ("mu", "must lie in (0, 1], got 0.0",
+                                             "mu must lie in (0, 1], got 0.0")
+
+
+@pytest.mark.parametrize("call", [lambda: as_int(2.0, "n"), lambda: as_real("1", "mu")])
+def test_type_failures_stay_type_errors(call):
+    with pytest.raises(TypeError):
+        call()
 
 
 # ---------------------------------------------------------------------------

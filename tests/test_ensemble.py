@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from equilab import ensemble, gas
-from equilab.core import RngStream, TimeGrid, TorusRegion, fractional_part
+from equilab.core import ParameterError, RngStream, TimeGrid, TorusRegion, fractional_part
 from equilab.ensemble import (
     ScalingExperimentSpec,
     fit_exponential,
@@ -87,6 +87,33 @@ def test_scaling_spec_validation():
     for epsilon in (0.0, math.nan):
         with pytest.raises(ValueError, match="epsilon"):
             dataclasses.replace(_small_spec(0.04), epsilon=epsilon)
+
+
+@pytest.mark.parametrize("epsilon", [1.0, 1.5])
+def test_scaling_spec_refuses_epsilon_of_one_and_more(epsilon):
+    # |f - |I|| <= 1, so such an epsilon once ran and counted no deviation.
+    with pytest.raises(ParameterError, match="^epsilon must lie in \\(0, 1\\), got ") as info:
+        dataclasses.replace(_small_spec(0.04), epsilon=epsilon)
+    assert (info.value.name, info.value.rule) == ("epsilon", f"must lie in (0, 1), got {epsilon}")
+
+
+@pytest.mark.parametrize("name", ["n_values", "k_values"])
+def test_scaling_spec_order_refusal_names_its_list(name):
+    with pytest.raises(ParameterError) as info:
+        dataclasses.replace(_small_spec(0.04), **{name: (3, 1)})
+    assert info.value.name == name
+    assert str(info.value) == f"{name} must be nonempty and strictly increasing, got (3, 1)"
+
+
+@pytest.mark.parametrize("workers", [0, -3, True, 1.0, "2"])
+def test_ensembles_refuse_bad_worker_counts(monkeypatch, workers):
+    # workers = 0, -3 and True once ran serially with no error.
+    monkeypatch.setattr(ensemble, "_map_chunks", lambda *a: pytest.fail("chunks ran"))
+    error = ParameterError if type(workers) is int else TypeError
+    with pytest.raises(error, match="^workers must "):
+        run_gas_scaling(_small_spec(0.04, histories=10), workers)
+    with pytest.raises(error, match="^workers must "):
+        run_kac_ensemble(16, 0.3, 10, 4, 0.1, 0, workers)
 
 
 @pytest.mark.parametrize("histories", [10.5, 200.0, True, "200"])
@@ -782,7 +809,7 @@ def test_kac_ensemble_accepts_numpy_integer_counts():
 
 
 def test_kac_ensemble_t_max_range_messages():
-    with pytest.raises(ValueError, match="beyond one full period 2N"):
+    with pytest.raises(ParameterError, match="^t_max must lie in \\[0, 32\\], got 33$"):
         run_kac_ensemble(16, 0.3, 10, t_max=33, epsilon=0.1, seed=0)
     with pytest.raises(ValueError, match="^t_max must lie in"):
         run_kac_ensemble(16, 0.3, 10, t_max=-1, epsilon=0.1, seed=0)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from equilab import kac
-from equilab.core import RngStream
+from equilab.core import ParameterError, RngStream
 from equilab.kac import (
     KacConfiguration,
     _as_pm_one,
@@ -570,9 +570,20 @@ def test_expected_delta_bar_known_values():
     assert expected_delta_bar(0.5, 3, 10) == 0.0
     assert expected_delta_bar(0.0, 7, 10) == 1.0
     assert expected_delta_bar(0.25, 2, 10) == pytest.approx(0.25, rel=1e-15)
-    with pytest.raises(ValueError, match="product formula holds only for t <= N"):
-        expected_delta_bar(0.25, 11, 10)
+    # Past one revolution the mean climbs back: (1 - 2 mu)^(2N - t).
+    assert expected_delta_bar(0.25, 11, 10) == 0.5**9
+    assert expected_delta_bar(0.5, 20, 10) == 1.0
+    with pytest.raises(ParameterError, match="^t must lie in \\[0, 20\\], got 21$"):
+        expected_delta_bar(0.25, 21, 10)
     assert expected_delta_bar(0.25, np.int64(10), 10) == 0.5**10
+
+
+@pytest.mark.parametrize("mu", [0.1, 0.3, 0.45])
+def test_expected_delta_bar_matches_enumeration_over_the_whole_period(mu):
+    for n in range(1, 13):
+        for t in range(2 * n + 1):
+            want = brute_force_expectation(n, mu, t).mean
+            assert expected_delta_bar(mu, t, n) == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
 @pytest.mark.parametrize(
