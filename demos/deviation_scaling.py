@@ -4,22 +4,23 @@
 For each gas size N we evolve M fresh histories from the half-filled box and
 count those whose occupied fraction strays more than epsilon from 1/2 at any
 of the first K sample times.  The union-style estimate p_hat / K must stay
-under 2 exp(-eps^2 N / 2), and the fitted exponential rate should land near
-the Gaussian-fluctuation value b = 2.
+under the scenario bound 2 exp(-eps^2 N / 2), capped at 1, and the fitted
+exponential rate should land near the Gaussian-fluctuation value b = 2.
 """
 
 from __future__ import annotations
 
-import math
 import time
 
 from equilab import (
     InitialMeasureSpec,
     ScalingExperimentSpec,
+    ScenarioParameters,
     TimeGrid,
     TorusRegion,
     UniformPositions,
     run_gas_scaling,
+    scenario_bound,
     thermal_momenta,
 )
 
@@ -46,7 +47,7 @@ def scaling_experiment(histories: int = 20_000, epsilon: float = 0.04):
           f"sample times t_k = 10k ({elapsed:.1f}s)")
     print(f"{'N':>6} {'K':>4} {'count':>7} {'p_hat/K':>11} {'bound':>11} {'ok':>4}")
     for i, n in enumerate(spec.n_values):
-        cap = 2.0 * math.exp(-0.5 * epsilon**2 * n)
+        cap = scenario_bound(ScenarioParameters(epsilon, n)).linear
         for j, k in enumerate(spec.k_values):
             rate = result.p_hat_over_k[i, j]
             flag = "yes" if rate <= cap else "NO"

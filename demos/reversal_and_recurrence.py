@@ -20,9 +20,7 @@ from equilab import (
     TimeGrid,
     TorusRegion,
     UniformPositions,
-    fraction_in,
-    positions_at,
-    reverse_at,
+    reversal_round_trip,
     ring_trace,
     sample_markers,
     sample_microstate,
@@ -37,16 +35,11 @@ HALF_FULL = InitialMeasureSpec(UniformPositions(REGION), thermal_momenta(1.0, 1)
 
 def velocity_reversal(n: int = 10_000, big_t: float = 50.0):
     state = sample_microstate(HALF_FULL, n, 1, RngStream(2024, 0))
-    f0 = fraction_in(state, 0.0, REGION)
-    fT = fraction_in(state, big_t, REGION)
-    flipped = reverse_at(state, big_t)
-    back = positions_at(flipped, big_t)
-    err = np.abs(back - state.positions)
-    err = np.minimum(err, 1.0 - err)
+    series, err = reversal_round_trip(state, REGION, big_t, big_t)
+    f0, fT, f2T = series.values  # at t = 0, T and 2T
     print(f"Velocity reversal, N = {n}, T = {big_t}:")
-    print(f"  f(0) = {f0:.4f} -> f(T) = {fT:.4f} -> reversed f(2T) = "
-          f"{fraction_in(flipped, big_t, REGION):.4f}")
-    print(f"  worst position error after the round trip: {err.max():.2e}")
+    print(f"  f(0) = {f0:.4f} -> f(T) = {fT:.4f} -> reversed f(2T) = {f2T:.4f}")
+    print(f"  worst position error after the round trip: {err:.2e}")
 
 
 def exact_gas_recurrence():

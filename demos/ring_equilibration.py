@@ -10,8 +10,6 @@ N^(1 - alpha), provided the ring is large enough for the bound to bite.
 
 from __future__ import annotations
 
-import math
-
 from equilab import expected_delta_bar, ring_bound_schedule, run_kac_ensemble
 
 
@@ -43,7 +41,7 @@ def bound_schedule(epsilon: float = 0.15, alpha: float = 0.5, mu: float = 0.3):
 
 def empirical_window_check(n: int = 4096, histories: int = 2000):
     sched = ring_bound_schedule(0.15, 0.5, 0.3)
-    window = (sched.t_start, sched.window_end(n))
+    window = sched.window(n)
     result = run_kac_ensemble(n, 0.3, histories, t_max=int(window[1]),
                               epsilon=0.15, seed=13, window=window)
     cap = sched.sequence_bound(n).linear

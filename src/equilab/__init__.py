@@ -48,6 +48,7 @@ from .gas import (
     fraction_in,
     positions_at,
     reverse_at,
+    reversal_round_trip,
     trace,
     zermelo_state,
 )
@@ -120,6 +121,7 @@ __all__ = [
     "fraction_in",
     "positions_at",
     "reverse_at",
+    "reversal_round_trip",
     "trace",
     "zermelo_state",
     # analytic

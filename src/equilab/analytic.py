@@ -416,10 +416,13 @@ def log_sequence_capacity(epsilon: float, n: int) -> float:
 
 
 def equilibration_time(decay: DecayEstimate, epsilon: float, eta: float = 0.5) -> float:
-    """Smallest t with c_mu t^(-2r) <= eta * epsilon, i.e. (c_mu/(eta eps))^(1/2r)."""
+    """Smallest t with c_mu t^(-2r) <= eta eps, (c_mu/(eta eps))^(1/2r), or inf past floats."""
     as_real(epsilon, "epsilon", 0, open_lo=True)
     as_real(eta, "eta", 0, 1, open_lo=True, open_hi=True)
-    return (decay.c_mu / (eta * epsilon)) ** (1.0 / (2.0 * decay.r))
+    try:
+        return (decay.c_mu / (eta * epsilon)) ** (1.0 / (2.0 * decay.r))
+    except OverflowError:
+        return math.inf
 
 
 def partition_scenario_bound(params: ScenarioParameters, l_count: int) -> LogProbability:
@@ -496,6 +499,8 @@ def macro_estimator(
     as_real(delta_pi, "delta_pi", 0, 1, open_lo=True, open_hi=True)
     as_real(k_count, "k_count", 1)
     n = n0 * cell_volume
+    if not math.isfinite(n):
+        raise ParameterError("n0", f"must keep n0 * cell_volume finite, got {n0} * {cell_volume}")
     epsilon = (sub_volume / cell_volume) * delta_pi
     exponent = -2.0 * epsilon**2 * n
     single = LogProbability.from_log(exponent)

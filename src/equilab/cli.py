@@ -8,17 +8,18 @@ versions, and wall time, so any published number can be regenerated from
 its summary alone.  Both files are written atomically, so a failed run
 leaves no half-written output.
 
-The command line checks syntax and key combinations; the library checks
-values.  Parsing turns each key's text into an int, float, list, region,
-bool, choice or string, and applies the rules about keys alone: unknown,
-missing and unparsable keys, keys that go together or exclude each other,
-and the run controls ``seed`` >= 0 and ``workers`` >= 1.  Each such problem
-is reported on its own line.  The run then passes the values to the
-library, which owns every domain (epsilon in (0, 1), t <= 2N, ...); its
-first refusal, a :class:`~equilab.core.ParameterError`, is reported under
-the key that fed it.  A command computes all of its results before it
-creates ``--out``, so neither a configuration error nor a failed
-computation touches that directory.
+The command line checks syntax and key combinations only; every rule on a
+value belongs to the library.  Parsing turns each key's text into an int,
+float, list, region, bool, choice or string, and applies the rules about
+keys alone: unknown, missing and unparsable keys, keys that go together or
+exclude each other, and ``seed`` >= 0 and ``workers`` >= 1, one line each.
+The run then passes the values to the library, which owns every domain and
+every rule between values (epsilon in (0, 1), t <= 2N, reverse_time a
+positive multiple of dt, a ring window not ending before t_start, ...); its
+first :class:`~equilab.core.ParameterError` is reported under the key that
+fed it.  A command computes all of its results before it creates ``--out``,
+so neither a configuration error nor a failed computation touches that
+directory.
 
 Exit codes: 0 success, 2 configuration error (each problem reported on its
 own stderr line, prefixed by the offending key), 3 runtime failure.
@@ -33,8 +34,6 @@ import os
 import sys
 import time as _time
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .analytic import (
     ScenarioParameters,
@@ -58,7 +57,7 @@ from .ensemble import (
     run_metadata,
     write_summary_json,
 )
-from .gas import ObservableSeries, fraction_in, positions_at, reverse_at, trace
+from .gas import reversal_round_trip
 from .kac import (
     KacConfiguration,
     brute_force_expectation,
@@ -254,25 +253,8 @@ def _build_initial(params) -> InitialMeasureSpec:
     return InitialMeasureSpec(_position_law(params), _momentum_law(params))
 
 
-def _check_reverse(params) -> list:
-    # Zero has no positive multiple, so dt = 0 is refused here, not divided by.
-    dt = params["dt"]
-    steps = params["reverse_time"] / dt if dt else 0.0
-    if abs(steps - round(steps)) > 1e-9 or round(steps) < 1:
-        return ["dt: reverse_time must be a positive integer multiple of dt"]
-    return []
-
-
-def _check_alpha_window(params) -> list:
-    if params.get("alpha") is not None and params["mu"] == 1.0:
-        return ["mu: the mean never decays at mu = 1, so alpha has no window"]
-    return []
-
-
 def _check_bounds(params) -> list:
-    has_c = params.get("c_mu") is not None
-    has_r = params.get("r") is not None
-    if has_c != has_r:
+    if (params.get("c_mu") is None) != (params.get("r") is None):
         return ["c_mu: give both c_mu and r, or neither"]
     return []
 
@@ -350,23 +332,12 @@ def _exec_gas_scaling(cfg: RunConfig):
 def _exec_gas_reverse(cfg: RunConfig):
     p = cfg.parameters
     region = _region_from(p)
-    t_rev = p["reverse_time"]
-    forward = TimeGrid(0.0, p["dt"], int(round(t_rev / p["dt"])))
-    state = sample_microstate(
-        _build_initial(p), p["n"], region.dim, RngStream(cfg.master_seed, 0)
-    )
-    flipped = reverse_at(state, t_rev)
-    there = trace(state, region, forward)
-    back = trace(flipped, region, forward)
-    times = np.concatenate([[0.0], there.times, t_rev + back.times])
-    values = np.concatenate([[fraction_in(state, 0.0, region)], there.values, back.values])
-    series = ObservableSeries(times, values)
-    final_positions = positions_at(flipped, t_rev)
-    err = np.abs(final_positions - state.positions)
-    err = np.minimum(err, 1.0 - err)  # distance on the circle
+    state = sample_microstate(_build_initial(p), p["n"], region.dim, RngStream(cfg.master_seed, 0))
+    series, err = reversal_round_trip(state, region, p["reverse_time"], p["dt"])
+    values = series.values
     return {
-        "reverse_time": t_rev,
-        "max_position_error": float(err.max()),
+        "reverse_time": p["reverse_time"],
+        "max_position_error": err,
         "f_initial": values[0],
         "f_final": values[-1],
         "fraction_restored": bool(values[-1] == values[0]),
@@ -391,18 +362,17 @@ def _exec_kac_trace(cfg: RunConfig):
 
 def _exec_kac_ensemble(cfg: RunConfig):
     p = cfg.parameters
-    window = None
-    schedule_block = None
+    window = schedule_block = None
     if p.get("alpha") is not None:
         sched = ring_bound_schedule(p["epsilon"], p["alpha"], p["mu"])
-        window = (sched.t_start, sched.window_end(p["n"]))
+        window = sched.window(p["n"])
         seq = sched.sequence_bound(p["n"])
         per = sched.per_time_bound(p["n"])
         schedule_block = {
             "min_sites": sched.min_sites,
             "t_start": sched.t_start,
             "t_start_exact": sched.t_start_exact,
-            "window_end": sched.window_end(p["n"]),
+            "window_end": window[1],
             "per_time_bound_log": per.log_value,
             "per_time_bound_vacuous": per.vacuous,
             "sequence_bound_log": seq.log_value,
@@ -545,7 +515,7 @@ _COMMANDS = {
         "dt": _Param(_conv_float, required=True),
         **_POSITION_BLOCK,
         **_MOMENTUM_BLOCK,
-    }, (_check_measure, _check_reverse)),
+    }, (_check_measure,)),
     "kac-trace": _Command("kac_trace.csv", _exec_kac_trace, {
         "n": _Param(_conv_int, required=True),
         "mu": _Param(_conv_float, required=True),
@@ -558,7 +528,7 @@ _COMMANDS = {
         "t_max": _Param(_conv_int, required=True),
         "epsilon": _Param(_conv_float, required=True),
         "alpha": _Param(_conv_float),
-    }, (_check_alpha_window,), {"n_sites": "n"}),
+    }, names={"n_sites": "n"}),
     "kac-brute": _Command("kac_brute.csv", _exec_kac_brute, {
         "n": _Param(_conv_int, required=True),
         "mu": _Param(_conv_float, required=True),
@@ -639,16 +609,8 @@ def parse_config(file_text, command, overrides=None) -> RunConfig:
     if errors:
         raise ConfigError(errors)
 
-    seed = params.pop("seed")
-    workers = params.pop("workers")
-    out = params.pop("out")
-    return RunConfig(
-        command=command,
-        parameters=params,
-        master_seed=seed,
-        worker_count=workers,
-        output_path=out,
-    )
+    seed, workers, out = (params.pop(key) for key in ("seed", "workers", "out"))
+    return RunConfig(command, params, seed, workers, out)
 
 
 def execute(config: RunConfig) -> int:

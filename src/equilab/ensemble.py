@@ -104,7 +104,8 @@ class ScalingExperimentSpec:
                 raise ParameterError(name, f"must be nonempty and strictly increasing, got {vals}")
             object.__setattr__(self, name, vals)
         if self.k_values[-1] > self.grid.k_count:
-            raise ValueError("largest K exceeds the time grid length")
+            raise ParameterError("k_values", f"must not exceed the grid's k_count = "
+                                 f"{self.grid.k_count}, got {self.k_values}")
         object.__setattr__(self, "histories", as_int(self.histories, "histories", 1))
         object.__setattr__(self, "master_seed", as_int(self.master_seed, "master_seed", -math.inf))
         # |f - |I|| <= 1, so epsilon >= 1 would count no deviation at all.

@@ -20,9 +20,11 @@ import numpy as np
 
 from .core import (
     GasMicrostate,
+    ParameterError,
     TimeGrid,
     TorusRegion,
     as_int,
+    as_real,
     fractional_part,
     write_csv,
 )
@@ -33,6 +35,7 @@ __all__ = [
     "positions_at",
     "fraction_in",
     "reverse_at",
+    "reversal_round_trip",
     "zermelo_state",
     "trace",
 ]
@@ -222,3 +225,28 @@ def trace(state: GasMicrostate, region: TorusRegion, grid: TimeGrid) -> Observab
     times = grid.times
     counts = np.array([counter.counts(t)[0] for t in times])
     return ObservableSeries(times, counts / state.n)
+
+
+def reversal_round_trip(state: GasMicrostate, region: TorusRegion, reverse_time: float,
+                        dt: float) -> tuple:
+    """Stream for T = ``reverse_time``, flip every momentum, stream for T again.
+
+    Returns f on t = 0, dt, ..., 2T and the worst per-axis distance on the
+    circle from the final to the initial positions.  T / dt must be a
+    positive integer.
+    """
+    as_real(dt, "dt", 0, open_lo=True, finite=True)
+    as_real(reverse_time, "reverse_time", 0, open_lo=True, finite=True)
+    steps = reverse_time / dt
+    if abs(steps - round(steps)) > 1e-9 or round(steps) < 1:
+        raise ParameterError("reverse_time", f"must be a positive multiple of dt = {dt}, "
+                             f"got {reverse_time}")
+    forward = TimeGrid(0.0, dt, int(round(steps)))
+    flipped = reverse_at(state, reverse_time)
+    there = trace(state, region, forward)
+    back = trace(flipped, region, forward)
+    times = np.concatenate([[0.0], there.times, reverse_time + back.times])
+    values = np.concatenate([[fraction_in(state, 0.0, region)], there.values, back.values])
+    err = np.abs(positions_at(flipped, reverse_time) - state.positions)
+    err = np.minimum(err, 1.0 - err)  # distance on the circle
+    return ObservableSeries(times, values), float(err.max())

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LogProbability, RngStream, as_int, as_real
+from .core import LogProbability, ParameterError, RngStream, as_int, as_real
 
 __all__ = [
     "KacConfiguration",
@@ -486,6 +486,16 @@ class RingBoundSchedule:
 
     def window_end(self, n_sites: int) -> float:
         return 0.5 * as_int(n_sites, "n_sites", 1) ** self.alpha
+
+    def window(self, n_sites: int) -> tuple:
+        """(t_start, N^alpha / 2), refused if it never opens or closes first."""
+        if math.isinf(self.t_start):
+            raise ParameterError("mu", f"must lie in (0, 1) for a window, got {self.mu}")
+        end = self.window_end(n_sites)
+        if end < self.t_start:
+            raise ParameterError("alpha", f"must make N^alpha / 2 = {end} reach t_start = "
+                                 f"{self.t_start}, got {self.alpha}")
+        return self.t_start, end
 
     def _log_per_time(self, n_sites: int) -> float:
         n_sites = as_int(n_sites, "n_sites", 1)

@@ -73,8 +73,7 @@ def scaling_runs(tmp_path_factory):
 @pytest.fixture(scope="module")
 def ring_runs(tmp_path_factory):
     """Ring ensemble at N = 4096, M = 1e4, run at 1 and 8 workers."""
-    sched = ring_bound_schedule(0.15, 0.5, 0.3)
-    window = (sched.t_start, sched.window_end(4096))
+    window = ring_bound_schedule(0.15, 0.5, 0.3).window(4096)
     base = tmp_path_factory.mktemp("ring")
     runs = {}
     for workers in (1, 8):

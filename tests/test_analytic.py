@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from equilab import analytic
-from equilab.core import LogProbability, RngStream, TorusRegion
+from equilab.core import LogProbability, ParameterError, RngStream, TorusRegion
 from equilab.analytic import (
     DecayEstimate,
     _tabulated_char,
@@ -512,6 +512,13 @@ def test_equilibration_time_identities():
     )
 
 
+@pytest.mark.parametrize("c_mu, r", [(1.0, 0.005), (1e300, 0.25), (1.0, 1e-300)])
+def test_equilibration_time_past_float_range_is_inf(c_mu, r):
+    # (1 / (0.5 * 1e-3))^(1 / 0.01) = 2000^100 once raised OverflowError.
+    assert equilibration_time(DecayEstimate(c_mu, r), 1e-3) == math.inf
+    assert equilibration_time(DecayEstimate(1.0, 0.01), 1e-3) == pytest.approx(2000.0**50)
+
+
 def test_equilibration_time_rejects_nan_epsilon():
     with pytest.raises(ValueError, match="epsilon must be > 0"):
         equilibration_time(DecayEstimate(1.0, 1.0), math.nan)
@@ -645,6 +652,17 @@ def test_macro_estimator_validation():
         macro_estimator(1e19, 1e-3, 1.0, 5e-6)  # sub volume exceeds cell
     with pytest.raises(ValueError):
         macro_estimator(1e19, 1.0, 1e-3, 1.5)
+
+
+@pytest.mark.parametrize("n0, cell_volume", [(1e300, 1e300), (math.inf, 2.0), (1.0, math.inf)])
+def test_macro_estimator_refuses_a_particle_count_past_float_range(n0, cell_volume):
+    # n * eps^2 was inf * 0 here, and the bounds came out NaN.
+    with pytest.raises(ParameterError) as info:
+        macro_estimator(n0, cell_volume, 1.0, 0.5)
+    assert (info.value.name, info.value.rule) == (
+        "n0", f"must keep n0 * cell_volume finite, got {n0} * {cell_volume}"
+    )
+    assert macro_estimator(1e300, 1e3, 1.0, 0.5).n == 1e303
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,8 @@ from equilab import (
     analytic, brute_force_expectation, cli, delta_closed_form, equilibration_time,
     expected_delta_bar, expected_fraction, fit_decay, hoeffding_tail, log_sequence_capacity,
     macro_estimator, markov_bound, partition_scenario_bound, ring_bound_schedule, ring_trace,
-    run_fluctuation_trace, run_kac_ensemble, sample_markers, thermal_momenta,
+    reversal_round_trip, run_fluctuation_trace, run_kac_ensemble, sample_markers,
+    sample_microstate, thermal_momenta,
 )
 from equilab.cli import COMMANDS, ConfigError, main, parse_config
 
@@ -133,7 +134,7 @@ def test_region_converter_handles_boxes():
         ("[gas-trace]\nn=10\nregion=0,0.5\ndt=1\nk_count=2\nmomentum=tabulated\n", "momentum_grid"),
         ("[gas-trace]\nn=10\nregion=0,0.5\ndt=1\nk_count=2\nmomentum=tabulated\nmomentum_grid=0,1\nmomentum_density=-1,1\n", "momentum_grid"),
         ("[gas-trace]\nn=10\nregion=0,0.5\ndt=1\nk_count=2\nmomentum_grid=0,1\n", "momentum_grid"),
-        ("[gas-reverse]\nn=10\nregion=0,0.5\nreverse_time=1.0\ndt=0.3\n", "dt"),
+        ("[gas-reverse]\nn=10\nregion=0,0.5\nreverse_time=1.0\ndt=0.3\n", "reverse_time"),
         ("[kac-trace]\nn=16\nmu=0.25\nt_max=33\n", "t_max"),
         ("[kac-trace]\nn=16\nmu=0\nt_max=8\n", "mu"),
         ("[kac-ensemble]\nn=64\nmu=1.0\nhistories=10\nt_max=8\nepsilon=0.2\nalpha=0.5\n", "mu"),
@@ -497,6 +498,20 @@ def test_bounds_with_decay_reports_equilibration_time(tmp_path):
     assert res["equilibration_time"] == pytest.approx(math.sqrt(0.5 / 0.02), rel=1e-12)
 
 
+def test_equilibration_time_past_float_range_is_inf(tmp_path, capsys, monkeypatch):
+    # 2000^100 once raised OverflowError, and the command exited 3.
+    out = tmp_path / "out"
+    assert main(["bounds", "--epsilon", "0.001", "--n", "100", "--c-mu", "1", "--r", "0.005",
+                 "--out", str(out)]) == 0
+    assert _summary(out, "bounds")["results"]["equilibration_time"] == math.inf
+    # gas-mean's fit feeds the same formula; a small fitted r gives the same inf.
+    monkeypatch.setattr(cli, "fit_decay", lambda ts, devs: DecayEstimate(1.0, 0.005))
+    ini = "[gas-mean]\nregion = 0,0.5\nt_values = 1,2\nfit = true\nfit_epsilon = 0.001\n"
+    assert _run(tmp_path, "gas-mean", ini, "--out", str(out)) == 0
+    assert _summary(out, "gas-mean")["results"]["equilibration_time"] == math.inf
+    assert capsys.readouterr().err == ""
+
+
 def test_macro_summary_reports_exponent(tmp_path):
     out = tmp_path / "out"
     ini = "[macro]\nn0 = 3e19\ncell_volume = 1.0\nsub_volume = 1e-3\ndelta_pi = 5e-6\n"
@@ -618,6 +633,12 @@ def _gas_scaling_library(p):
                           grid, _HALF, initial, 0)
 
 
+def _gas_reverse_library(p):
+    initial = InitialMeasureSpec(UniformPositions(_HALF), thermal_momenta(1.0, 1))
+    state = sample_microstate(initial, p["n"], 1, RngStream(0, 0))
+    reversal_round_trip(state, _HALF, p["reverse_time"], p["dt"])
+
+
 def _kac_trace_library(p):
     markers = sample_markers(p["n"], p["mu"], RngStream(0, 0))
     delta_closed_form(markers, p["t_max"])
@@ -627,8 +648,7 @@ def _kac_trace_library(p):
 def _kac_ensemble_library(p):
     window = None
     if p.get("alpha") is not None:
-        sched = ring_bound_schedule(p["epsilon"], p["alpha"], p["mu"])
-        window = (sched.t_start, sched.window_end(p["n"]))
+        window = ring_bound_schedule(p["epsilon"], p["alpha"], p["mu"]).window(p["n"])
     run_kac_ensemble(p["n"], p["mu"], p["histories"], p["t_max"], p["epsilon"], 0,
                      window=window)
 
@@ -679,6 +699,12 @@ _PARITY = {
          "epsilon": [0.999, 1.0, 1.5, 0.0, -0.1], "t0": [1.0, -1.0],
          "dt": [1.0, 0.0, -5.0]},
     ),
+    "gas-reverse": (
+        "region = 0,0.5\n", {"n": 20, "reverse_time": 1.0, "dt": 0.5}, _gas_reverse_library,
+        # T / dt = 1 / 0.3 is refused under reverse_time, the value that is no multiple.
+        {"n": [1, 0, -3], "reverse_time": [1.0, -1.0, 1.05, 0.0, (1.0, {"dt": 0.3})],
+         "dt": [0.5, 0.0, -0.5, (-0.5, {"reverse_time": -1.0})]},
+    ),
     "kac-trace": (
         "", {"n": 16, "mu": 0.3, "t_max": 32}, _kac_trace_library,
         {"n": [100, 0, -1], "mu": [1.0, 0.0, 1.5, -0.1], "t_max": [0, 33, -1]},
@@ -689,7 +715,8 @@ _PARITY = {
         {"n": [100, 4, 0], "mu": [1.0, 0.0, 1.5],
          "histories": [1, 0, (10**12, {"n": 4096})], "t_max": [32, 33, -1],
          "epsilon": [0.999, 1.0, 1.5, 0.0],
-         "alpha": [(0.5, {"n": 4096}), (0.0, {"n": 4096}), (1.0, {"n": 4096})]},
+         "alpha": [(0.5, {"n": 4096}), (0.5, {"n": 16}), (0.0, {"n": 4096}),
+                   (1.0, {"n": 4096})]},
     ),
     "kac-brute": (
         "", {"n": 6, "mu": 0.3, "t": 3}, _kac_brute_library,
@@ -707,7 +734,8 @@ _PARITY = {
         "", {"n0": 1e19, "cell_volume": 1.0, "sub_volume": 1e-3, "delta_pi": 5e-6,
              "k_count": 1.0},
         _macro_library,
-        {"n0": [1.0, 0.0], "cell_volume": [10.0, 0.0, -1.0], "sub_volume": [1.0, 2.0, 0.0],
+        {"n0": [1.0, 0.0, (1e300, {"cell_volume": 1e300, "sub_volume": 1.0, "delta_pi": 0.5})],
+         "cell_volume": [10.0, 0.0, -1.0], "sub_volume": [1.0, 2.0, 0.0],
          "delta_pi": [0.5, 1.0, 0.0], "k_count": [2.0, 0.5]},
     ),
 }
@@ -760,12 +788,10 @@ def test_gas_mean_fit_keys_are_unused_without_fit(tmp_path):
 @pytest.mark.parametrize(
     "body, line",
     [
-        ("reverse_time = 1\ndt = 0\n", "dt: reverse_time must be a positive integer multiple of dt"),
-        ("reverse_time = 1\ndt = -0.5\n",
-         "dt: reverse_time must be a positive integer multiple of dt"),
+        ("reverse_time = 1\ndt = 0\n", "dt: must be finite and > 0, got 0.0"),
+        ("reverse_time = 1\ndt = -0.5\n", "dt: must be finite and > 0, got -0.5"),
         ("reverse_time = -1\ndt = -0.5\n", "dt: must be finite and > 0, got -0.5"),
-        ("reverse_time = -1\ndt = 0.5\n",
-         "dt: reverse_time must be a positive integer multiple of dt"),
+        ("reverse_time = -1\ndt = 0.5\n", "reverse_time: must be finite and > 0, got -1.0"),
     ],
     ids=["dt_zero", "dt_negative", "both_negative", "time_negative"],
 )

@@ -105,6 +105,15 @@ def test_scaling_spec_order_refusal_names_its_list(name):
     assert str(info.value) == f"{name} must be nonempty and strictly increasing, got (3, 1)"
 
 
+def test_scaling_spec_refuses_a_largest_k_beyond_the_grid():
+    with pytest.raises(ParameterError) as info:
+        dataclasses.replace(_small_spec(0.04), k_values=(1, 4))  # the grid has 3 times
+    assert (info.value.name, info.value.rule) == (
+        "k_values", "must not exceed the grid's k_count = 3, got (1, 4)"
+    )
+    assert dataclasses.replace(_small_spec(0.04), k_values=(1, 3)).k_values == (1, 3)
+
+
 @pytest.mark.parametrize("workers", [0, -3, True, 1.0, "2"])
 def test_ensembles_refuse_bad_worker_counts(monkeypatch, workers):
     # workers = 0, -3 and True once ran serially with no error.

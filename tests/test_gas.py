@@ -9,6 +9,7 @@ import pytest
 
 from equilab.core import (
     GasMicrostate,
+    ParameterError,
     RngStream,
     TimeGrid,
     TorusRegion,
@@ -20,6 +21,7 @@ from equilab.gas import (
     fraction_in,
     positions_at,
     reverse_at,
+    reversal_round_trip,
     trace,
     zermelo_state,
 )
@@ -221,6 +223,58 @@ def test_loschmidt_fraction_returns_exactly(seed: int):
     f0 = fraction_in(state, 0.0, region)
     rev = reverse_at(state, 30.0)
     assert fraction_in(rev, 30.0, region) == f0
+
+
+@pytest.mark.parametrize("dim, t_rev, dt", [(1, 10.0, 2.0), (2, 3.0, 0.1), (1, 50.0, 50.0)])
+def test_reversal_round_trip_is_the_hand_assembly(dim: int, t_rev: float, dt: float):
+    # The assembly the command line made before the round trip was a library call.
+    state = _random_state(20 + dim, n=300, dim=dim)
+    region = TorusRegion(tuple([0.0] * dim), tuple([0.5] * dim))
+    series, err = reversal_round_trip(state, region, t_rev, dt)
+    forward = TimeGrid(0.0, dt, int(round(t_rev / dt)))
+    flipped = reverse_at(state, t_rev)
+    there = trace(state, region, forward)
+    back = trace(flipped, region, forward)
+    times = np.concatenate([[0.0], there.times, t_rev + back.times])
+    values = np.concatenate([[fraction_in(state, 0.0, region)], there.values, back.values])
+    want = np.abs(positions_at(flipped, t_rev) - state.positions)
+    assert np.array_equal(series.times, times)
+    assert np.array_equal(series.values, values)
+    assert err == float(np.minimum(want, 1.0 - want).max()) < 1e-9
+    assert len(series) == 2 * forward.k_count + 1
+    assert series.values[-1] == series.values[0]
+
+
+@pytest.mark.parametrize(
+    "t_rev, dt, name, rule",
+    [
+        (1.0, 0.0, "dt", "must be finite and > 0, got 0.0"),
+        (1.0, -0.5, "dt", "must be finite and > 0, got -0.5"),
+        (-1.0, -0.5, "dt", "must be finite and > 0, got -0.5"),
+        (1.0, math.inf, "dt", "must be finite and > 0, got inf"),
+        (1.0, math.nan, "dt", "must be finite and > 0, got nan"),
+        (-1.0, 0.5, "reverse_time", "must be finite and > 0, got -1.0"),
+        (0.0, 0.5, "reverse_time", "must be finite and > 0, got 0.0"),
+        (math.inf, 0.5, "reverse_time", "must be finite and > 0, got inf"),
+        (1.05, 0.5, "reverse_time", "must be a positive multiple of dt = 0.5, got 1.05"),
+        (1.0, 0.3, "reverse_time", "must be a positive multiple of dt = 0.3, got 1.0"),
+        (0.2, 0.5, "reverse_time", "must be a positive multiple of dt = 0.5, got 0.2"),
+    ],
+)
+def test_reversal_round_trip_refusals(t_rev, dt, name, rule):
+    with pytest.raises(ParameterError) as info:
+        reversal_round_trip(_random_state(0, n=10), TorusRegion.interval(0.0, 0.5), t_rev, dt)
+    assert (info.value.name, info.value.rule) == (name, rule)
+
+
+def test_reversal_round_trip_takes_real_numbers_only():
+    with pytest.raises(TypeError, match="^dt must be a real number, got True$"):
+        reversal_round_trip(_random_state(0, n=10), TorusRegion.interval(0.0, 0.5), 1.0, True)
+    # Within 1e-9 of a whole number of steps is a whole number of steps.
+    series, _ = reversal_round_trip(
+        _random_state(0, n=10), TorusRegion.interval(0.0, 0.5), 0.3, 0.1
+    )
+    assert len(series) == 7
 
 
 def test_zermelo_state_is_periodic_and_binary():

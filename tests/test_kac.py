@@ -428,10 +428,11 @@ _SCHEDULE = ring_bound_schedule(0.15, 0.5, 0.3)
         (lambda n: expected_delta_sq(0.3, 2, n), "n_sites"),
         (lambda n: _SCHEDULE.window_end(n), "n_sites"),
         (lambda n: _SCHEDULE.sequence_bound(n), "n_sites"),
+        (lambda n: _SCHEDULE.window(n), "n_sites"),
     ],
     ids=["closed_form", "brute_force", "ring_trace", "expected_delta_bar", "expected_delta_sq",
          "brute_force_n", "sample_markers", "expected_delta_bar_n", "expected_delta_sq_n",
-         "window_end", "sequence_bound"],
+         "window_end", "sequence_bound", "window"],
 )
 @pytest.mark.parametrize("value", [1.5, 2.0, "3", None, True])
 def test_times_must_be_integers(call, name, value):
@@ -769,6 +770,27 @@ def test_ring_bound_schedule_start_time():
     assert ring_bound_schedule(0.4, 0.5, 0.5).t_start == 1.0
     assert math.isinf(ring_bound_schedule(0.4, 0.5, 0.0).t_start)
     assert math.isinf(ring_bound_schedule(0.4, 0.5, 1.0).t_start)
+
+
+def test_ring_bound_schedule_window():
+    assert ring_bound_schedule(0.15, 0.5, 0.3).window(4096) == (4.0, 32.0)
+    assert ring_bound_schedule(0.2, 0.5, 0.3).window(64) == (4.0, 4.0)  # a window of one time
+
+
+@pytest.mark.parametrize(
+    "mu, n, name, rule",
+    [
+        (1.0, 4096, "mu", "must lie in (0, 1) for a window, got 1.0"),
+        (0.0, 4096, "mu", "must lie in (0, 1) for a window, got 0.0"),
+        (0.3, 16, "alpha", "must make N^alpha / 2 = 2.0 reach t_start = 4.0, got 0.5"),
+        (0.3, 63, "alpha", f"must make N^alpha / 2 = {0.5 * 63**0.5} reach t_start = 4.0, got 0.5"),
+    ],
+)
+def test_ring_bound_schedule_window_refusals(mu, n, name, rule):
+    # The mean never decays at mu in {0, 1}; below N = 64 the window ends before t_start = 4.
+    with pytest.raises(ParameterError) as info:
+        ring_bound_schedule(0.2, 0.5, mu).window(n)
+    assert (info.value.name, info.value.rule) == (name, rule)
 
 
 def test_ring_bound_schedule_bound_arithmetic():
