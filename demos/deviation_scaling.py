@@ -15,7 +15,6 @@ import time
 from equilab import (
     InitialMeasureSpec,
     ScalingExperimentSpec,
-    ScenarioParameters,
     TimeGrid,
     TorusRegion,
     UniformPositions,
@@ -47,7 +46,7 @@ def scaling_experiment(histories: int = 20_000, epsilon: float = 0.04):
           f"sample times t_k = 10k ({elapsed:.1f}s)")
     print(f"{'N':>6} {'K':>4} {'count':>7} {'p_hat/K':>11} {'bound':>11} {'ok':>4}")
     for i, n in enumerate(spec.n_values):
-        cap = scenario_bound(ScenarioParameters(epsilon, n)).linear
+        cap = scenario_bound(epsilon, n).linear
         for j, k in enumerate(spec.k_values):
             rate = result.p_hat_over_k[i, j]
             flag = "yes" if rate <= cap else "NO"

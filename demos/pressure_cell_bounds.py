@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 
 from equilab import (
-    ScenarioParameters,
     hoeffding_tail,
     macro_estimator,
     markov_bound,
@@ -49,8 +48,8 @@ def vacuum_cell():
 
 def generic_bounds(epsilon: float = 0.04, n: int = 10**6):
     single = hoeffding_tail(epsilon, n)
-    hour = scenario_bound(ScenarioParameters(epsilon, n, k_count=3600.0))
-    markov = markov_bound(epsilon, n, t_large=True)
+    hour = scenario_bound(epsilon, n, k_count=3600.0)
+    markov = markov_bound(epsilon, n)
     print(f"\nGeneric N = {n}, epsilon = {epsilon}:")
     print(f"  single-time tail:   exp({single.log_value:.1f})")
     print(f"  hourly sequence:    exp({hour.log_value:.1f})")

@@ -55,7 +55,6 @@ from .gas import (
 from .analytic import (
     DecayEstimate,
     MacroEstimate,
-    ScenarioParameters,
     decay_bound_check,
     equilibration_time,
     expected_fraction,
@@ -127,7 +126,6 @@ __all__ = [
     # analytic
     "DecayEstimate",
     "MacroEstimate",
-    "ScenarioParameters",
     "decay_bound_check",
     "equilibration_time",
     "expected_fraction",

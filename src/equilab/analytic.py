@@ -27,8 +27,9 @@ mean is the same float as a call with that time alone.
 
 Concentration bounds (Hoeffding tail, K-instant scenario bounds, partition
 union bounds, the Chebyshev-type 1/N control, and the macroscopic pressure
-estimate) are returned as :class:`~equilab.core.LogProbability` so that
-values like exp(-1500) survive.
+estimate) take plain numbers, check each one themselves, and return a
+clamped :class:`~equilab.core.LogProbability` so that values like
+exp(-1500) survive.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from .sampler import (
 
 __all__ = [
     "DecayEstimate",
-    "ScenarioParameters",
     "MacroEstimate",
     "expected_fraction",
     "decay_bound_check",
@@ -358,27 +358,6 @@ def fit_decay(t_values, deviations) -> DecayEstimate:
 # Concentration bounds
 
 
-@dataclass(frozen=True)
-class ScenarioParameters:
-    """Inputs of the K-instant concentration scenario.
-
-    epsilon is the deviation threshold, n the particle count, k_count the
-    number of observation instants, and eta the fraction of epsilon granted
-    to the mean term (1/2 unless stated otherwise).
-    """
-
-    epsilon: float
-    n: int
-    k_count: float = 1
-    eta: float = 0.5
-
-    def __post_init__(self):
-        as_real(self.epsilon, "epsilon", 0, 1, open_lo=True, open_hi=True)
-        as_real(self.n, "n", 1)
-        as_real(self.k_count, "k_count", 1)
-        as_real(self.eta, "eta", 0, 1, open_lo=True, open_hi=True)
-
-
 def hoeffding_tail(epsilon: float, n: int) -> LogProbability:
     """Two-sided Hoeffding tail 2 exp(-2 eps^2 n) for a mean of n in [0,1] draws.
 
@@ -390,17 +369,20 @@ def hoeffding_tail(epsilon: float, n: int) -> LogProbability:
     return LogProbability.from_log(math.log(2.0) - 2.0 * epsilon**2 * n)
 
 
-def scenario_bound(params: ScenarioParameters) -> LogProbability:
+def scenario_bound(epsilon: float, n: int, k_count: float = 1,
+                   eta: float = 0.5) -> LogProbability:
     """Probability bound 2K exp(-2 (1-eta)^2 eps^2 n) for a K-instant failure.
 
-    At eta = 1/2 this is 2K exp(-eps^2 n / 2).  Bounds at or above 1 come
-    back clamped with the vacuous flag set.
+    epsilon is the deviation threshold, n the particle count, k_count = K the
+    number of observation instants, and eta the fraction of epsilon granted
+    to the mean term.  At eta = 1/2 this is 2K exp(-eps^2 n / 2).  Bounds at
+    or above 1 come back clamped with the vacuous flag set.
     """
-    log_bound = (
-        math.log(2.0)
-        + math.log(params.k_count)
-        - 2.0 * (1.0 - params.eta) ** 2 * params.epsilon**2 * params.n
-    )
+    as_real(epsilon, "epsilon", 0, 1, open_lo=True, open_hi=True)
+    as_real(n, "n", 1)
+    as_real(k_count, "k_count", 1)
+    as_real(eta, "eta", 0, 1, open_lo=True, open_hi=True)
+    log_bound = math.log(2.0) + math.log(k_count) - 2.0 * (1.0 - eta) ** 2 * epsilon**2 * n
     return LogProbability.from_log(log_bound)
 
 
@@ -425,28 +407,26 @@ def equilibration_time(decay: DecayEstimate, epsilon: float, eta: float = 0.5) -
         return math.inf
 
 
-def partition_scenario_bound(params: ScenarioParameters, l_count: int) -> LogProbability:
+def partition_scenario_bound(epsilon: float, n: int, l_count: int) -> LogProbability:
     """Union bound L exp(-eps^2 n / 4) over the L cells of a partition.
 
     Uses the self-balancing instant budget (K = K_n at eta = 1/2) per cell,
-    so only epsilon and n enter besides L.
+    so only epsilon and n enter besides L; they obey the rules of
+    :func:`scenario_bound`.
     """
+    as_real(epsilon, "epsilon", 0, 1, open_lo=True, open_hi=True)
+    as_real(n, "n", 1)
     l_count = as_int(l_count, "l_count", 1)
-    log_bound = math.log(l_count) - 0.25 * params.epsilon**2 * params.n
+    log_bound = math.log(l_count) - 0.25 * epsilon**2 * n
     return LogProbability.from_log(log_bound)
 
 
-def markov_bound(epsilon: float, n: int, t_large: bool) -> LogProbability:
+def markov_bound(epsilon: float, n: int) -> LogProbability:
     """Chebyshev-type tail 4/(eps^2 n), valid once the mean term is <= eps/2.
 
-    The caller asserts the time regime through ``t_large``; the bound has no
-    time dependence of its own.
+    That time regime is the caller's to establish; the bound has no time
+    dependence of its own.
     """
-    if not t_large:
-        raise ValueError(
-            "markov_bound holds only after the mean deviation has fallen below "
-            "epsilon/2; pass t_large=True to assert that"
-        )
     as_real(epsilon, "epsilon", 0, open_lo=True)
     as_real(n, "n", 1)
     return LogProbability.from_log(math.log(4.0) - math.log(epsilon**2 * n))

@@ -36,7 +36,6 @@ import time as _time
 from dataclasses import dataclass, field
 
 from .analytic import (
-    ScenarioParameters,
     DecayEstimate,
     equilibration_time,
     expected_fraction,
@@ -316,7 +315,7 @@ def _exec_gas_scaling(cfg: RunConfig):
     res = run_gas_scaling(spec, cfg.worker_count)
     comparisons = []
     for i, n in enumerate(res.n_values):
-        bound = scenario_bound(ScenarioParameters(p["epsilon"], n, 1, 0.5)).linear
+        bound = scenario_bound(p["epsilon"], n).linear
         for j, k in enumerate(res.k_values):
             rate = float(res.p_hat_over_k[i, j])
             comparisons.append({"n": n, "k": k, "p_hat_over_k": rate, "bound": bound,
@@ -419,12 +418,13 @@ def _bounds_writer(entries):
 
 def _exec_bounds(cfg: RunConfig):
     p = cfg.parameters
-    params = ScenarioParameters(p["epsilon"], p["n"], p["k_count"], p["eta"])
+    # First: it has the strictest epsilon rule, and checks k_count and eta before l_count.
+    scenario = scenario_bound(p["epsilon"], p["n"], p["k_count"], p["eta"])
     entries = [
         ("hoeffding_single_time", hoeffding_tail(p["epsilon"], p["n"])),
-        ("scenario_sequence", scenario_bound(params)),
-        ("partition_sequence", partition_scenario_bound(params, p["l_count"])),
-        ("markov_single_time", markov_bound(p["epsilon"], p["n"], t_large=True)),
+        ("scenario_sequence", scenario),
+        ("partition_sequence", partition_scenario_bound(p["epsilon"], p["n"], p["l_count"])),
+        ("markov_single_time", markov_bound(p["epsilon"], p["n"])),
     ]
     results = {
         "log_sequence_capacity": log_sequence_capacity(p["epsilon"], p["n"]),

@@ -26,7 +26,6 @@ import numbers
 import operator
 import os
 from dataclasses import dataclass
-from functools import total_ordering
 
 import numpy as np
 
@@ -269,7 +268,11 @@ class GasMicrostate:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Observation instants ``t0 + k * dt`` for k = 1..k_count."""
+    """Observation instants ``t0 + k * dt`` for k = 1..k_count.
+
+    k_count is at most 2^53: past it the float k of an instant is no longer
+    exact, and neighbouring instants round onto one another.
+    """
 
     t0: float
     dt: float
@@ -278,7 +281,7 @@ class TimeGrid:
     def __post_init__(self):
         as_real(self.t0, "t0", 0, finite=True)
         as_real(self.dt, "dt", 0, open_lo=True, finite=True)
-        object.__setattr__(self, "k_count", as_int(self.k_count, "k_count", 1))
+        object.__setattr__(self, "k_count", as_int(self.k_count, "k_count", 1, 2**53))
 
     @property
     def times(self) -> np.ndarray:
@@ -286,7 +289,6 @@ class TimeGrid:
         return self.t0 + k * self.dt
 
 
-@total_ordering
 @dataclass(frozen=True)
 class LogProbability:
     """A probability carried as its natural logarithm.
@@ -294,10 +296,9 @@ class LogProbability:
     ``log_value`` is always <= 0; probability exactly zero is the
     distinguished value ``-inf``.  Upper bounds that exceed 1 are clamped to
     1 and flagged ``vacuous``; the pre-clamp value survives in ``raw_log``
-    so a vacuous bound still reports how badly it missed.  All arithmetic
-    (products, counted unions, complements, sums) stays in log space; a
-    linear value is materialized only on request and only when it is
-    representable (>= 1e-300), otherwise :attr:`linear` reports 0.0 and
+    so a vacuous bound still reports how badly it missed.  A linear value
+    is materialized only on request and only when it is representable
+    (>= 1e-300), otherwise :attr:`linear` reports 0.0 and
     :attr:`underflows` is true.
     """
 
@@ -325,57 +326,14 @@ class LogProbability:
             return cls(0.0, vacuous=True, raw_log=lv)
         return cls(lv)
 
-    @classmethod
-    def from_linear(cls, p: float) -> "LogProbability":
-        if p < 0.0:
-            raise ValueError("probability must be >= 0")
-        if p == 0.0:
-            return cls(-math.inf)
-        if p > 1.0:
-            return cls(0.0, vacuous=True)
-        return cls(math.log(p))
-
     @property
     def linear(self) -> float:
         """exp(log_value) when representable, else 0.0 (see underflows)."""
-        if self.log_value < _UNDERFLOW_LOG:
-            return 0.0
-        return math.exp(self.log_value)
+        return 0.0 if self.underflows else math.exp(self.log_value)
 
     @property
     def underflows(self) -> bool:
         return self.log_value < _UNDERFLOW_LOG
-
-    def __mul__(self, other: "LogProbability") -> "LogProbability":
-        return LogProbability.from_log(self.log_value + other.log_value)
-
-    def __add__(self, other: "LogProbability") -> "LogProbability":
-        return LogProbability.from_log(np.logaddexp(self.log_value, other.log_value))
-
-    def scaled(self, count: float) -> "LogProbability":
-        """Union-bound scaling: probability multiplied by a positive count."""
-        if count <= 0:
-            raise ValueError("count must be positive")
-        return LogProbability.from_log(self.log_value + math.log(count))
-
-    def complement(self) -> "LogProbability":
-        """log(1 - p), computed without leaving log space."""
-        if self.log_value == 0.0:
-            return LogProbability(-math.inf)
-        return LogProbability.from_log(math.log1p(-math.exp(self.log_value)))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LogProbability):
-            return NotImplemented
-        return self.log_value == other.log_value
-
-    def __lt__(self, other) -> bool:
-        if not isinstance(other, LogProbability):
-            return NotImplemented
-        return self.log_value < other.log_value
-
-    def __hash__(self):
-        return hash(self.log_value)
 
     def csv_fields(self) -> tuple:
         """(log_value, linear_or_'underflow') pair used by bounds reports."""

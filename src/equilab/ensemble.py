@@ -218,7 +218,8 @@ def run_gas_scaling(spec: ScalingExperimentSpec, workers: int = 1) -> ScalingRes
     such points exist the fit is omitted.
     """
     workers = as_int(workers, "workers", 1)
-    times = tuple(float(t) for t in spec.grid.times)
+    # Grid times past the largest K can reach no result.
+    times = tuple(spec.grid.times[: spec.k_values[-1]].tolist())
     dim = spec.region.dim
     m = spec.histories
     payloads, owners = [], []
@@ -461,25 +462,17 @@ def run_kac_ensemble(
 # Summary serialization
 
 
-def _json_safe(value):
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, np.ndarray):
-        return [_json_safe(v) for v in value.tolist()]
-    if isinstance(value, dict):
-        return {str(k): _json_safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    return value
+def _plain(value):
+    """json's ``default`` hook: numpy scalars and arrays become Python values."""
+    if isinstance(value, (np.generic, np.ndarray)):
+        return value.tolist()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def write_summary_json(path, payload: dict) -> None:
     """Write a structured run summary; keys are sorted for stable output."""
-    body = _json_safe(payload)
     with atomic_text(path) as fh:
-        json.dump(body, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, default=_plain)
         fh.write("\n")
 
 

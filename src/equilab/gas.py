@@ -233,13 +233,15 @@ def reversal_round_trip(state: GasMicrostate, region: TorusRegion, reverse_time:
 
     Returns f on t = 0, dt, ..., 2T and the worst per-axis distance on the
     circle from the final to the initial positions.  T / dt must be a
-    positive integer.
+    positive integer of at most 2^53, the grid's limit.
     """
     as_real(dt, "dt", 0, open_lo=True, finite=True)
     as_real(reverse_time, "reverse_time", 0, open_lo=True, finite=True)
     steps = reverse_time / dt
-    if abs(steps - round(steps)) > 1e-9 or round(steps) < 1:
-        raise ParameterError("reverse_time", f"must be a positive multiple of dt = {dt}, "
+    # The cap comes first: T / dt may overflow to inf, which round() refuses.
+    if steps > 2**53 or abs(steps - round(steps)) > 1e-9 or round(steps) < 1:
+        cap = " of at most 2^53 steps" if steps > 2**53 else ""
+        raise ParameterError("reverse_time", f"must be a positive multiple of dt = {dt}{cap}, "
                              f"got {reverse_time}")
     forward = TimeGrid(0.0, dt, int(round(steps)))
     flipped = reverse_at(state, reverse_time)

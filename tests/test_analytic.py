@@ -18,7 +18,6 @@ from equilab.core import LogProbability, ParameterError, RngStream, TorusRegion
 from equilab.analytic import (
     DecayEstimate,
     _tabulated_char,
-    ScenarioParameters,
     decay_bound_check,
     equilibration_time,
     expected_fraction,
@@ -558,10 +557,10 @@ def test_hoeffding_tail_is_empirically_valid():
 
 
 def test_scenario_bound_known_values():
-    p = scenario_bound(ScenarioParameters(0.04, 8000, k_count=1, eta=0.5))
+    p = scenario_bound(0.04, 8000, k_count=1, eta=0.5)
     assert p.log_value == pytest.approx(math.log(2.0) - 6.4, rel=1e-12)
     # eta close to 0 recovers nearly the full Hoeffding exponent 2 eps^2 n.
-    q = scenario_bound(ScenarioParameters(0.04, 8000, k_count=1, eta=1e-2))
+    q = scenario_bound(0.04, 8000, k_count=1, eta=1e-2)
     coeff = 2.0 * (1.0 - 1e-2) ** 2
     assert coeff == pytest.approx(1.96, abs=2e-3)
     assert q.log_value == pytest.approx(math.log(2.0) - coeff * 0.04**2 * 8000, rel=1e-12)
@@ -582,20 +581,22 @@ def test_log_sequence_capacity_rejects_nan_epsilon():
 
 
 def test_partition_bound_known_value():
-    p = partition_scenario_bound(ScenarioParameters(0.1, 10**4), l_count=2)
+    p = partition_scenario_bound(0.1, 10**4, l_count=2)
     assert p.log_value == pytest.approx(math.log(2.0) - 25.0, rel=1e-12)
-    one = partition_scenario_bound(ScenarioParameters(0.1, 10**4), l_count=1)
-    ten = partition_scenario_bound(ScenarioParameters(0.1, 10**4), l_count=10)
+    one = partition_scenario_bound(0.1, 10**4, l_count=1)
+    ten = partition_scenario_bound(0.1, 10**4, l_count=10)
     assert ten.log_value - one.log_value == pytest.approx(math.log(10.0), rel=1e-12)
 
 
 def test_markov_bound_known_value_and_flag():
-    p = markov_bound(0.04, 10**6, t_large=True)
+    p = markov_bound(0.04, 10**6)
     assert p.linear == pytest.approx(2.5e-3, rel=1e-12)
-    quarter = markov_bound(0.04, 4 * 10**6, t_large=True)
+    quarter = markov_bound(0.04, 4 * 10**6)
     assert quarter.linear == pytest.approx(2.5e-3 / 4.0, rel=1e-12)
-    with pytest.raises(ValueError):
-        markov_bound(0.04, 10**6, t_large=False)
+    # Below eps^2 n = 4 the bound is vacuous: clamped to 1, its raw log kept.
+    loose = markov_bound(0.1, 100)
+    assert loose.vacuous and loose.log_value == 0.0
+    assert loose.raw_log == pytest.approx(math.log(4.0), rel=1e-12)
 
 
 @pytest.mark.parametrize("u", [5.0, 10.0, 100.0])
@@ -603,16 +604,16 @@ def test_hoeffding_beats_markov_once_exponent_is_large(u: float):
     # At eps^2 n = u >= 5: 2 exp(-2u) <= 4/u.
     n = 10**6
     eps = math.sqrt(u / n)
-    assert hoeffding_tail(eps, n).log_value <= markov_bound(eps, n, t_large=True).log_value
+    assert hoeffding_tail(eps, n).log_value <= markov_bound(eps, n).log_value
 
 
 def test_bounds_are_monotone():
-    base = ScenarioParameters(0.05, 4000, k_count=10)
-    assert scenario_bound(ScenarioParameters(0.05, 8000, k_count=10)) < scenario_bound(base)
-    assert scenario_bound(ScenarioParameters(0.1, 4000, k_count=10)) < scenario_bound(base)
-    assert scenario_bound(base) < scenario_bound(ScenarioParameters(0.05, 4000, k_count=20))
-    assert hoeffding_tail(0.1, 2000) < hoeffding_tail(0.1, 1000)
-    assert markov_bound(0.1, 2000, True) < markov_bound(0.1, 1000, True)
+    base = scenario_bound(0.05, 4000, k_count=10).log_value
+    assert scenario_bound(0.05, 8000, k_count=10).log_value < base
+    assert scenario_bound(0.1, 4000, k_count=10).log_value < base
+    assert base < scenario_bound(0.05, 4000, k_count=20).log_value
+    assert hoeffding_tail(0.1, 2000).log_value < hoeffding_tail(0.1, 1000).log_value
+    assert markov_bound(0.1, 2000).log_value < markov_bound(0.1, 1000).log_value
 
 
 # ---------------------------------------------------------------------------
@@ -688,7 +689,7 @@ def test_position_law_dimension_must_match_the_region(law):
 
 def test_partition_cell_count_must_be_an_integer():
     with pytest.raises(TypeError, match="^l_count must be an integer, got 2.5$"):
-        partition_scenario_bound(ScenarioParameters(0.1, 100), 2.5)
+        partition_scenario_bound(0.1, 100, 2.5)
 
 
 @pytest.mark.parametrize(
@@ -696,7 +697,7 @@ def test_partition_cell_count_must_be_an_integer():
     [
         (lambda: log_sequence_capacity(0.1, math.nan), "n must be >= 1, got nan"),
         (lambda: DecayEstimate(0.5, 1.0).bound(math.nan), "t must be > 0, got nan"),
-        (lambda: ScenarioParameters(0.1, math.nan), "n must be >= 1, got nan"),
+        (lambda: scenario_bound(0.1, math.nan), "n must be >= 1, got nan"),
     ],
     ids=["log_sequence_capacity", "decay_bound", "scenario_parameters"],
 )
@@ -711,19 +712,19 @@ def test_nan_inputs_are_refused_by_name(call, message):
         (lambda: DecayEstimate(0.0, 1.0), "c_mu must be finite and > 0, got 0.0"),
         (lambda: DecayEstimate(1.0, math.inf), "r must be finite and > 0, got inf"),
         (lambda: DecayEstimate(1.0, 1.0).bound(-1.0), "t must be > 0, got -1.0"),
-        (lambda: ScenarioParameters(1.0, 100), "epsilon must lie in \\(0, 1\\), got 1.0"),
-        (lambda: ScenarioParameters(0.1, 0.5), "n must be >= 1, got 0.5"),
-        (lambda: ScenarioParameters(0.1, 100, 0.5), "k_count must be >= 1, got 0.5"),
-        (lambda: ScenarioParameters(0.1, 100, 1, 0.0), "eta must lie in \\(0, 1\\), got 0.0"),
+        (lambda: scenario_bound(1.0, 100), "epsilon must lie in \\(0, 1\\), got 1.0"),
+        (lambda: scenario_bound(0.1, 0.5), "n must be >= 1, got 0.5"),
+        (lambda: scenario_bound(0.1, 100, 0.5), "k_count must be >= 1, got 0.5"),
+        (lambda: scenario_bound(0.1, 100, 1, 0.0), "eta must lie in \\(0, 1\\), got 0.0"),
         (lambda: hoeffding_tail(-0.1, 100), "epsilon must be >= 0, got -0.1"),
         (lambda: hoeffding_tail(0.1, 0), "n must be >= 1, got 0"),
         (lambda: log_sequence_capacity(0.0, 100), "epsilon must be > 0, got 0.0"),
         (lambda: equilibration_time(DecayEstimate(1.0, 1.0), 0.1, 1.0),
          "eta must lie in \\(0, 1\\), got 1.0"),
-        (lambda: partition_scenario_bound(ScenarioParameters(0.1, 100), 0),
+        (lambda: partition_scenario_bound(0.1, 100, 0),
          "l_count must lie in \\[1, inf\\], got 0"),
-        (lambda: markov_bound(0.0, 100, t_large=True), "epsilon must be > 0, got 0.0"),
-        (lambda: markov_bound(0.1, math.nan, t_large=True), "n must be >= 1, got nan"),
+        (lambda: markov_bound(0.0, 100), "epsilon must be > 0, got 0.0"),
+        (lambda: markov_bound(0.1, math.nan), "n must be >= 1, got nan"),
         (lambda: macro_estimator(0.0, 1.0, 0.5, 0.1), "n0 must be > 0, got 0.0"),
         (lambda: macro_estimator(1e19, -1.0, 0.5, 0.1), "cell_volume must be > 0, got -1.0"),
         (lambda: macro_estimator(1e19, 1.0, math.nan, 0.1), "sub_volume must be > 0, got nan"),

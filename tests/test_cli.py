@@ -10,12 +10,12 @@ import pytest
 
 from equilab import (
     DecayEstimate, GaussianMomenta, InitialMeasureSpec, KacConfiguration, RngStream,
-    ScalingExperimentSpec, ScenarioParameters, TimeGrid, TorusRegion, UniformPositions,
+    ScalingExperimentSpec, TimeGrid, TorusRegion, UniformPositions,
     analytic, brute_force_expectation, cli, delta_closed_form, equilibration_time,
     expected_delta_bar, expected_fraction, fit_decay, hoeffding_tail, log_sequence_capacity,
     macro_estimator, markov_bound, partition_scenario_bound, ring_bound_schedule, ring_trace,
     reversal_round_trip, run_fluctuation_trace, run_kac_ensemble, sample_markers,
-    sample_microstate, thermal_momenta,
+    sample_microstate, scenario_bound, thermal_momenta,
 )
 from equilab.cli import COMMANDS, ConfigError, main, parse_config
 
@@ -659,10 +659,10 @@ def _kac_brute_library(p):
 
 
 def _bounds_library(p):
-    params = ScenarioParameters(p["epsilon"], p["n"], p["k_count"], p["eta"])
+    scenario_bound(p["epsilon"], p["n"], p["k_count"], p["eta"])
     hoeffding_tail(p["epsilon"], p["n"])
-    partition_scenario_bound(params, p["l_count"])
-    markov_bound(p["epsilon"], p["n"], t_large=True)
+    partition_scenario_bound(p["epsilon"], p["n"], p["l_count"])
+    markov_bound(p["epsilon"], p["n"])
     log_sequence_capacity(p["epsilon"], p["n"])
     if "c_mu" in p:
         equilibration_time(DecayEstimate(p["c_mu"], p["r"]), p["epsilon"], p["eta"])
@@ -678,8 +678,9 @@ _PARITY = {
     "gas-trace": (
         "region = 0,0.5\n", {"n": 20, "t0": 0.0, "dt": 0.5, "k_count": 3, "sigma": 1.0},
         _gas_trace_library,
-        {"n": [1, 0, -3], "t0": [2.5, -0.5], "dt": [1e-3, 0.0, -1.0], "k_count": [1, 0],
-         "sigma": [1e-3, 0.0, -1.0]},
+        # k_count = 1e300 is past the grid's 2^53 limit; the CLI parses it as an int.
+        {"n": [1, 0, -3], "t0": [2.5, -0.5], "dt": [1e-3, 0.0, -1.0],
+         "k_count": [1, 0, int(1e300)], "sigma": [1e-3, 0.0, -1.0]},
     ),
     "gas-mean": (
         "region = 0,0.5\nsigma = 0.25\nfit = true\n",
@@ -695,14 +696,16 @@ _PARITY = {
          "t0": 0.0, "dt": 5.0},
         _gas_scaling_library,
         {"n_values": [(20,), (0, 40), (40, 20), (20, 20)],
-         "k_values": [(1,), (0,), (-1, 2), (2, 1)], "histories": [1, 0],
+         "k_values": [(1,), (0,), (-1, 2), (2, 1), (int(1e300),)], "histories": [1, 0],
          "epsilon": [0.999, 1.0, 1.5, 0.0, -0.1], "t0": [1.0, -1.0],
          "dt": [1.0, 0.0, -5.0]},
     ),
     "gas-reverse": (
         "region = 0,0.5\n", {"n": 20, "reverse_time": 1.0, "dt": 0.5}, _gas_reverse_library,
-        # T / dt = 1 / 0.3 is refused under reverse_time, the value that is no multiple.
-        {"n": [1, 0, -3], "reverse_time": [1.0, -1.0, 1.05, 0.0, (1.0, {"dt": 0.3})],
+        # T / dt = 1 / 0.3 is refused under reverse_time, the value that is no multiple,
+        # and so is T / dt = 1 / 5e-324, which overflows to inf.
+        {"n": [1, 0, -3],
+         "reverse_time": [1.0, -1.0, 1.05, 0.0, (1.0, {"dt": 0.3}), (1.0, {"dt": 5e-324})],
          "dt": [0.5, 0.0, -0.5, (-0.5, {"reverse_time": -1.0})]},
     ),
     "kac-trace": (

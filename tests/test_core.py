@@ -188,10 +188,21 @@ def test_time_grid_k_count_must_be_an_integer(k):
 
 
 def test_time_grid_k_count_range_and_numpy_integers():
-    with pytest.raises(ValueError, match="^k_count must lie in \\[1, inf\\], got 0$"):
+    with pytest.raises(ValueError, match="^k_count must lie in \\[1, 9007199254740992\\], got 0$"):
         TimeGrid(0.0, 1.0, 0)
     grid = TimeGrid(0.0, 1.0, np.int64(3))
     assert type(grid.k_count) is int and grid.times.tolist() == [1.0, 2.0, 3.0]
+
+
+def test_time_grid_k_count_stops_where_float_k_stops_being_exact():
+    # Past 2^53 neighbouring k round to one float; 1e300 once reached np.arange.
+    assert float(2**53 + 1) == float(2**53)
+    assert TimeGrid(0.0, 1.0, 2**53).k_count == 2**53
+    for k in (2**53 + 1, int(1e300)):
+        with pytest.raises(ParameterError) as info:
+            TimeGrid(0.0, 1.0, k)
+        assert info.value.name == "k_count"
+        assert info.value.rule == f"must lie in [1, {2**53}], got {k}"
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +210,7 @@ def test_time_grid_k_count_range_and_numpy_integers():
 
 
 def test_log_probability_round_trip_and_underflow():
-    p = LogProbability.from_linear(0.25)
-    assert p.log_value == pytest.approx(math.log(0.25), rel=1e-15)
+    p = LogProbability.from_log(math.log(0.25))
     assert p.linear == pytest.approx(0.25, rel=1e-15)
     tiny = LogProbability.from_log(-1500.0)
     assert tiny.underflows
@@ -220,36 +230,11 @@ def test_log_probability_clamps_and_flags_vacuous():
     assert q.raw_log == q.log_value
 
 
-def test_log_probability_arithmetic_stays_in_log_space():
-    a = LogProbability.from_log(-800.0)
-    b = LogProbability.from_log(-700.0)
-    prod = a * b
-    assert prod.log_value == pytest.approx(-1500.0, rel=1e-15)
-    total = a + b  # log-sum-exp; dominated by the larger term
-    assert total.log_value == pytest.approx(np.logaddexp(-800.0, -700.0), rel=1e-15)
-    scaled = a.scaled(1e32)
-    assert scaled.log_value == pytest.approx(-800.0 + math.log(1e32), rel=1e-15)
-
-
 @pytest.mark.parametrize("exponent", [-1e6, -1500.0, -10.0, -1e-6])
 def test_log_probability_large_exponents_stay_finite(exponent: float):
     p = LogProbability.from_log(exponent)
     assert math.isfinite(p.log_value)
-    assert math.isfinite((p * p).log_value)
-    assert math.isfinite(p.scaled(1e6).log_value) or p.scaled(1e6).vacuous
-    comp = p.complement()
-    assert comp.log_value <= 0.0 and not math.isnan(comp.log_value)
-
-
-def test_log_probability_complement_identity():
-    p = LogProbability.from_linear(0.25)
-    assert p.complement().linear == pytest.approx(0.75, rel=1e-12)
-    assert LogProbability.from_log(0.0).complement().log_value == -math.inf
-
-
-def test_log_probability_ordering():
-    assert LogProbability.from_log(-5.0) < LogProbability.from_log(-1.0)
-    assert LogProbability.from_log(-2.0) == LogProbability(-2.0)
+    assert p.log_value == exponent and not p.vacuous
 
 
 def test_log_probability_rejects_positive_log():

@@ -297,6 +297,30 @@ def test_scaling_chunk_swap_fill_matches_single_history_traces(monkeypatch):
     assert len(death_steps) >= 15
 
 
+def test_scaling_counts_no_grid_time_past_the_largest_k(monkeypatch):
+    # A 100-time grid with K at most 5: only the first 5 times can reach a
+    # result, so they are the only times any chunk counts.
+    asked = set()
+
+    class _RecordingCounter(gas.BoxCounter):
+        def counts(self, t, rows=None):
+            asked.add(t)
+            return super().counts(t, rows)
+
+    def run(k_count):
+        grid = TimeGrid(0.0, 0.7, k_count)
+        return run_gas_scaling(ScalingExperimentSpec(
+            (20, 40), (1, 5), 300, 0.2, grid, _REGION, _EQUILIBRIUM, 13))
+
+    monkeypatch.setattr(ensemble, "BoxCounter", _RecordingCounter)
+    long = run(100)
+    assert sorted(asked) == TimeGrid(0.0, 0.7, 100).times[:5].tolist()
+    cut = run(5)
+    for field in ("deviations", "p_hat", "p_hat_over_k", "stderr"):
+        assert getattr(long, field).tolist() == getattr(cut, field).tolist()
+    assert long.fit == cut.fit
+
+
 class _FoldingMomenta:
     """Duck-typed momentum law: ``law``'s draws, but -1e-17 on the first axis.
 
@@ -896,6 +920,7 @@ def test_write_summary_json_is_stable_and_json_safe(tmp_path):
         "value": np.float64(0.5),
         "n": np.int64(7),
         "nested": {"k": (1, 2)},
+        "flag": np.bool_(True),
     }
     path = tmp_path / "summary.json"
     write_summary_json(path, payload)
@@ -904,6 +929,7 @@ def test_write_summary_json_is_stable_and_json_safe(tmp_path):
     body = json.loads(text)
     assert body["counts"] == [1, 2, 3]
     assert body["nested"]["k"] == [1, 2]
+    assert body["flag"] is True and body["n"] == 7 and body["value"] == 0.5
     # Keys emerge sorted, so identical payloads serialize identically.
     assert list(body) == sorted(body)
 

@@ -259,6 +259,11 @@ def test_reversal_round_trip_is_the_hand_assembly(dim: int, t_rev: float, dt: fl
         (1.05, 0.5, "reverse_time", "must be a positive multiple of dt = 0.5, got 1.05"),
         (1.0, 0.3, "reverse_time", "must be a positive multiple of dt = 0.3, got 1.0"),
         (0.2, 0.5, "reverse_time", "must be a positive multiple of dt = 0.5, got 0.2"),
+        # T / dt overflows to inf, or is finite but past the grid's 2^53 steps.
+        (1.0, 5e-324, "reverse_time",
+         "must be a positive multiple of dt = 5e-324 of at most 2^53 steps, got 1.0"),
+        (2.0**54, 1.0, "reverse_time",
+         "must be a positive multiple of dt = 1.0 of at most 2^53 steps, got 1.8014398509481984e+16"),
     ],
 )
 def test_reversal_round_trip_refusals(t_rev, dt, name, rule):

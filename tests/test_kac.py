@@ -811,7 +811,7 @@ def test_ring_bound_schedule_tightens_with_n():
     sched = ring_bound_schedule(0.15, 0.5, 0.3)
     big = sched.per_time_bound(10**8)
     small = sched.per_time_bound(10**4)
-    assert big < small
+    assert big.log_value < small.log_value
 
 
 # ---------------------------------------------------------------------------
