@@ -81,11 +81,9 @@ from .kac import (
     step,
 )
 from .ensemble import (
-    FitResult,
     KacEnsembleResult,
     ScalingExperimentSpec,
     ScalingResult,
-    fit_exponential,
     run_fluctuation_trace,
     run_gas_scaling,
     run_kac_ensemble,
@@ -150,11 +148,9 @@ __all__ = [
     "sample_markers",
     "step",
     # ensemble
-    "FitResult",
     "KacEnsembleResult",
     "ScalingExperimentSpec",
     "ScalingResult",
-    "fit_exponential",
     "run_fluctuation_trace",
     "run_gas_scaling",
     "run_kac_ensemble",

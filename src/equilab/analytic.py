@@ -88,7 +88,8 @@ def _interval_transform(a: float, b: float, ells: np.ndarray) -> np.ndarray:
 def _momentum_char(law, u: np.ndarray) -> np.ndarray:
     """Characteristic function E exp(i u p) of one Gaussian or tabulated momentum component."""
     if isinstance(law, GaussianMomenta):
-        return np.exp(-0.5 * (law.sigma * u) ** 2)
+        with np.errstate(over="ignore"):  # an inf square gives exp(-inf) = 0, exact
+            return np.exp(-0.5 * (law.sigma * u) ** 2)
     return _tabulated_char(law, u)
 
 

@@ -320,12 +320,8 @@ def _exec_gas_scaling(cfg: RunConfig):
             rate = float(res.p_hat_over_k[i, j])
             comparisons.append({"n": n, "k": k, "p_hat_over_k": rate, "bound": bound,
                                 "within_bound": rate <= bound})
-    all_within = all(c["within_bound"] for c in comparisons)
-    return {
-        "fit": None if res.fit is None else {"a": res.fit.a, "b": res.fit.b},
-        "bound_comparisons": comparisons,
-        "all_within_bound": all_within,
-    }, res.to_csv
+    return {"bound_comparisons": comparisons,
+            "all_within_bound": all(c["within_bound"] for c in comparisons)}, res.to_csv
 
 
 def _exec_gas_reverse(cfg: RunConfig):

@@ -73,6 +73,10 @@ def as_int(value, name: str, lo=0, hi=math.inf) -> int:
     except TypeError:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
     if not (lo <= value <= hi):
+        if abs(value) >= 10**17:  # past 17 digits, show the leading ones and the exponent
+            from decimal import Decimal  # kept off the import time of every run
+
+            value = format(Decimal(value), ".6e")
         raise ParameterError(name, f"must lie in [{lo}, {hi}], got {value}")
     return value
 
@@ -271,7 +275,9 @@ class TimeGrid:
     """Observation instants ``t0 + k * dt`` for k = 1..k_count.
 
     k_count is at most 2^53: past it the float k of an instant is no longer
-    exact, and neighbouring instants round onto one another.
+    exact, and neighbouring instants round onto one another.  The constructor
+    checks in O(1) that the last instant is finite; a dt that rounds instants
+    onto one another is refused by :attr:`times`, which alone builds the grid.
     """
 
     t0: float
@@ -282,11 +288,17 @@ class TimeGrid:
         as_real(self.t0, "t0", 0, finite=True)
         as_real(self.dt, "dt", 0, open_lo=True, finite=True)
         object.__setattr__(self, "k_count", as_int(self.k_count, "k_count", 1, 2**53))
+        if not math.isfinite(float(self.t0) + self.k_count * float(self.dt)):
+            raise ParameterError("dt", f"must keep t0 + k_count * dt finite, got {self.dt}")
 
     @property
     def times(self) -> np.ndarray:
         k = np.arange(1, self.k_count + 1, dtype=float)
-        return self.t0 + k * self.dt
+        times = self.t0 + k * self.dt
+        if not (times[1:] > times[:-1]).all():
+            raise ParameterError("dt", "must make t0 + k * dt strictly increasing at "
+                                       f"t0 = {self.t0}, got {self.dt}")
+        return times
 
 
 @dataclass(frozen=True)

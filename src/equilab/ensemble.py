@@ -24,7 +24,6 @@ import json
 import math
 import sys
 import time as _time
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -41,9 +40,7 @@ from .sampler import InitialMeasureSpec, sample_microstate
 __all__ = [
     "ScalingExperimentSpec",
     "ScalingResult",
-    "FitResult",
     "run_gas_scaling",
-    "fit_exponential",
     "run_fluctuation_trace",
     "KacEnsembleResult",
     "run_kac_ensemble",
@@ -113,16 +110,8 @@ class ScalingExperimentSpec:
 
 
 @dataclass(frozen=True)
-class FitResult:
-    """Exponential fit p = a * exp(-b * epsilon^2 * n)."""
-
-    a: float
-    b: float
-
-
-@dataclass(frozen=True)
 class ScalingResult:
-    """Per-(n, K) deviation counts with derived rates and an optional fit."""
+    """Per-(n, K) deviation counts with their derived rates."""
 
     n_values: tuple
     k_values: tuple
@@ -132,7 +121,6 @@ class ScalingResult:
     p_hat: np.ndarray
     p_hat_over_k: np.ndarray
     stderr: np.ndarray
-    fit: FitResult | None
 
     def to_csv(self, path) -> None:
         """Rows ``N,K,deviations,M,p_hat,p_hat_over_K,stderr`` per (n, K)."""
@@ -214,8 +202,6 @@ def run_gas_scaling(spec: ScalingExperimentSpec, workers: int = 1) -> ScalingRes
     Each history samples one microstate and walks the grid until the first
     time |f - |I|| exceeds epsilon (histories are independent across n via
     disjoint stream ids).  The chunks of every n go through one worker pool.
-    The fit pools all (n, K) points with nonzero rate; if fewer than two
-    such points exist the fit is omitted.
     """
     workers = as_int(workers, "workers", 1)
     # Grid times past the largest K can reach no result.
@@ -240,15 +226,6 @@ def run_gas_scaling(spec: ScalingExperimentSpec, workers: int = 1) -> ScalingRes
     p_hat = dev / m
     p_over_k = p_hat / np.asarray(spec.k_values)
     stderr = np.sqrt(p_hat * (1.0 - p_hat) / m)
-    points = [
-        (n, p_over_k[i, j])
-        for i, n in enumerate(spec.n_values)
-        for j in range(len(spec.k_values))
-    ]
-    usable = sum(1 for _, p in points if p > 0)
-    fit = fit_exponential(points, spec.epsilon) if usable >= 2 else None
-    if fit is None:
-        warnings.warn("fewer than 2 nonzero deviation rates; exponential fit skipped")
     return ScalingResult(
         n_values=spec.n_values,
         k_values=spec.k_values,
@@ -258,29 +235,7 @@ def run_gas_scaling(spec: ScalingExperimentSpec, workers: int = 1) -> ScalingRes
         p_hat=p_hat,
         p_hat_over_k=p_over_k,
         stderr=stderr,
-        fit=fit,
     )
-
-
-def fit_exponential(points, epsilon: float) -> FitResult:
-    """Least squares for log p = log a - b * epsilon^2 * n.
-
-    ``points`` is a list of (n, p) pairs; zero rates carry no log-space
-    information and are dropped with a warning.  Unweighted in log space.
-    """
-    as_real(epsilon, "epsilon", 0, open_lo=True)
-    xs, ys = [], []
-    for n, p in points:
-        as_real(p, "p", 0)
-        if p == 0.0:
-            warnings.warn(f"dropping zero-rate point at N={n}: no log-space value")
-            continue
-        xs.append(epsilon**2 * n)
-        ys.append(math.log(p))
-    if len(xs) < 2:
-        raise ValueError("need at least 2 points with p > 0 to fit")
-    slope, intercept = np.polyfit(np.asarray(xs), np.asarray(ys), 1)
-    return FitResult(a=float(np.exp(intercept)), b=float(-slope))
 
 
 def run_fluctuation_trace(

@@ -8,6 +8,7 @@ shares any code with the series implementation.
 from __future__ import annotations
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -189,6 +190,15 @@ def test_expected_fraction_large_time_reaches_measure():
     spec = InitialMeasureSpec(PointPositions((0.2,)), GaussianMomenta(1.0))
     region = TorusRegion.interval(0.0, 0.5)
     assert abs(expected_fraction(spec, region, 5.0) - 0.5) < 1e-10
+
+
+def test_expected_fraction_at_a_huge_time_is_the_measure_without_warning():
+    # (sigma u)^2 overflows to inf at t = 1e300, and exp(-inf) = 0 is the exact term.
+    region = TorusRegion.interval(0.0, 0.5)
+    spec = InitialMeasureSpec(UniformPositions(region), GaussianMomenta(1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert expected_fraction(spec, region, 1e300) == 0.5
 
 
 def test_expected_fraction_monte_carlo_oracle():

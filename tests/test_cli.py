@@ -14,8 +14,8 @@ from equilab import (
     analytic, brute_force_expectation, cli, delta_closed_form, equilibration_time,
     expected_delta_bar, expected_fraction, fit_decay, hoeffding_tail, log_sequence_capacity,
     macro_estimator, markov_bound, partition_scenario_bound, ring_bound_schedule, ring_trace,
-    reversal_round_trip, run_fluctuation_trace, run_kac_ensemble, sample_markers,
-    sample_microstate, scenario_bound, thermal_momenta,
+    reversal_round_trip, run_fluctuation_trace, run_gas_scaling, run_kac_ensemble,
+    sample_markers, sample_microstate, scenario_bound, thermal_momenta,
 )
 from equilab.cli import COMMANDS, ConfigError, main, parse_config
 
@@ -143,6 +143,11 @@ def test_region_converter_handles_boxes():
         ("[macro]\nn0=1e19\ncell_volume=1e-3\nsub_volume=1.0\ndelta_pi=5e-6\n", "sub_volume"),
         (SCALING_INI.lstrip().replace("n_values = 50,100", "n_values = 0,100"), "n_values"),
         (SCALING_INI.lstrip().replace("k_values = 1,3", "k_values = -1,3"), "k_values"),
+        # Grids whose last instant overflows, or whose instants collapse onto
+        # t0 = 1e20: once exit 3 after a warning, exit 3, and a silent exit 0.
+        ("[gas-trace]\nn=10\nregion=0,0.5\ndt=1e308\nk_count=10\n", "dt"),
+        ("[gas-trace]\nn=10\nregion=0,0.5\nt0=1e20\ndt=1\nk_count=3\n", "dt"),
+        (SCALING_INI.lstrip().replace("dt = 5.0", "t0 = 1e20\ndt = 1"), "dt"),
     ],
 )
 def test_cross_field_checks(tmp_path, capsys, section, key):
@@ -629,8 +634,8 @@ def _gas_scaling_library(p):
     initial = InitialMeasureSpec(UniformPositions(TorusRegion.interval(0.0, 1.0)),
                                  thermal_momenta(1.0, 1))
     grid = TimeGrid(p["t0"], p["dt"], max(p["k_values"]))
-    ScalingExperimentSpec(p["n_values"], p["k_values"], p["histories"], p["epsilon"],
-                          grid, _HALF, initial, 0)
+    run_gas_scaling(ScalingExperimentSpec(p["n_values"], p["k_values"], p["histories"],
+                                          p["epsilon"], grid, _HALF, initial, 0))
 
 
 def _gas_reverse_library(p):
@@ -679,7 +684,10 @@ _PARITY = {
         "region = 0,0.5\n", {"n": 20, "t0": 0.0, "dt": 0.5, "k_count": 3, "sigma": 1.0},
         _gas_trace_library,
         # k_count = 1e300 is past the grid's 2^53 limit; the CLI parses it as an int.
-        {"n": [1, 0, -3], "t0": [2.5, -0.5], "dt": [1e-3, 0.0, -1.0],
+        # dt = 1e308 overflows the last instant, and dt = 1 at t0 = 1e20 adds
+        # nothing to t0, so the instants would collapse onto one.
+        {"n": [1, 0, -3], "t0": [2.5, -0.5],
+         "dt": [1e-3, 0.0, -1.0, 1e308, (1.0, {"t0": 1e20})],
          "k_count": [1, 0, int(1e300)], "sigma": [1e-3, 0.0, -1.0]},
     ),
     "gas-mean": (
@@ -698,7 +706,7 @@ _PARITY = {
         {"n_values": [(20,), (0, 40), (40, 20), (20, 20)],
          "k_values": [(1,), (0,), (-1, 2), (2, 1), (int(1e300),)], "histories": [1, 0],
          "epsilon": [0.999, 1.0, 1.5, 0.0, -0.1], "t0": [1.0, -1.0],
-         "dt": [1.0, 0.0, -5.0]},
+         "dt": [1.0, 0.0, -5.0, (1.0, {"t0": 1e20})]},
     ),
     "gas-reverse": (
         "region = 0,0.5\n", {"n": 20, "reverse_time": 1.0, "dt": 0.5}, _gas_reverse_library,

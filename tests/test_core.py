@@ -162,6 +162,9 @@ def test_microstate_rejects_invalid_input(x, p):
 def test_time_grid_excludes_t0_and_spaces_evenly():
     grid = TimeGrid(t0=2.0, dt=0.5, k_count=4)
     assert np.allclose(grid.times, [2.5, 3.0, 3.5, 4.0])
+    # At the edges of the overflow and spacing refusals.
+    assert TimeGrid(0.0, 1e308, 1).times.tolist() == [1e308]
+    assert TimeGrid(1e20, 16384.0, 2).times.tolist() == [1e20 + 16384.0, 1e20 + 32768.0]
 
 
 @pytest.mark.parametrize("t0,dt,k", [(-1.0, 1.0, 1), (0.0, 0.0, 1), (0.0, 1.0, 0)])
@@ -198,11 +201,12 @@ def test_time_grid_k_count_stops_where_float_k_stops_being_exact():
     # Past 2^53 neighbouring k round to one float; 1e300 once reached np.arange.
     assert float(2**53 + 1) == float(2**53)
     assert TimeGrid(0.0, 1.0, 2**53).k_count == 2**53
-    for k in (2**53 + 1, int(1e300)):
+    # A refused value of more than 17 digits is shown in .6e form.
+    for k, shown in ((2**53 + 1, "9007199254740993"), (int(1e300), "1.000000e+300")):
         with pytest.raises(ParameterError) as info:
             TimeGrid(0.0, 1.0, k)
         assert info.value.name == "k_count"
-        assert info.value.rule == f"must lie in [1, {2**53}], got {k}"
+        assert info.value.rule == f"must lie in [1, {2**53}], got {shown}"
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +382,16 @@ def test_write_csv_failure_leaves_no_partial_file(tmp_path):
         (lambda: as_real(math.inf, "dt", 0, open_lo=True, finite=True),
          "dt", "must be finite and > 0, got inf"),
         (lambda: TimeGrid(0.0, -1.0, 3), "dt", "must be finite and > 0, got -1.0"),
+        # Past 17 digits a refused int is shown in .6e form.
+        (lambda: as_int(10**17 - 1, "k", hi=10), "k", "must lie in [0, 10], got 99999999999999999"),
+        (lambda: as_int(10**17, "k", hi=10), "k", "must lie in [0, 10], got 1.000000e+17"),
+        (lambda: as_int(-(10**17), "k"), "k", "must lie in [0, inf], got -1.000000e+17"),
+        (lambda: as_int(10**400, "k", hi=10), "k", "must lie in [0, 10], got 1.000000e+400"),
+        # 3 * 1e308 overflows; at t0 = 1e20 the float spacing is 16384, so dt = 1
+        # adds nothing to t0 and the instants collapse.
+        (lambda: TimeGrid(0.0, 1e308, 3), "dt", "must keep t0 + k_count * dt finite, got 1e+308"),
+        (lambda: TimeGrid(1e20, 1.0, 3).times, "dt",
+         "must make t0 + k * dt strictly increasing at t0 = 1e+20, got 1.0"),
     ],
 )
 def test_range_failures_raise_parameter_error(call, name, rule):

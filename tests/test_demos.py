@@ -2,12 +2,13 @@
 
 Each demo and each fenced ``python`` block of ``README.md`` runs in its own
 interpreter, as a reader would start it, with the package source on
-``PYTHONPATH``.  ``deviation_scaling.py`` takes about 15 s
-and is left to the acceptance-scale runs; the other five take about 3 s
-together.
+``PYTHONPATH``.  ``deviation_scaling.py`` takes about 15 s at its default
+size, so it is loaded by path and run in process at 200 histories instead;
+the other five take about 3 s together.
 """
 from __future__ import annotations
 
+import importlib.util
 import os
 import re
 import subprocess
@@ -52,3 +53,17 @@ def test_readme_python_blocks_run(tmp_path):
         proc = _run_python(["-c", block], tmp_path)
         assert proc.returncode == 0, f"{block}\n{proc.stderr}"
         assert proc.stdout.strip()
+
+
+def test_deviation_scaling_demo_prints_every_row_within_the_bound(capsys):
+    path = ROOT / "demos" / "deviation_scaling.py"
+    spec = importlib.util.spec_from_file_location("deviation_scaling", path)
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    demo.scaling_experiment(histories=200)
+    rows = re.findall(r"^ *(\d+) +(\d+) +\d+ +\S+ +\S+ +(\S+)$",
+                      capsys.readouterr().out, flags=re.M)
+    assert [(int(n), int(k)) for n, k, _ in rows] == [
+        (n, k) for n in (250, 500, 1000, 2000) for k in (1, 5, 25)
+    ]
+    assert {flag for _, _, flag in rows} == {"yes"}

@@ -1,4 +1,4 @@
-"""Ensemble drivers: statistics, fits, and scheduling-independent output."""
+"""Ensemble drivers: statistics and scheduling-independent output."""
 from __future__ import annotations
 
 import dataclasses
@@ -14,7 +14,6 @@ from equilab import ensemble, gas
 from equilab.core import ParameterError, RngStream, TimeGrid, TorusRegion, fractional_part
 from equilab.ensemble import (
     ScalingExperimentSpec,
-    fit_exponential,
     run_fluctuation_trace,
     run_gas_scaling,
     run_kac_ensemble,
@@ -170,12 +169,9 @@ def test_scaling_spec_stores_numpy_integers_as_ints():
 
 
 def test_scaling_epsilon_above_range_gives_zero_deviations():
-    # |f - 0.5| can never exceed 0.6, so the counter must stay at zero and
-    # the fit is skipped with a warning.
-    with pytest.warns(UserWarning):
-        res = run_gas_scaling(_small_spec(0.6, histories=300))
+    # |f - 0.5| can never exceed 0.6, so the counter must stay at zero.
+    res = run_gas_scaling(_small_spec(0.6, histories=300))
     assert np.all(res.deviations == 0)
-    assert res.fit is None
 
 
 def test_scaling_counts_are_monotone_in_k():
@@ -318,7 +314,6 @@ def test_scaling_counts_no_grid_time_past_the_largest_k(monkeypatch):
     cut = run(5)
     for field in ("deviations", "p_hat", "p_hat_over_k", "stderr"):
         assert getattr(long, field).tolist() == getattr(cut, field).tolist()
-    assert long.fit == cut.fit
 
 
 class _FoldingMomenta:
@@ -500,8 +495,7 @@ def test_scaling_folds_a_wrap_onto_one_back_to_zero():
     )
     state = sample_microstate(spec.initial, 1, 1, RngStream(0, 0))
     assert fraction_in(state, 1.0, spec.region) == 1.0
-    with pytest.warns(UserWarning):
-        res = run_gas_scaling(spec)
+    res = run_gas_scaling(spec)
     assert res.deviations[0, 0] == 0
 
 
@@ -551,42 +545,6 @@ def test_one_pool_per_run_never_larger_than_the_chunk_count(monkeypatch):
     # Two n values of two gas chunks each share one pool of four.
     run_gas_scaling(_small_spec(0.04, histories=300), workers=8)
     assert _RecordingPool.sizes == [3, 4]
-
-
-def test_fit_exponential_recovers_exact_parameters():
-    eps = 0.05
-    ns = [1000, 2000, 4000, 8000]
-    points = [(n, 0.2 * math.exp(-2.0 * eps**2 * n)) for n in ns]
-    fit = fit_exponential(points, eps)
-    assert fit.a == pytest.approx(0.2, abs=1e-10)
-    assert fit.b == pytest.approx(2.0, abs=1e-10)
-
-
-def test_fit_exponential_drops_zero_rates_with_warning():
-    eps = 0.05
-    points = [(1000, 0.1), (2000, 0.05), (4000, 0.0)]
-    with pytest.warns(UserWarning):
-        fit = fit_exponential(points, eps)
-    assert fit.b > 0
-
-
-def test_fit_exponential_needs_two_points():
-    with pytest.raises(ValueError):
-        fit_exponential([(1000, 0.5)], 0.05)
-    with pytest.raises(ValueError):
-        with pytest.warns(UserWarning):
-            fit_exponential([(1000, 0.5), (2000, 0.0)], 0.05)
-
-
-def test_fit_exponential_rejects_nan_epsilon():
-    # A NaN epsilon used to reach np.polyfit and fail there as LinAlgError.
-    with pytest.raises(ValueError, match="epsilon must be > 0"):
-        fit_exponential([(10, 0.1), (20, 0.01)], math.nan)
-
-
-def test_fit_exponential_refuses_a_nan_rate():
-    with pytest.raises(ValueError, match="^p must be >= 0, got nan$"):
-        fit_exponential([(100, math.nan), (200, 0.1), (300, 0.01)], 0.1)
 
 
 # ---------------------------------------------------------------------------
