@@ -227,7 +227,15 @@ def _series_1d(desc, a, b, momentum, ts: np.ndarray, tail_tol) -> np.ndarray:
         group, going = (_BLOCK + 2) // ells.size, []
         for i in range(0, running.size, group):
             rows = running[i : i + group]
-            phi = _momentum_char(momentum, (u * ts[rows, None]).ravel()).reshape(rows.size, -1)
+            # Past float range u t is inf, where phi is 0: its limit for both
+            # laws, which are absolutely continuous (Riemann-Lebesgue).
+            with np.errstate(over="ignore"):
+                ut = (u * ts[rows, None]).ravel()
+            far = ~np.isfinite(ut)
+            ut[far] = 0.0
+            phi = _momentum_char(momentum, ut)
+            phi[far] = 0.0
+            phi = phi.reshape(rows.size, -1)
             terms = 2.0 * np.real(coef * phi)
             small = hard * np.abs(phi) < tail_tol
             stops = (small[:, :-2] & small[:, 1:-1] & small[:, 2:]) | env_stop

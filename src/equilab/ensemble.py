@@ -14,8 +14,10 @@ determinism checks pin down.  A gas chunk samples and counts one
 cache-sized tile of about ``_GAS_TILE`` coordinates at a time.  A ring
 chunk draws its markers by the draw rule that :mod:`equilab.kac` owns (raw
 Philox words at most ``kac.marker_limit(mu)``, the verdicts of
-``random() < mu``) and steps them bit-packed in cache-sized tiles of about
-``_RING_TILE`` sites.  Neither tile size changes any byte.
+``random() < mu``) straight into the rows of one ``kac.RingStepper`` and
+steps them bit-packed in cache-sized tiles of about ``_RING_TILE`` sites.
+Both chunks allocate their tile buffers once and refill them tile by tile.
+Neither tile size changes any byte.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .core import (
     stream_generators, write_csv,
 )
 from .gas import BoxCounter, ObservableSeries, trace
-from .kac import marker_limit, ring_steps
+from .kac import RingStepper, marker_limit
 from .sampler import InitialMeasureSpec, sample_microstate
 
 __all__ = [
@@ -57,9 +59,9 @@ _KAC_CHUNK = 512
 #: The chunk allocates these buffers once and refills them tile by tile:
 #: allocated per tile, they would be freed and faulted back in every time.
 _GAS_TILE = 1 << 15
-#: Sites per ring-chunk tile.  Its bool markers, their 8 bit-shifted packed
-#: copies and a block of packed states step inside a core's L2 cache; a
-#: whole 512-ring chunk at N = 4096 would stream through memory.
+#: Sites per ring-chunk tile.  Its doubled bool markers, their 8 bit-shifted
+#: packed copies and a block of packed states step inside a core's L2 cache;
+#: a whole 512-ring chunk at N = 4096 would stream through memory.
 _RING_TILE = 1 << 18
 
 
@@ -292,18 +294,19 @@ def _kac_ensemble_chunk(payload):
     All four are exact integers, so merging across chunks is exact.
 
     The chunk works on tiles of about ``_RING_TILE`` sites, whose packed,
-    shifted markers and block of states stay in cache while they step.  Each
-    row of a tile draws its markers from its own stream by the rule of
-    :func:`~equilab.kac.sample_markers`: raw Philox words at most
-    ``kac.marker_limit(mu)``.  The tile's rings step together, all white at
-    t = 0, in one call of :func:`~equilab.kac.ring_steps`, whose black counts
-    of every t are folded into the accumulators.
+    shifted markers and block of states stay in cache while they step.  One
+    :class:`~equilab.kac.RingStepper` of a tile's rows serves every tile of
+    the chunk, since buffers made per tile would be freed and faulted back
+    in on every tile.  Each ring of a tile draws its markers from its own
+    stream by the rule of :func:`~equilab.kac.sample_markers` (raw Philox
+    words at most ``kac.marker_limit(mu)``) straight into its row of the
+    stepper.  The tile's rings step together, all white at t = 0, in one
+    call of :meth:`~equilab.kac.RingStepper.steps`, whose black counts of
+    every t are folded into the accumulators.
     """
     (n, mu, t_max, epsilon, master_seed, stream_base, count, window) = payload
     width = -(-n // 8) * 8
-    rows = min(count, max(1, _RING_TILE // width))
-    marked = np.empty((rows, n), dtype=bool)
-    white = np.zeros(n, dtype=bool)
+    stepper = RingStepper(min(count, max(1, _RING_TILE // width)), n, t_max)
     limit = marker_limit(mu)
     times = np.arange(t_max + 1)
     in_window = None if window is None else (times >= window[0]) & (times <= window[1])
@@ -313,11 +316,11 @@ def _kac_ensemble_chunk(payload):
     exceed = np.zeros(t_max + 1, dtype=np.int64)
     window_count = 0
     streams = stream_generators(master_seed, stream_base, count)
-    for start in range(0, count, rows):
-        h = min(rows, count - start)
-        for row, gen in zip(marked[:h], streams):
+    for start in range(0, count, stepper.rows):
+        h = min(stepper.rows, count - start)
+        for row, gen in zip(stepper.marked[:h], streams):
             np.less_equal(gen.bit_generator.random_raw(n), limit, out=row)
-        delta = ring_steps(marked[:h], white, t_max).astype(np.int64)
+        delta = stepper.steps(h).astype(np.int64)
         delta *= -2
         delta += n
         sum_d += delta.sum(axis=1)

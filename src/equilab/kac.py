@@ -20,14 +20,17 @@ call, and its odd windows one popcount.  It shares no code with the closed
 form or the stepping kernel, so the three serve as mutual oracles.
 :func:`expected_delta_sq` gives the exact second moment E[Delta(t)^2].
 
-:func:`ring_steps` is the one stepping rule for evolving rings: it steps h
-rings in the frame that rotates with the balls (see Gottwald & Oliver, SIAM
-Rev. 51, 2009), bit-packed 8 sites per byte so that a step is one byte-wise
-XOR of a window of the markers, and returns their black counts at every t.
-Narrow rows, one ring or a few small ones, are stepped by one XOR-accumulate
-down a block of times; wider rows, such as the ensemble's tiles, are XORed
-one time step at a time.  :func:`ring_trace` and the ring ensembles each
-make one call to it.  :func:`step` and :func:`inverse_step` apply the map as
+:class:`RingStepper` is the one stepping rule for evolving rings: it steps
+h rings in the frame that rotates with the balls (see Gottwald & Oliver,
+SIAM Rev. 51, 2009), bit-packed 8 sites per byte so that a step is one
+byte-wise XOR of a window of the markers, and returns their black counts at
+every t.  Narrow rows, one ring or a few small ones, are stepped by one
+XOR-accumulate down a block of times, a row of a multiple of 256 bytes
+padded by one word; wider rows, such as the ensemble's tiles, are XORed one
+time step at a time.  A stepper allocates its marker rows, block and counts
+once and steps any number of tiles of up to its row count in them: a
+ring-ensemble chunk keeps one for all its tiles, and :func:`ring_trace` is
+a one-row stepper.  :func:`step` and :func:`inverse_step` apply the map as
 written, site by site, and stay as the independent oracle for it.
 
 This module also owns the marker-draw rule: a site is marked when its raw
@@ -48,7 +51,7 @@ __all__ = [
     "KacConfiguration",
     "step",
     "inverse_step",
-    "ring_steps",
+    "RingStepper",
     "ring_trace",
     "delta_closed_form",
     "sample_markers",
@@ -61,12 +64,12 @@ __all__ = [
 ]
 
 _last_ring = None  # (dtype, bytes, N, P bits, 2^N - 1, P_N) of delta_closed_form's last ring
-#: Bytes of packed states per block of :func:`ring_steps`.  With its shifted
+#: Bytes of packed states per block of :class:`RingStepper`.  With its shifted
 #: markers a block steps inside a core's L2 cache, and the block is counted
 #: in one pass; 2^18 bytes stepped as fast but raised the ring ensemble's
 #: peak RSS by about 0.5 MiB.
 _RING_BLOCK = 1 << 17
-#: Widest block row, in uint64 words, that :func:`ring_steps` fills with
+#: Widest block row, in uint64 words, that :class:`RingStepper` fills with
 #: windows and XOR-accumulates; wider rows are XORed one at a time.  Set
 #: from measurement: accumulating wins up to here, and loses from 384 words.
 _ACCUMULATE_WORDS = 256
@@ -146,108 +149,150 @@ def inverse_step(config: KacConfiguration) -> KacConfiguration:
     return KacConfiguration(config.markers, new_colors, config.time - 1)
 
 
-def ring_steps(marked: np.ndarray, black: np.ndarray, t_max: int) -> np.ndarray:
-    """Black counts of h rings stepped bit-packed, as a (t_max + 1, h) uint32 array.
+class RingStepper:
+    """Steps up to ``rows`` rings of N sites bit-packed, reusing its buffers.
 
-    ``marked`` is an (h, N) bool array, one ring per row; ``black``, the bool
-    start colors, broadcasts against it.  Row t holds each ring's black count
-    after t steps, so Delta = N - 2 * counts.  Works in the frame that
-    rotates with the balls: the ball that starts at site k sits at site k + t
-    after t steps with color
+    Callers write each ring's markers, True = marked, into a row of
+    :attr:`marked`, an (rows, N) bool array, and :meth:`steps` steps the
+    first h rows from t = 0 to ``t_max`` and returns their black counts.
+    The stepper allocates its marker rows, its block of packed states and
+    its counts once, so a caller that steps many tiles of rings, as the
+    ring ensemble does, keeps one stepper for all of them: buffers made per
+    tile would be freed and faulted back in on every tile.  A call makes
+    only the shifted marker copies, by one ``packbits``, and small arrays.
+
+    It works in the frame that rotates with the balls: the ball that starts
+    at site k sits at site k + t after t steps with color
 
         eta_{k+t}(t) = eta_k(0) * prod_{j=0..t-1} xi_{k+j}        (indices mod N),
 
     so step t flips exactly the balls with site k + t - 1 marked: the state,
     indexed by the start site k, is XORed with the length-N window of the
-    doubled marked array that starts at s = (t - 1) mod N.
+    doubled marked array that starts at s = (t - 1) mod N.  The marker rows
+    are the doubled rows' first N columns; each call copies their wrap.
 
     Sites are packed 8 per byte, site k in bit k % 8 of byte k // 8, in rows
-    of W bytes, ceil(N/8) rounded up to whole uint64 words.  The doubled
-    marked array is packed once, in 8 copies shifted by 0..7 bits, so the
-    window at s is the W whole bytes from byte s >> 3 of copy s & 7.  One
-    strided view of the copies holds a window at every byte offset, and
-    ``at[t] = (s & 7) * stride + (s >> 3)``, with ``stride`` the bytes of one
-    copy, is the offset of step t's window in it.  The states are stepped in
-    blocks of about ``_RING_BLOCK`` bytes, one row per time, row 0 its
-    window XOR the previous block's last state, in one of two ways chosen by
-    the row width:
+    of W bytes, ceil(N/8) rounded up to whole uint64 words.  Each doubled
+    marked row is packed once per call, in 8 copies of L bytes shifted by
+    0..7 bits and laid out ring by ring, so the window at s is the W whole
+    bytes from byte s >> 3 of copy s & 7.  One strided view of the copies
+    holds a window at every byte offset, and ``at[t] = (s & 7) * L +
+    (s >> 3)``, the same for every h, is the offset of step t's window in
+    it.  The states are stepped in blocks of about ``_RING_BLOCK`` bytes,
+    one row per time, row 0 its window XOR the previous block's last state,
+    in one of two ways chosen by the width of a row of h rings:
 
     - a row of up to ``_ACCUMULATE_WORDS`` uint64 words (one ring, or a few
       small ones) is filled with its window, the rest of the block by one
       gather of the windows at ``at``, and the block is XOR-accumulated down
-      its rows;
+      its rows.  A block row of a multiple of 32 words is padded by one
+      word, which the popcount skips: to t = 2N one ring then steps 1.1 to
+      1.4 times as fast at N = 2048 to 16384, while at other widths (N = 64
+      to 1024, 1536, 3000, 3072) a pad gains nothing and costs up to 12 %.
+      Such rows are a multiple of 256 bytes, so rows 16 apart sit a
+      multiple of 4 KiB apart, the likely cause: a load that aliases a
+      pending store's 4-KiB offset waits for it;
     - a wider row, such as a 64-ring tile of the ring ensemble, is the
       previous row XOR its window, one row at a time.  The accumulate walks
       the block column by column, which pays while a column's rows stay in
       cache: to t = 2N it is 1.3 to 1.9 times as fast for one ring of 160 to
-      240 words and for 2 to 16 rings in rows of 256, 4 % slower for one
-      ring of 256 words (2 KiB rows, which share cache sets), and slower from
-      384 words on: 2 times at 512, 2.7 times on the 4096-word ensemble tile.
+      240 words and for 2 to 16 rings in rows of 256, and slower from 384
+      words on: 2 times at 512, 2.7 times on the 4096-word ensemble tile.
 
     The bits a window carries past site N - 1 only reach the same bits of
     later rows, and are cleared once per block before it is counted.
     """
-    h, n = marked.shape
-    words = -(-n // 64)
-    width = 8 * words
-    # Windows start at s <= last and span the full row width, so each copy
-    # needs ``span`` whole uint64 words, and the doubled array 7 more bits
-    # for the copies shifted past its start.  Its bits past 2N only reach
-    # the cleared tail.
-    last = max(min(t_max, n) - 1, 0)
-    span = -(-(last >> 3) // 8) + words
-    doubled = np.zeros((h, 64 * span + 8), dtype=bool)
-    doubled[:, :n] = marked
-    wrap = min(n, doubled.shape[1] - n)
-    doubled[:, n : n + wrap] = marked[:, :wrap]
-    # Copy c packs the doubled array from bit c on: all 8 in one packbits.
-    shifted = np.packbits(
-        np.ndarray((8, h, 64 * span), bool, doubled, 0, (1, doubled.strides[0], 1)),
-        axis=-1, bitorder="little",
-    )
-    # Freed before the block is made: a lower peak, and on the ensemble's
-    # tiles fewer heap pages that glibc trims and faults in again per call.
-    del doubled
-    # windows[at[t]] is the (h, W) window that step t XORs into the state.
-    stride, ring = shifted.strides[:2]
-    windows = np.ndarray((shifted.size - (h - 1) * ring - width + 1, h, width), np.uint8,
-                         shifted, 0, (1, ring, 1))
-    s = np.arange(-1, t_max) % n
-    at = (s & 7) * stride + (s >> 3)
-    rows = max(1, min(t_max + 1, _RING_BLOCK // (h * width)))
-    block = np.zeros((rows, h, width), dtype=np.uint8)
-    as_words = block.view(np.uint64)
-    counts = np.empty((t_max + 1, h), dtype=np.uint32)
-    top_mask = (1 << (n % 64)) - 1 if n % 64 else None
-    block[0, :, : -(-n // 8)] = np.packbits(black, axis=-1, bitorder="little")
-    narrow = h * words <= _ACCUMULATE_WORDS
-    flat = as_words.reshape(rows, h * words)
-    xor = np.bitwise_xor
-    for t in range(0, t_max + 1, rows):
-        b = min(rows, t_max + 1 - t)
-        if t:
-            xor(block[-1], windows[at[t]], out=block[0])
-        if narrow:
-            block[1:b] = windows[at[t + 1 : t + b]]
-            xor.accumulate(flat[:b], axis=0, out=flat[:b])
+
+    def __init__(self, rows: int, n: int, t_max: int):
+        self.rows = as_int(rows, "rows", 1)
+        self.n = n = as_int(n, "n", 1)
+        self.t_max = t_max = as_int(t_max, "t_max")
+        self._words = words = -(-n // 64)
+        # Windows start at s <= last and span the full row width, so each copy
+        # needs ``span`` whole uint64 words, and the doubled rows 7 more bits
+        # for the copies shifted past their start.  Their bits past 2N only
+        # reach the cleared tail.
+        last = max(min(t_max, n) - 1, 0)
+        span = -(-(last >> 3) // 8) + words
+        self._doubled = np.zeros((self.rows, 64 * span + 8), dtype=bool)
+        #: The (rows, N) marker rows, True = marked, that callers write.
+        self.marked = self._doubled[:, :n]
+        # s = (t - 1) mod N for t = 0..t_max: one period, N - 1, 0, .., N - 2,
+        # repeated, which costs less than an integer remainder.
+        s = np.arange(-1, min(t_max, n - 1))
+        s[0] = n - 1
+        s = np.resize(s, t_max + 1)
+        self._at = (s & 7) * (8 * span) + (s >> 3)
+        # The largest block that any h <= rows asks for, padded or not.
+        row = self.rows * words + 1
+        self._block = np.zeros(max(row, min((t_max + 1) * row, _RING_BLOCK // 8)), np.uint64)
+        self._counts = np.empty((t_max + 1) * self.rows, dtype=np.uint32)
+        self._top_mask = (1 << (n % 64)) - 1 if n % 64 else None
+
+    def steps(self, h: int, black=None) -> np.ndarray:
+        """Black counts of the first h rings, as a (t_max + 1, h) uint32 array.
+
+        ``black``, the bool start colors, broadcasts against the (h, N) rings;
+        None starts them all white.  Row t holds each ring's black count
+        after t steps, so Delta = N - 2 * counts.  The result is a view of
+        the stepper's own buffer, which the next call overwrites.
+        """
+        h = as_int(h, "h", 1, self.rows)
+        n, t_max, words, at = self.n, self.t_max, self._words, self._at
+        width = 8 * words
+        doubled = self._doubled[:h]
+        length = doubled.shape[1]
+        wrap = min(n, length - n)
+        doubled[:, n : n + wrap] = doubled[:, :wrap]
+        # Copy c packs a doubled row from bit c on: all 8h in one packbits.
+        shifted = np.packbits(np.ndarray((h, 8, length - 8), bool, doubled, 0, (length, 1, 1)),
+                              axis=-1, bitorder="little")
+        # windows[at[t]] is the (h, W) window that step t XORs into the state.
+        ring = shifted.strides[0]
+        windows = np.ndarray((shifted.size - (h - 1) * ring - width + 1, h, width), np.uint8,
+                             shifted, 0, (1, ring, 1))
+        narrow = h * words <= _ACCUMULATE_WORDS
+        # An accumulated block row of a multiple of 32 words gets one pad
+        # word (see the class docstring).
+        row = h * words + (narrow and h * words % 32 == 0)
+        rows = max(1, min(t_max + 1, _RING_BLOCK // (8 * row)))
+        flat = self._block[: rows * row].reshape(rows, row)
+        as_words = flat[:, : h * words].reshape(rows, h, words)
+        block = as_words.view(np.uint8)
+        counts = self._counts[: (t_max + 1) * h].reshape(t_max + 1, h)
+        # Bytes of row 0 past ceil(N/8) hold only sites past N - 1, which the
+        # counts never see, so a start of given colors need not clear them.
+        if black is None:
+            block[0] = 0
         else:
-            for r in range(1, b):
-                xor(block[r - 1], windows[at[t + r]], out=block[r])
-        if top_mask is not None:
-            as_words[:b, :, -1] &= top_mask
-        np.add.reduce(np.bitwise_count(as_words[:b]), axis=-1, dtype=np.uint32,
-                      out=counts[t : t + b])
-    return counts
+            block[0, :, : -(-n // 8)] = np.packbits(black, axis=-1, bitorder="little")
+        xor = np.bitwise_xor
+        for t in range(0, t_max + 1, rows):
+            b = min(rows, t_max + 1 - t)
+            if t:
+                xor(block[-1], windows[at[t]], out=block[0])
+            if narrow:
+                block[1:b] = windows[at[t + 1 : t + b]]
+                xor.accumulate(flat[:b], axis=0, out=flat[:b])
+            else:
+                for r in range(1, b):
+                    xor(block[r - 1], windows[at[t + r]], out=block[r])
+            if self._top_mask is not None:
+                as_words[:b, :, words - 1] &= self._top_mask
+            np.add.reduce(np.bitwise_count(as_words[:b]), axis=-1, dtype=np.uint32,
+                          out=counts[t : t + b])
+        return counts
 
 
 def ring_trace(config: KacConfiguration, t_max: int) -> np.ndarray:
     """Delta(t) for t = 0..t_max by iterating the map from ``config``.
 
-    Runs the one ring through :func:`ring_steps` and takes N - 2 * its black
-    counts.
+    Steps the one ring with a one-row :class:`RingStepper` and takes N - 2 *
+    its black counts.
     """
-    t_max = as_int(t_max, "t_max")
-    black = ring_steps(config.markers[None] < 0, config.colors[None] < 0, t_max)[:, 0]
+    stepper = RingStepper(1, config.n_sites, t_max)
+    np.less(config.markers, 0, out=stepper.marked[0])
+    black = stepper.steps(1, config.colors < 0)[:, 0]
     # In int64: N minus a uint32 array would stay uint32 and wrap.
     return config.n_sites - 2 * black.astype(np.int64)
 
@@ -412,7 +457,7 @@ def _enumerated_deltas(n: int, t: int, codes: np.ndarray) -> np.ndarray:
     :func:`_window_parities`, the tables :func:`brute_force_expectation`
     sums over.  Past one revolution the vector is complemented for codes of
     odd marked count, which gives the sign (-1)^m.  Shares no code with
-    :func:`delta_closed_form` or :func:`ring_steps`.
+    :func:`delta_closed_form` or :class:`RingStepper`.
     """
     low, high = _window_parities(n, t)
     vectors = low[codes & (low.size - 1)] ^ high[codes >> _CHUNK_BITS]

@@ -4,6 +4,9 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import re
+import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -547,6 +550,29 @@ def test_gas_mean_with_fit(tmp_path):
     assert len(lines) == 5
 
 
+@pytest.mark.parametrize(
+    "momentum",
+    [[], ["--momentum", "tabulated", "--momentum-grid=-1,0,1", "--momentum-density", "0,1,0"]],
+    ids=["gaussian", "tabulated"],
+)
+def test_gas_mean_past_float_range_is_the_measure(tmp_path, momentum):
+    # At t = 1e308 every 2 pi l t overflows to inf; phi is 0 there, so the
+    # mean is |I|, with no warning and a summary that is valid JSON.
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["gas-mean", "--region", "0,0.5", "--t-values", "1e308", *momentum,
+                     "--out", str(out)])
+    assert code == 0
+    assert (out / "gas_mean.csv").read_text().splitlines() == ["t,mean", "1e+308,0.5"]
+
+    def refuse(name):
+        raise ValueError(f"summary holds {name}")
+
+    text = (out / "gas_mean_summary.json").read_text()
+    assert json.loads(text, parse_constant=refuse)["results"]["max_abs_deviation"] == 0.0
+
+
 def test_gas_mean_failing_fit_writes_no_csv(tmp_path, capsys):
     # One positive time is too few to fit; the run must fail before its CSV
     # replaces an earlier run's, and must not create a missing directory.
@@ -761,8 +787,13 @@ def _with_others(case) -> tuple:
     return case if isinstance(case, tuple) and isinstance(case[-1], dict) else (case, {})
 
 
+def _case_id(case) -> str:
+    """repr of a case, with an int of more than 17 digits in .6e form, as as_int shows it."""
+    return re.sub(r"\d{18,}", lambda m: format(Decimal(m[0]), ".6e"), repr(case))
+
+
 _PARITY_CASES = [
-    pytest.param(command, key, *_with_others(case), id=f"{command}-{key}={case!r}")
+    pytest.param(command, key, *_with_others(case), id=f"{command}-{key}={_case_id(case)}")
     for command, (_, _, _, keys) in _PARITY.items()
     for key, cases in keys.items()
     for case in cases

@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from equilab import ensemble, gas
+from equilab import ensemble, gas, kac
 from equilab.core import ParameterError, RngStream, TimeGrid, TorusRegion, fractional_part
 from equilab.ensemble import (
     ScalingExperimentSpec,
@@ -23,10 +23,10 @@ from equilab.ensemble import (
 from equilab.gas import fraction_in, trace
 from equilab.kac import (
     KacConfiguration,
+    RingStepper,
     brute_force_expectation,
     expected_delta_bar,
     expected_delta_sq,
-    ring_steps,
     ring_trace,
     sample_markers,
 )
@@ -699,6 +699,33 @@ def test_kac_chunk_spans_many_tiles(monkeypatch, n: int, short: int):
     assert _chunk_sums(*payload) == _ring_trace_sums(*payload)
 
 
+def test_kac_chunk_steps_its_tiles_in_one_stepper(monkeypatch):
+    # Criterion 8's shape: 512 rings at N = 4096 in 8 tiles of 64.  The
+    # markers are drawn straight into one stepper's rows, so the chunk holds
+    # no second (rings, N) marker array, and its traced peak stays at or
+    # below the 808.6 KiB it had with a marker tile of its own.
+    built = []
+
+    class _RecordingStepper(RingStepper):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(ensemble, "RingStepper", _RecordingStepper)
+    window = kac.ring_bound_schedule(0.15, 0.5, 0.3).window(4096)
+    payload = (4096, 0.3, 32, 0.15, 0, 0, 512, window)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sum_d = ensemble._kac_ensemble_chunk(payload)[0]
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert sum_d[0] == 512 * 4096
+    assert peak <= 808.6 * 1024, f"peak {peak / 1024:.1f} KiB"
+    assert built == [(64, 4096, 32)]
+
+
 @pytest.mark.parametrize(
     "window",
     [(2.5, 7.5), (-3.0, 4.0), (-math.inf, 0.0), (6.0, math.inf), (-math.inf, math.inf),
@@ -818,11 +845,12 @@ def test_kac_chunk_markers_equal_sample_markers(monkeypatch, mu: float):
     n, seed, base, count = 13, 53, 4, 6
     seen = []
 
-    def recording(marked, black, t_max):
-        seen.extend(marked.tolist())
-        return ring_steps(marked, black, t_max)
+    class _RecordingStepper(RingStepper):
+        def steps(self, h, black=None):
+            seen.extend(self.marked[:h].tolist())
+            return super().steps(h, black)
 
-    monkeypatch.setattr(ensemble, "ring_steps", recording)
+    monkeypatch.setattr(ensemble, "RingStepper", _RecordingStepper)
     monkeypatch.setattr(ensemble, "_RING_TILE", 3 * 16)
     ensemble._kac_ensemble_chunk((n, mu, 4, 0.5, seed, base, count, None))
     want = [(sample_markers(n, mu, RngStream(seed, base + i)) < 0).tolist()

@@ -17,8 +17,8 @@ from equilab.kac import (
     expected_delta_bar,
     expected_delta_sq,
     inverse_step,
+    RingStepper,
     ring_bound_schedule,
-    ring_steps,
     ring_trace,
     sample_markers,
     step,
@@ -180,23 +180,27 @@ def test_ring_trace_from_random_colors_matches_step(n: int):
 
 
 # _ACCUMULATE_WORDS values that send every block down one path of
-# ring_steps: XOR-accumulated, then stepped one row at a time.
+# RingStepper: XOR-accumulated, then stepped one row at a time.
 _BLOCK_PATHS = (1 << 30, 0)
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 63, 64, 65])
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 13, 63, 64, 65, 100, 257])
 def test_ring_steps_batch_from_random_colors_matches_step(monkeypatch, n: int):
-    # An (h, N) block of rings with random start colors: row t of the
-    # counts must hold each ring's black sites after t applications of step.
-    # t_max = 3N takes the marker window past one period (t_max < 8 at
-    # N <= 2), N around multiples of 8 covers the byte tail, whose dirty
-    # bits the counts would pick up, and blocks of at most 7 or 29 times
-    # make the rings cross many blocks, with s wrapping at N inside them;
-    # 29 rows fill several rows of one residue of s mod 8.
-    h = 5
+    # A tile of 32 rings with random start colors, then a shorter last tile
+    # of 2 other rings through the same stepper: row t of the counts must
+    # hold each ring's black sites after t applications of step.  t_max runs
+    # 0, below N, 2N and 3N, past one period (t_max < 8 at N <= 2); N around
+    # and between multiples of 8 and 64 covers the byte and word tails,
+    # whose dirty bits the counts would pick up; and blocks of at most 7 or
+    # 29 times make the rings cross many blocks, with s wrapping at N inside
+    # them.  The full tile's rows are a multiple of 32 words, so the
+    # accumulate pads them, and the short tile's are not.  The short tile
+    # must get exactly what a fresh stepper gives it, whatever the full tile
+    # left in the buffers.
+    h = 32
     gen = RngStream(n, 2).generator()
-    markers = np.stack([_random_markers(n, 100 * n + r) for r in range(h)])
-    colors = np.where(gen.random((h, n)) < 0.5, np.int8(1), np.int8(-1))
+    markers = np.stack([_random_markers(n, 100 * n + r) for r in range(h + 2)])
+    colors = np.where(gen.random((h + 2, n)) < 0.5, np.int8(1), np.int8(-1))
 
     def black_by_step(start_colors):
         configs = [KacConfiguration(m, c) for m, c in zip(markers, start_colors)]
@@ -206,26 +210,39 @@ def test_ring_steps_batch_from_random_colors_matches_step(monkeypatch, n: int):
             configs = [step(c) for c in configs]
         return counts
 
+    def stepped(stepper, rings, black):
+        stepper.marked[: len(rings)] = markers[rings] < 0
+        counts = stepper.steps(len(rings), black)
+        assert counts.shape == (stepper.t_max + 1, len(rings)) and counts.dtype == np.uint32
+        return counts.tolist()
+
+    full, short = list(range(h)), [h, h + 1]
     want = black_by_step(colors)
-    want_alike = black_by_step([colors[0]] * h)  # a 1-d black starts every ring alike
+    want_alike = black_by_step([colors[0]] * (h + 2))  # a 1-d black starts every ring alike
     for accumulate in _BLOCK_PATHS:
         monkeypatch.setattr(kac, "_ACCUMULATE_WORDS", accumulate)
         for rows in (7, 29):
             monkeypatch.setattr(kac, "_RING_BLOCK", rows * h * 8)
-            counts = ring_steps(markers < 0, colors < 0, 3 * n)
-            assert counts.shape == (3 * n + 1, h) and counts.dtype == np.uint32
-            assert counts.tolist() == want, (accumulate, rows)
-            assert ring_steps(markers < 0, colors[0] < 0, 3 * n).tolist() == want_alike
-            assert ring_steps(markers < 0, colors < 0, 0).tolist() == want[:1]
+            for t_max in (0, n // 2, 2 * n, 3 * n):
+                cut = [row[:h] for row in want[: t_max + 1]], [row[h:] for row in want[: t_max + 1]]
+                stepper = RingStepper(h, n, t_max)
+                with pytest.raises(ValueError, match=r"^h must lie in \[1, 32\], got 33$"):
+                    stepper.steps(h + 1)
+                assert stepped(stepper, full, colors[:h] < 0) == cut[0], (accumulate, rows)
+                got = stepped(stepper, short, colors[h:] < 0)
+                assert got == cut[1] == stepped(RingStepper(h, n, t_max), short, colors[h:] < 0)
+                alike = stepped(stepper, full, colors[0] < 0)
+                assert alike == [row[:h] for row in want_alike[: t_max + 1]]
 
 
 @pytest.mark.parametrize("block", [8, 24, 56, 296])
 @pytest.mark.parametrize("n", [*range(1, 10), 63, 64, 65])
 def test_ring_trace_blocks_split_mid_trace_and_across_the_wrap(monkeypatch, n: int, block: int):
-    # Blocks of 1, 3, 7 or 37 rows (1, 1, 3 or 18 at N = 65, where a row is
-    # two words) end mid-trace and at every phase of the window start s,
-    # which wraps at N, and t_max = 3N + 1 runs past the period 2N.  Each
-    # block path steps the same ring.
+    # Blocks of 1, 3, 7 or 37 one-word rows (fewer where a row is wider: two
+    # words at N = 65, one more where the accumulate pads it) end mid-trace
+    # and at every phase of the window start s, which wraps at N, and
+    # t_max = 3N + 1 runs past the period 2N.  Each block path steps the
+    # same ring.
     monkeypatch.setattr(kac, "_RING_BLOCK", block)
     markers = _random_markers(n, 7 * n)
     gen = RngStream(n, 3).generator()
@@ -299,7 +316,9 @@ def test_reflection_on_ring_steps_and_closed_form(n: int, mu: float):
     marked = np.random.default_rng(n + int(10 * mu)).random((16, n)) < mu
     m = np.count_nonzero(marked, axis=1)
     assert {0, 1} <= set((m % 2).tolist())
-    stepped = n - 2 * ring_steps(marked, np.zeros(n, dtype=bool), 2 * n).astype(np.int64)
+    stepper = RingStepper(16, n, 2 * n)
+    stepper.marked[:] = marked
+    stepped = n - 2 * stepper.steps(16).astype(np.int64)
     _assert_reflection(stepped, m)
     closed = np.array(
         [[delta_closed_form(1 - 2 * row.astype(np.int8), t) for row in marked[:4]]
