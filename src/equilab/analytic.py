@@ -438,7 +438,10 @@ def markov_bound(epsilon: float, n: int) -> LogProbability:
     """
     as_real(epsilon, "epsilon", 0, open_lo=True)
     as_real(n, "n", 1)
-    return LogProbability.from_log(math.log(4.0) - math.log(epsilon**2 * n))
+    scale = epsilon**2 * n
+    if scale == 0.0:  # eps^2 n underflows; its log does not
+        return LogProbability.from_log(math.log(4.0) - 2.0 * math.log(epsilon) - math.log(n))
+    return LogProbability.from_log(math.log(4.0) - math.log(scale))
 
 
 # ---------------------------------------------------------------------------

@@ -10,16 +10,18 @@ leaves no half-written output.
 
 The command line checks syntax and key combinations only; every rule on a
 value belongs to the library.  Parsing turns each key's text into an int,
-float, list, region, bool, choice or string, and applies the rules about
-keys alone: unknown, missing and unparsable keys, keys that go together or
-exclude each other, and ``seed`` >= 0 and ``workers`` >= 1, one line each.
-The run then passes the values to the library, which owns every domain and
-every rule between values (epsilon in (0, 1), t <= 2N, reverse_time a
-positive multiple of dt, a ring window not ending before t_start, ...); its
-first :class:`~equilab.core.ParameterError` is reported under the key that
-fed it.  A command computes all of its results before it creates ``--out``,
-so neither a configuration error nor a failed computation touches that
-directory.
+float, list, pair of corner tuples, bool, choice or string, and applies the
+rules about keys alone: unknown, missing and unparsable keys, keys that go
+together or exclude each other, and ``seed`` >= 0, one line each.  Only the
+two pooled commands, ``gas-scaling`` and ``kac-ensemble``, have a
+``workers`` key.  The run then builds each region and law once and passes
+the values to the library, which owns every domain and every rule between
+values (a region inside the unit box, epsilon in (0, 1), workers >= 1,
+t <= 2N, reverse_time a positive multiple of dt, a ring window not ending
+before t_start, ...); its first :class:`~equilab.core.ParameterError` is
+reported under the key that fed it.  A command computes all of its results
+before it creates ``--out``, so neither a configuration error nor a failed
+computation touches that directory.
 
 Exit codes: 0 success, 2 configuration error (each problem reported on its
 own stderr line, prefixed by the offending key), 3 runtime failure.
@@ -93,7 +95,6 @@ class RunConfig:
     command: str
     parameters: dict
     master_seed: int
-    worker_count: int
     output_path: str
 
 
@@ -140,7 +141,7 @@ def _conv_list(inner):
 
 
 def _conv_region(s: str):
-    """Box syntax: comma pair per axis, axes joined by semicolons: 0,0.5;0.2,0.8."""
+    """Box syntax, a comma pair per axis joined by semicolons (0,0.5;0.2,0.8), as (lows, ups)."""
     lows, ups = [], []
     for axis_spec in s.split(";"):
         parts = [p for p in axis_spec.split(",") if p.strip()]
@@ -148,8 +149,7 @@ def _conv_region(s: str):
             raise ValueError(f"each axis needs 'low,high', got {axis_spec!r}")
         lows.append(float(parts[0]))
         ups.append(float(parts[1]))
-    region = TorusRegion(tuple(lows), tuple(ups))  # runs the range checks
-    return (region.lower, region.upper)
+    return (tuple(lows), tuple(ups))
 
 
 def _conv_bool(s: str):
@@ -170,7 +170,6 @@ class _Param:
 
 _COMMON = {
     "seed": _Param(_conv_int, default=0),
-    "workers": _Param(_conv_int, default=1),
     "out": _Param(str, default="."),
 }
 
@@ -189,34 +188,12 @@ _MOMENTUM_BLOCK = {
 }
 
 
-def _region_from(params, key="region") -> TorusRegion:
-    lo, up = params[key]
-    return TorusRegion(lo, up)
-
-
-def _position_law(params):
-    if params["position"] == "point":
-        law = PointPositions(params["position_point"])
-    else:
-        law = UniformPositions(_region_from(params, "position_region"))
-    check_dim(law, len(params["region"][0]))
-    return law
-
-
-def _momentum_law(params):
-    if params["momentum"] == "tabulated":
-        return TabulatedMomenta(params["momentum_grid"], params["momentum_density"])
-    if params.get("sigma") is not None:
-        return GaussianMomenta(params["sigma"])
-    return thermal_momenta(params["mean_speed"], len(params["region"][0]))
-
-
 def _check_measure(params) -> list:
-    """Key rules of the position/momentum law block, then the laws' own checks.
+    """Key rules of the position/momentum law block; builds no law.
 
     Fills in the defaults (position region = observed region, mean speed 1)
-    as a side effect.  Once the keys are consistent, both laws are built
-    once, and a law's error is reported under the key that feeds it.
+    as a side effect.  The laws themselves are built, and checked, by the
+    run (:func:`_gas_inputs`).
     """
     errors = []
     if params["position"] == "point":
@@ -235,21 +212,7 @@ def _check_measure(params) -> list:
         for key in ("momentum_grid", "momentum_density"):
             if params.get(key) is None:
                 errors.append(f"{key}: required when momentum = tabulated")
-    if errors:
-        return errors
-    position_key = "position_point" if params["position"] == "point" else "position_region"
-    momentum_key = ("momentum_grid" if params["momentum"] == "tabulated"
-                    else "sigma" if params.get("sigma") is not None else "mean_speed")
-    for key, build in ((position_key, _position_law), (momentum_key, _momentum_law)):
-        try:
-            build(params)
-        except ValueError as exc:
-            errors.append(f"{key}: {exc.rule if isinstance(exc, ParameterError) else exc}")
     return errors
-
-
-def _build_initial(params) -> InitialMeasureSpec:
-    return InitialMeasureSpec(_position_law(params), _momentum_law(params))
 
 
 def _check_bounds(params) -> list:
@@ -263,11 +226,48 @@ def _check_bounds(params) -> list:
 # results block and a function that writes the CSV to a path
 
 
+def _under(key, build, *args):
+    """``build(*args)``, with a refusal re-raised as a ParameterError under ``key``."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        rule = exc.rule if isinstance(exc, ParameterError) else str(exc)
+        raise ParameterError(key, rule) from None
+
+
+def _position_law(p, dim):
+    if p["position"] == "point":
+        law = PointPositions(p["position_point"])
+    else:
+        law = UniformPositions(TorusRegion(*p["position_region"]))
+    check_dim(law, dim)
+    return law
+
+
+def _momentum_law(p, dim):
+    if p["momentum"] == "tabulated":
+        return TabulatedMomenta(p["momentum_grid"], p["momentum_density"])
+    if p["sigma"] is not None:
+        return GaussianMomenta(p["sigma"])
+    return thermal_momenta(p["mean_speed"], dim)
+
+
+def _gas_inputs(p):
+    """The observed region and initial measure, built once, before any other library call."""
+    position_key = "position_point" if p["position"] == "point" else "position_region"
+    momentum_key = ("momentum_grid" if p["momentum"] == "tabulated"
+                    else "sigma" if p["sigma"] is not None else "mean_speed")
+    region = _under("region", TorusRegion, *p["region"])
+    initial = InitialMeasureSpec(_under(position_key, _position_law, p, region.dim),
+                                 _under(momentum_key, _momentum_law, p, region.dim))
+    return region, initial
+
+
 def _exec_gas_trace(cfg: RunConfig):
     p = cfg.parameters
-    region = _region_from(p)
+    region, initial = _gas_inputs(p)
     grid = TimeGrid(p["t0"], p["dt"], p["k_count"])
-    series = run_fluctuation_trace(p["n"], _build_initial(p), region, grid, cfg.master_seed)
+    series = run_fluctuation_trace(p["n"], initial, region, grid, cfg.master_seed)
     return {
         "rows": len(series),
         "region_measure": region.measure(),
@@ -278,8 +278,7 @@ def _exec_gas_trace(cfg: RunConfig):
 
 def _exec_gas_mean(cfg: RunConfig):
     p = cfg.parameters
-    region = _region_from(p)
-    initial = _build_initial(p)
+    region, initial = _gas_inputs(p)
     ts = sorted(set(p["t_values"]))
     values = expected_fraction(initial, region, ts, p["tail_tol"]).tolist()
     devs = [abs(v - region.measure()) for v in values]
@@ -301,7 +300,7 @@ def _exec_gas_mean(cfg: RunConfig):
 
 def _exec_gas_scaling(cfg: RunConfig):
     p = cfg.parameters
-    region = _region_from(p)
+    region, initial = _gas_inputs(p)
     spec = ScalingExperimentSpec(
         n_values=p["n_values"],
         k_values=p["k_values"],
@@ -309,10 +308,10 @@ def _exec_gas_scaling(cfg: RunConfig):
         epsilon=p["epsilon"],
         grid=TimeGrid(p["t0"], p["dt"], max(p["k_values"])),
         region=region,
-        initial=_build_initial(p),
+        initial=initial,
         master_seed=cfg.master_seed,
     )
-    res = run_gas_scaling(spec, cfg.worker_count)
+    res = run_gas_scaling(spec, p["workers"])
     comparisons = []
     for i, n in enumerate(res.n_values):
         bound = scenario_bound(p["epsilon"], n).linear
@@ -326,8 +325,8 @@ def _exec_gas_scaling(cfg: RunConfig):
 
 def _exec_gas_reverse(cfg: RunConfig):
     p = cfg.parameters
-    region = _region_from(p)
-    state = sample_microstate(_build_initial(p), p["n"], region.dim, RngStream(cfg.master_seed, 0))
+    region, initial = _gas_inputs(p)
+    state = sample_microstate(initial, p["n"], region.dim, RngStream(cfg.master_seed, 0))
     series, err = reversal_round_trip(state, region, p["reverse_time"], p["dt"])
     values = series.values
     return {
@@ -376,7 +375,7 @@ def _exec_kac_ensemble(cfg: RunConfig):
         }
     res = run_kac_ensemble(
         p["n"], p["mu"], p["histories"], p["t_max"], p["epsilon"],
-        cfg.master_seed, cfg.worker_count, window,
+        cfg.master_seed, p["workers"], window,
     )
     results = {
         "mean_final": float(res.mean[-1]),
@@ -501,6 +500,7 @@ _COMMANDS = {
         "t0": _Param(_conv_float, default=0.0),
         "dt": _Param(_conv_float, required=True),
         "region": _Param(_conv_region, required=True),
+        "workers": _Param(_conv_int, default=1),
         **_POSITION_BLOCK,
         **_MOMENTUM_BLOCK,
     }, (_check_measure,), {"k_count": "k_values"}),  # the grid runs to the largest K
@@ -524,6 +524,7 @@ _COMMANDS = {
         "t_max": _Param(_conv_int, required=True),
         "epsilon": _Param(_conv_float, required=True),
         "alpha": _Param(_conv_float),
+        "workers": _Param(_conv_int, default=1),
     }, names={"n_sites": "n"}),
     "kac-brute": _Command("kac_brute.csv", _exec_kac_brute, {
         "n": _Param(_conv_int, required=True),
@@ -555,10 +556,10 @@ def parse_config(file_text, command, overrides=None) -> RunConfig:
     """Merge the command's config section with flag overrides and parse it.
 
     Raises :class:`ConfigError` carrying every problem found (unknown keys,
-    unparsable values, missing required keys, key-combination conflicts,
-    out-of-range run controls); on success returns the fully typed
-    :class:`RunConfig`.  Parameter values are not range-checked here: the
-    library does that when the config is executed.
+    unparsable values, missing required keys, key-combination conflicts, a
+    negative seed); on success returns the fully typed :class:`RunConfig`.
+    Parameter values, regions and laws included, are neither range-checked
+    nor built here: the run does that when the config is executed.
     """
     if command not in _COMMANDS:
         raise ConfigError([f"command: unknown command {command!r}"])
@@ -592,21 +593,20 @@ def parse_config(file_text, command, overrides=None) -> RunConfig:
             errors.append(f"{key}: required key missing")
         else:
             params[key] = param.default
-    # seed and workers are the run's own fields, not library parameters.
-    for key, lo in (("seed", 0), ("workers", 1)):
-        if key in params:
-            try:
-                as_int(params[key], key, lo)
-            except ParameterError as exc:
-                errors.append(f"{key}: {exc.rule}")
+    # The seed is the run's own field, not a library parameter.
+    if "seed" in params:
+        try:
+            as_int(params["seed"], "seed")
+        except ParameterError as exc:
+            errors.append(f"seed: {exc.rule}")
     if not errors:
         for check in spec.checks:
             errors.extend(check(params))
     if errors:
         raise ConfigError(errors)
 
-    seed, workers, out = (params.pop(key) for key in ("seed", "workers", "out"))
-    return RunConfig(command, params, seed, workers, out)
+    seed, out = params.pop("seed"), params.pop("out")
+    return RunConfig(command, params, seed, out)
 
 
 def execute(config: RunConfig) -> int:
@@ -638,7 +638,6 @@ def execute(config: RunConfig) -> int:
             "command": config.command,
             "parameters": config.parameters,
             "master_seed": config.master_seed,
-            "worker_count": config.worker_count,
             "outputs": [spec.csv_name],
             "results": results,
             **run_metadata(started),

@@ -382,27 +382,19 @@ def stream_generators(master_seed: int, first_id: int, count: int):
     """Yield the generators of stream ids ``first_id .. first_id + count - 1``.
 
     Internal to the ensembles, which pass Python ints.  One Philox generator
-    is re-keyed for each id through its public ``state`` setter: key
-    (master_seed, id) mod 2^64, counter 0, an empty output buffer and no
-    cached uint32, which is the state :meth:`RngStream.generator` starts
-    from, so every stream draws exactly what
-    ``RngStream(master_seed, id).generator()`` draws.  Building a fresh
+    is re-keyed for each id through its public ``state`` setter: its own
+    fresh state (counter 0, an empty output buffer, no cached uint32) with
+    only the key's second word set to id mod 2^64.  That is the state
+    :meth:`RngStream.generator` starts from, so every stream draws exactly
+    what ``RngStream(master_seed, id).generator()`` draws.  Building a fresh
     Philox per stream costs several times more, because its constructor also
     seeds a throw-away ``SeedSequence`` from OS entropy.  Each yielded
     generator is the same object, valid until the next yield.
     """
-    key = np.array([master_seed % _TWO64, 0], dtype=np.uint64)
-    state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
-        "buffer": np.zeros(4, dtype=np.uint64),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    bit_gen = np.random.Philox(key=key)
+    bit_gen = np.random.Philox(key=np.array([master_seed % _TWO64, 0], dtype=np.uint64))
     gen = np.random.Generator(bit_gen)
+    state = bit_gen.state
     for stream_id in range(first_id, first_id + count):
-        key[1] = stream_id % _TWO64
+        state["state"]["key"][1] = stream_id % _TWO64
         bit_gen.state = state
         yield gen

@@ -368,11 +368,16 @@ def run_kac_ensemble(
             f"int64 sums of Delta^2; got {sq_bound}"
         )
     if window is not None:
-        as_real(window[0], "t_lo")
-        as_real(window[1], "t_hi")
-        window = (float(window[0]), float(window[1]))
-        if window[0] > window[1]:
-            raise ValueError("window must satisfy t_lo <= t_hi")
+        try:
+            t_lo, t_hi = window
+        except (TypeError, ValueError):
+            rule = f"must be a pair (t_lo, t_hi), got {window!r}"
+            raise ParameterError("window", rule) from None
+        as_real(t_lo, "t_lo")
+        as_real(t_hi, "t_hi")
+        if t_lo > t_hi:
+            raise ParameterError("window", f"must satisfy t_lo <= t_hi, got {window!r}")
+        window = (float(t_lo), float(t_hi))
     payloads = []
     for start in range(0, histories, _KAC_CHUNK):
         cnt = min(_KAC_CHUNK, histories - start)

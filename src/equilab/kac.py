@@ -515,11 +515,12 @@ class RingBoundSchedule:
     """Size thresholds, time window, and tail bounds for ring equilibration.
 
     For a deviation threshold epsilon and window exponent alpha in (0, 1):
-    rings larger than ``min_sites`` = (4/eps)^(1/(1-alpha)) equilibrate by
-    ``t_start`` (the first integer time with |1-2mu|^t <= eps/4) and stay
-    concentrated until ``window_end(N)`` = N^alpha / 2, with per-time tail
-    2 exp(eps^2/2) exp(-(eps^2/2) N^(1-alpha)) and the window-long bound the
-    per-time one multiplied by the window length.
+    rings larger than ``min_sites`` = (4/eps)^(1/(1-alpha)) (inf past float
+    range) equilibrate by ``t_start`` (the first integer time with
+    |1-2mu|^t <= eps/4) and stay concentrated until ``window_end(N)`` =
+    N^alpha / 2, with per-time tail 2 exp(eps^2/2) exp(-(eps^2/2) N^(1-alpha))
+    and the window-long bound the per-time one multiplied by the window
+    length.
     """
 
     epsilon: float
@@ -565,7 +566,10 @@ def ring_bound_schedule(epsilon: float, alpha: float, mu: float) -> RingBoundSch
     as_real(epsilon, "epsilon", 0, open_lo=True)
     as_real(alpha, "alpha", 0, 1, open_lo=True, open_hi=True)
     as_real(mu, "mu", 0, 1)
-    min_sites = (4.0 / epsilon) ** (1.0 / (1.0 - alpha))
+    try:
+        min_sites = (4.0 / epsilon) ** (1.0 / (1.0 - alpha))
+    except OverflowError:
+        min_sites = math.inf
     lam = abs(1.0 - 2.0 * mu)
     if lam == 0.0:
         exact = 0.0

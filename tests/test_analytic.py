@@ -609,6 +609,17 @@ def test_markov_bound_known_value_and_flag():
     assert loose.raw_log == pytest.approx(math.log(4.0), rel=1e-12)
 
 
+def test_markov_bound_where_eps_squared_n_underflows():
+    # eps^2 n = 1e-400 is 0.0 in floats, and math.log(0.0) once raised
+    # "math domain error"; the log of 4 / (eps^2 n) is still about 922.
+    p = markov_bound(1e-200, 1)
+    assert p.vacuous and p.log_value == 0.0
+    assert p.raw_log == pytest.approx(math.log(4.0) + 400.0 * math.log(10.0), rel=1e-12)
+    assert markov_bound(1e-200, 1e100).raw_log == pytest.approx(
+        math.log(4.0) + 300.0 * math.log(10.0), rel=1e-12
+    )
+
+
 @pytest.mark.parametrize("u", [5.0, 10.0, 100.0])
 def test_hoeffding_beats_markov_once_exponent_is_large(u: float):
     # At eps^2 n = u >= 5: 2 exp(-2u) <= 4/u.

@@ -1,6 +1,7 @@
 """Config parsing, exit codes, and end-to-end runs of the command line."""
 from __future__ import annotations
 
+import collections
 import dataclasses
 import json
 import math
@@ -56,7 +57,6 @@ def test_minimal_gas_trace_config_fills_defaults():
     cfg = parse_config(GAS_TRACE_INI, "gas-trace")
     assert cfg.command == "gas-trace"
     assert cfg.master_seed == 0
-    assert cfg.worker_count == 1
     assert cfg.output_path == "."
     p = cfg.parameters
     assert p["n"] == 100
@@ -67,6 +67,7 @@ def test_minimal_gas_trace_config_fills_defaults():
     assert p["mean_speed"] == 1.0
     assert p["sigma"] is None
     assert "seed" not in p  # run controls are split out of the parameter block
+    assert "workers" not in p  # only the pooled commands have the key
 
 
 def test_flag_overrides_beat_config_values():
@@ -194,6 +195,55 @@ def test_config_error_lines(tmp_path, capsys, section, line):
     command = section[section.index("[") + 1:section.index("]")]
     assert _run(tmp_path, command, section, "--out", str(tmp_path / "out")) == 2
     assert capsys.readouterr().err.splitlines() == [f"config error: {line}"]
+
+
+def test_region_outside_the_unit_box_is_refused_by_the_run(tmp_path, capsys):
+    # Parsing only splits the corners; the run's TorusRegion refuses them.
+    ini = GAS_TRACE_INI.replace("region = 0,0.5", "region = 0.6,0.5")
+    assert parse_config(ini, "gas-trace").parameters["region"] == ((0.6,), (0.5,))
+    out = tmp_path / "out"
+    assert _run(tmp_path, "gas-trace", ini, "--out", str(out)) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: region: region bounds must satisfy 0 <= lower <= upper <= 1, "
+        "got [0.6, 0.5)"
+    ]
+    assert not out.exists()
+
+
+_LAW_BUILDERS = ("TorusRegion", "UniformPositions", "PointPositions", "GaussianMomenta",
+                 "TabulatedMomenta", "thermal_momenta")
+
+
+@pytest.mark.parametrize(
+    "command, ini, built",
+    [("gas-scaling", SCALING_INI,
+      {"TorusRegion": 2, "UniformPositions": 1, "thermal_momenta": 1}),
+     ("gas-trace", GAS_TRACE_INI + "position = point\nposition_point = 0.25\n"
+      "momentum = tabulated\nmomentum_grid = -1,0,1\nmomentum_density = 0,1,0\n",
+      {"TorusRegion": 1, "PointPositions": 1, "TabulatedMomenta": 1}),
+     ("gas-mean", "[gas-mean]\nregion = 0,0.5\nt_values = 1\nsigma = 0.5\n",
+      {"TorusRegion": 2, "UniformPositions": 1, "GaussianMomenta": 1})],
+    ids=["scaling", "trace_point_tabulated", "mean_sigma"],
+)
+def test_parsing_builds_no_law_and_the_run_builds_each_once(
+    tmp_path, monkeypatch, command, ini, built
+):
+    # The observed region and the position region are two regions, even
+    # when the second defaults to the first.
+    calls = collections.Counter()
+
+    def counted(name, original):
+        def build(*args):
+            calls[name] += 1
+            return original(*args)
+        return build
+
+    for name in _LAW_BUILDERS:
+        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    config = parse_config(ini, command)
+    assert calls == {}
+    assert cli.execute(dataclasses.replace(config, output_path=str(tmp_path / "out"))) == 0
+    assert calls == built
 
 
 def test_malformed_config_file_is_one_config_error():
@@ -457,6 +507,44 @@ def test_kac_ensemble_workers_do_not_change_bytes(tmp_path):
     assert blobs[0] == blobs[1]
 
 
+_POOLED = ("gas-scaling", "kac-ensemble")
+
+
+@pytest.mark.parametrize("command", [c for c in COMMANDS if c not in _POOLED])
+def test_single_process_commands_have_no_workers_key(tmp_path, capsys, command):
+    # These commands once took workers, never read it, and echoed it.
+    with pytest.raises(SystemExit) as info:
+        main([command, "--workers", "2"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+    out = tmp_path / "out"
+    ini = TINY_RUNS[command][1] + "workers = 2\n"
+    assert _run(tmp_path, command, ini, "--out", str(out)) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: workers: unknown key for {command}"
+    ]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", _POOLED)
+def test_pooled_commands_echo_workers_and_leave_its_rule_to_the_library(
+    tmp_path, capsys, command
+):
+    out = tmp_path / "out"
+    ini = TINY_RUNS[command][1]
+    assert _run(tmp_path, command, ini, "--out", str(out)) == 0
+    summary = _summary(out, command)
+    assert summary["parameters"]["workers"] == 1
+    assert "worker_count" not in summary
+    assert parse_config(ini, command, {"workers": "0"}).parameters["workers"] == 0
+    refused = tmp_path / "refused"
+    assert _run(tmp_path, command, ini, "--workers", "0", "--out", str(refused)) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: workers: must lie in [1, inf], got 0"
+    ]
+    assert not refused.exists()
+
+
 def test_kac_trace_recurrence_in_summary(tmp_path):
     out = tmp_path / "out"
     ini = "[kac-trace]\nn=40\nmu=0.3\nt_max=80\nseed=9\n"
@@ -517,6 +605,26 @@ def test_equilibration_time_past_float_range_is_inf(tmp_path, capsys, monkeypatc
     ini = "[gas-mean]\nregion = 0,0.5\nt_values = 1,2\nfit = true\nfit_epsilon = 0.001\n"
     assert _run(tmp_path, "gas-mean", ini, "--out", str(out)) == 0
     assert _summary(out, "gas-mean")["results"]["equilibration_time"] == math.inf
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "argv, results_path, value",
+    [(["bounds", "--epsilon", "1e-200", "--n", "1"],
+      ("bounds", "markov_single_time", "vacuous"), True),
+     (["kac-ensemble", "--n", "64", "--mu", "0.3", "--histories", "10", "--t-max", "8",
+       "--epsilon", "0.1", "--alpha", "0.999999"], ("schedule", "min_sites"), math.inf)],
+    ids=["markov_underflow", "min_sites_overflow"],
+)
+def test_bounds_past_float_range_run(tmp_path, capsys, argv, results_path, value):
+    # Both once exited 3: math.log(0.0) once eps^2 n underflowed, and
+    # OverflowError from (4/eps)^(1/(1-alpha)).
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 0
+    results = _summary(out, argv[0])["results"]
+    for key in results_path:
+        results = results[key]
+    assert results == value
     assert capsys.readouterr().err == ""
 
 
@@ -661,7 +769,7 @@ def _gas_scaling_library(p):
                                  thermal_momenta(1.0, 1))
     grid = TimeGrid(p["t0"], p["dt"], max(p["k_values"]))
     run_gas_scaling(ScalingExperimentSpec(p["n_values"], p["k_values"], p["histories"],
-                                          p["epsilon"], grid, _HALF, initial, 0))
+                                          p["epsilon"], grid, _HALF, initial, 0), p["workers"])
 
 
 def _gas_reverse_library(p):
@@ -681,7 +789,7 @@ def _kac_ensemble_library(p):
     if p.get("alpha") is not None:
         window = ring_bound_schedule(p["epsilon"], p["alpha"], p["mu"]).window(p["n"])
     run_kac_ensemble(p["n"], p["mu"], p["histories"], p["t_max"], p["epsilon"], 0,
-                     window=window)
+                     p["workers"], window)
 
 
 def _kac_brute_library(p):
@@ -727,12 +835,12 @@ _PARITY = {
     "gas-scaling": (
         "region = 0,0.5\nposition_region = 0,1\n",
         {"n_values": (20, 40), "k_values": (1, 2), "histories": 20, "epsilon": 0.1,
-         "t0": 0.0, "dt": 5.0},
+         "t0": 0.0, "dt": 5.0, "workers": 1},
         _gas_scaling_library,
         {"n_values": [(20,), (0, 40), (40, 20), (20, 20)],
          "k_values": [(1,), (0,), (-1, 2), (2, 1), (int(1e300),)], "histories": [1, 0],
          "epsilon": [0.999, 1.0, 1.5, 0.0, -0.1], "t0": [1.0, -1.0],
-         "dt": [1.0, 0.0, -5.0, (1.0, {"t0": 1e20})]},
+         "dt": [1.0, 0.0, -5.0, (1.0, {"t0": 1e20})], "workers": [0]},
     ),
     "gas-reverse": (
         "region = 0,0.5\n", {"n": 20, "reverse_time": 1.0, "dt": 0.5}, _gas_reverse_library,
@@ -747,13 +855,14 @@ _PARITY = {
         {"n": [100, 0, -1], "mu": [1.0, 0.0, 1.5, -0.1], "t_max": [0, 33, -1]},
     ),
     "kac-ensemble": (
-        "", {"n": 16, "mu": 0.3, "histories": 20, "t_max": 8, "epsilon": 0.2},
+        "", {"n": 16, "mu": 0.3, "histories": 20, "t_max": 8, "epsilon": 0.2, "workers": 1},
         _kac_ensemble_library,
         {"n": [100, 4, 0], "mu": [1.0, 0.0, 1.5],
          "histories": [1, 0, (10**12, {"n": 4096})], "t_max": [32, 33, -1],
          "epsilon": [0.999, 1.0, 1.5, 0.0],
          "alpha": [(0.5, {"n": 4096}), (0.5, {"n": 16}), (0.0, {"n": 4096}),
-                   (1.0, {"n": 4096})]},
+                   (1.0, {"n": 4096})],
+         "workers": [0]},
     ),
     "kac-brute": (
         "", {"n": 6, "mu": 0.3, "t": 3}, _kac_brute_library,

@@ -759,6 +759,22 @@ def test_kac_ensemble_window_ends_must_be_real_numbers(window, message):
         run_kac_ensemble(16, 0.3, 10, t_max=4, epsilon=0.1, seed=0, window=window)
 
 
+@pytest.mark.parametrize(
+    "window, rule",
+    [((1.0,), "must be a pair (t_lo, t_hi), got (1.0,)"),
+     ((1.0, 2.0, 3.0), "must be a pair (t_lo, t_hi), got (1.0, 2.0, 3.0)"),
+     ((3.0, 1.0), "must satisfy t_lo <= t_hi, got (3.0, 1.0)")],
+    ids=["one_end", "three_ends", "reversed"],
+)
+def test_kac_ensemble_refuses_a_bad_window(monkeypatch, window, rule):
+    # These once raised IndexError, ran as the window (1.0, 2.0), and raised a
+    # plain ValueError.
+    monkeypatch.setattr(ensemble, "_map_chunks", lambda *a: pytest.fail("chunks ran"))
+    with pytest.raises(ParameterError) as info:
+        run_kac_ensemble(16, 0.3, 10, t_max=4, epsilon=0.1, seed=0, window=window)
+    assert (info.value.name, info.value.rule) == ("window", rule)
+
+
 def test_kac_ensemble_csv_deterministic_across_workers(tmp_path):
     blobs = []
     for workers in (1, 2):

@@ -775,6 +775,14 @@ def test_ring_bound_schedule_known_values():
     assert sched.window_end(10**4) == pytest.approx(50.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("epsilon, alpha", [(0.1, 0.999999), (1e-300, 0.5)])
+def test_ring_bound_schedule_min_sites_past_float_range_is_inf(epsilon: float, alpha: float):
+    # (4/eps)^(1/(1-alpha)) once raised OverflowError out of the schedule.
+    sched = ring_bound_schedule(epsilon, alpha, 0.3)
+    assert sched.min_sites == math.inf
+    assert sched.t_start == float(math.ceil(math.log(epsilon / 4.0) / math.log(0.4)))
+
+
 @pytest.mark.parametrize("epsilon", [0.0, -0.1, math.nan])
 def test_ring_bound_schedule_rejects_bad_epsilon(epsilon: float):
     with pytest.raises(ValueError, match="epsilon"):
