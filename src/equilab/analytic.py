@@ -6,12 +6,14 @@ position law and phi the momentum characteristic function,
 
     E f(t) = |I| + sum_{l >= 1} 2 Re( conj(chi_l) nu_l phi(2 pi l t) ),
 
-evaluated per axis (product laws and product regions factorize).  Each term
-has the envelope |chi_l| |nu_l| |phi| with the monotone bounds
-|chi_l| <= min(|I|, 1/(pi l)) and, for uniform position laws,
-|nu_l| <= min(1, 1/(pi l w)).  The series stops before the first run of
-three envelopes below ``tail_tol``, or before the first phi-free envelope
-|chi_l| |nu_l| below it, whichever comes first.  The envelope form matters:
+evaluated per axis (product laws and product regions factorize).  Each law
+owns its transform in :mod:`equilab.sampler` (phi is the momentum law's
+``characteristic``, nu_l comes from the position law's ``components``), so
+this module never asks a law's type.  Each term has the envelope
+|chi_l| |nu_l| |phi| with the monotone bounds |chi_l| <= min(|I|, 1/(pi l))
+and, for a piece of width w > 0, |nu_l| <= min(1, 1/(pi l w)).  The series
+stops before the first run of three envelopes below ``tail_tol``, or before
+the first phi-free envelope |chi_l| |nu_l| below it, whichever comes first.  The envelope form matters:
 individual coefficients can vanish (every even one does for [0, 0.5)), so
 stopping on a raw small term would truncate too early.  This is a per-term
 rule, not a certified bound on the tail: phi of a tabulated law need not
@@ -40,16 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LogProbability, ParameterError, TorusRegion, as_int, as_real
-from .sampler import (
-    GaussianMomenta,
-    InitialMeasureSpec,
-    PointMixturePositions,
-    PointPositions,
-    TabulatedMomenta,
-    UniformPositions,
-    check_dim,
-)
+from .core import LogProbability, ParameterError, TorusRegion, as_int, as_real, square
+from .sampler import InitialMeasureSpec, check_dim, expi_minus_one
 
 __all__ = [
     "DecayEstimate",
@@ -73,116 +67,25 @@ _TWO_PI = 2.0 * math.pi
 # Fourier machinery
 
 
-def _expi_minus_one(theta: np.ndarray) -> np.ndarray:
-    """exp(i theta) - 1 without cancellation, via the half-angle identity."""
-    half = 0.5 * theta
-    return -2.0 * np.sin(half) ** 2 + 1j * np.sin(theta)
-
-
 def _interval_transform(a: float, b: float, ells: np.ndarray) -> np.ndarray:
     """Vector of integral_a^b exp(2 pi i l y) dy for the given nonzero l."""
     u = _TWO_PI * ells
-    return np.exp(1j * u * a) * _expi_minus_one(u * (b - a)) / (1j * u)
+    return np.exp(1j * u * a) * expi_minus_one(u * (b - a)) / (1j * u)
 
 
-def _momentum_char(law, u: np.ndarray) -> np.ndarray:
-    """Characteristic function E exp(i u p) of one Gaussian or tabulated momentum component."""
-    if isinstance(law, GaussianMomenta):
-        with np.errstate(over="ignore"):  # an inf square gives exp(-inf) = 0, exact
-            return np.exp(-0.5 * (law.sigma * u) ** 2)
-    return _tabulated_char(law, u)
-
-
-#: Below this |u h| the closed forms of A and B lose more than 1e-15 to
-#: cancellation, so they are summed as power series.  Horner over 13 terms
-#: leaves a truncation error below 3e-18 at the switch.
-_TAYLOR_SWITCH = 0.25
-_TAYLOR_A = tuple(1.0 / math.factorial(k + 1) for k in range(13))
-_TAYLOR_B = tuple(1.0 / (math.factorial(k) * (k + 2)) for k in range(13))
-
-
-def _tabulated_char(law: TabulatedMomenta, u: np.ndarray) -> np.ndarray:
-    """Exact characteristic function of the piecewise-linear tabulated density.
-
-    Each segment [x0, x0+h] with linear density f0 + s*y contributes
-    e^{i u x0} (f0 A + s B) where A = (e^{iuh}-1)/(iu) and
-    B = (h e^{iuh} - A)/(iu).  For |u h| < ``_TAYLOR_SWITCH`` both come from
-    their power series A = h sum (iuh)^k/(k+1)! and
-    B = h^2 sum (iuh)^k/(k! (k+2)), so nothing cancels near u = 0.  This is
-    exact for the interpolated density (the same interpolant the sampler
-    draws from), so the only model error is the caller's choice of grid.
-    """
-    x = np.asarray(law.grid)
-    f = np.asarray(law.density)
-    x0 = x[:-1]
-    h = np.diff(x)
-    f0 = f[:-1]
-    slope = np.diff(f) / h
-    mass = float(np.sum(0.5 * (f[1:] + f[:-1]) * h))
-
-    uu = np.atleast_1d(np.asarray(u, dtype=float))[:, None]
-    uh = uu * h
-    small = np.abs(uh) < _TAYLOR_SWITCH
-    iu = 1j * np.where(np.abs(uu) < 1e-300, 1.0, uu)
-    e1 = _expi_minus_one(uh)
-    a_int = e1 / iu
-    b_int = (h * (e1 + 1.0) - a_int) / iu
-    if small.any():
-        iz = 1j * uh[small]
-        hs = np.broadcast_to(h, uh.shape)[small]
-        a_ser = b_ser = 0j
-        for ca, cb in zip(reversed(_TAYLOR_A), reversed(_TAYLOR_B)):
-            a_ser = a_ser * iz + ca
-            b_ser = b_ser * iz + cb
-        a_int[small] = a_ser * hs
-        b_int[small] = b_ser * hs**2
-    seg = np.exp(1j * uu * x0) * (f0 * a_int + slope * b_int)
-    out = seg.sum(axis=1) / mass
-    if np.isscalar(u) or np.asarray(u).ndim == 0:
-        return out[0]
-    return out
-
-
-def _position_components(law, dim: int):
-    """Flatten a position law into weighted per-axis descriptors.
-
-    Returns a list of (weight, [descriptor per axis]) where a descriptor is
-    ("point", a) or ("uniform", lo, hi).  Mixtures expand by linearity before
-    the per-axis factorization, which keeps the product formula valid.
-    """
-    if isinstance(law, UniformPositions):
-        axes = [
-            ("uniform", lo, up) for lo, up in zip(law.region.lower, law.region.upper)
-        ]
-        components = [(1.0, axes)]
-    elif isinstance(law, PointPositions):
-        components = [(1.0, [("point", v) for v in law.point])]
-    elif isinstance(law, PointMixturePositions):
-        components = [
-            (w, [("point", v) for v in pt]) for pt, w in zip(law.points, law.weights)
-        ]
-    else:
-        raise ValueError(f"unsupported position law {type(law).__name__}")
-    check_dim(law, dim)
-    return components
-
-
-def _position_transform(desc, ells: np.ndarray):
-    """(nu_l, envelope) for one axis descriptor at the given l >= 1."""
-    if desc[0] == "point":
-        nu = np.exp(1j * _TWO_PI * ells * desc[1])
-        return nu, np.ones_like(ells)
-    lo, hi = desc[1], desc[2]
+def _position_transform(lo: float, hi: float, ells: np.ndarray):
+    """(nu_l, envelope) at the given l >= 1 for one axis piece, a point if lo == hi."""
+    if lo == hi:
+        return np.exp(1j * _TWO_PI * ells * lo), np.ones_like(ells)
     width = hi - lo
     nu = _interval_transform(lo, hi, ells) / width
     return nu, np.minimum(1.0, 1.0 / (math.pi * ells * width))
 
 
-def _overlap_1d(desc, a: float, b: float) -> float:
-    """P(x in [a, b)) under one axis of the position law, exact (used at t=0)."""
-    if desc[0] == "point":
-        return 1.0 if a <= desc[1] < b else 0.0
-    lo, hi = desc[1], desc[2]
+def _overlap_1d(lo: float, hi: float, a: float, b: float) -> float:
+    """P(x in [a, b)) under one axis piece of the position law, exact (used at t=0)."""
+    if lo == hi:
+        return 1.0 if a <= lo < b else 0.0
     return max(0.0, min(b, hi) - max(a, lo)) / (hi - lo)
 
 
@@ -194,7 +97,7 @@ _PREFIXES = (64, 256, 1024, _BLOCK)
 _MAX_TERMS = 10_000_000
 
 
-def _series_1d(desc, a, b, momentum, ts: np.ndarray, tail_tol) -> np.ndarray:
+def _series_1d(piece, a, b, momentum, ts: np.ndarray, tail_tol) -> np.ndarray:
     """One-axis expected indicator at each time t > 0 of ``ts``, stopped as the module says.
 
     Each block reads two terms past its end, so a run that starts in it is
@@ -220,20 +123,20 @@ def _series_1d(desc, a, b, momentum, ts: np.ndarray, tail_tol) -> np.ndarray:
         size = next(sizes)
         ells = np.arange(start, start + size + 2, dtype=float)
         u = _TWO_PI * ells
-        nu, nu_env = _position_transform(desc, ells)
+        nu, nu_env = _position_transform(*piece, ells)
         coef = np.conj(_interval_transform(a, b, ells)) * nu
         hard = np.minimum(length, 1.0 / (math.pi * ells)) * nu_env
         env_stop = hard[:-2] < tail_tol
         group, going = (_BLOCK + 2) // ells.size, []
         for i in range(0, running.size, group):
             rows = running[i : i + group]
-            # Past float range u t is inf, where phi is 0: its limit for both
-            # laws, which are absolutely continuous (Riemann-Lebesgue).
+            # Past float range u t is inf, where phi is 0: its limit for every
+            # momentum law here, each absolutely continuous (Riemann-Lebesgue).
             with np.errstate(over="ignore"):
                 ut = (u * ts[rows, None]).ravel()
             far = ~np.isfinite(ut)
             ut[far] = 0.0
-            phi = _momentum_char(momentum, ut)
+            phi = momentum.characteristic(ut)
             phi[far] = 0.0
             phi = phi.reshape(rows.size, -1)
             terms = 2.0 * np.real(coef * phi)
@@ -281,19 +184,22 @@ def expected_fraction(
     if not np.all((ts >= 0.0) & np.isfinite(ts)):
         raise ParameterError("t", "must be finite and >= 0")
     as_real(tail_tol, "tail_tol", 0, open_lo=True, finite=True)
-    momentum = initial.momenta
-    if not isinstance(momentum, (GaussianMomenta, TabulatedMomenta)):
+    momentum, positions = initial.momenta, initial.positions
+    if not hasattr(momentum, "characteristic"):
         raise ValueError(f"unsupported momentum law {type(momentum).__name__}")
-    components = _position_components(initial.positions, region.dim)
+    if not hasattr(positions, "components"):
+        raise ValueError(f"unsupported position law {type(positions).__name__}")
+    check_dim(positions, region.dim)
     total = np.zeros(ts.size)
-    for weight, axes in components:
+    # Mixtures expand by linearity before the per-axis factorization.
+    for weight, pieces in positions.components:
         value = np.ones(ts.size)
-        for desc, a, b in zip(axes, region.lower, region.upper):
+        for piece, a, b in zip(pieces, region.lower, region.upper):
             # A time whose product is already 0 skips the remaining axes.
             live = np.flatnonzero(value != 0.0)
             moving = live[ts[live] > 0.0]
-            value[live[ts[live] == 0.0]] *= _overlap_1d(desc, a, b)
-            value[moving] *= _series_1d(desc, a, b, momentum, ts[moving], tail_tol)
+            value[live[ts[live] == 0.0]] *= _overlap_1d(*piece, a, b)
+            value[moving] *= _series_1d(piece, a, b, momentum, ts[moving], tail_tol)
         total += weight * value
     means = np.minimum(1.0, np.maximum(0.0, total))
     return float(means[0]) if times.ndim == 0 else means
@@ -375,7 +281,7 @@ def hoeffding_tail(epsilon: float, n: int) -> LogProbability:
     """
     as_real(epsilon, "epsilon", 0)
     as_real(n, "n", 1)
-    return LogProbability.from_log(math.log(2.0) - 2.0 * epsilon**2 * n)
+    return LogProbability.from_log(math.log(2.0) - 2.0 * square(epsilon) * n)
 
 
 def scenario_bound(epsilon: float, n: int, k_count: float = 1,
@@ -403,7 +309,7 @@ def log_sequence_capacity(epsilon: float, n: int) -> float:
     """
     as_real(epsilon, "epsilon", 0, open_lo=True)
     as_real(n, "n", 1)
-    return 0.25 * epsilon**2 * n - math.log(2.0)
+    return 0.25 * square(epsilon) * n - math.log(2.0)
 
 
 def equilibration_time(decay: DecayEstimate, epsilon: float, eta: float = 0.5) -> float:
@@ -438,7 +344,7 @@ def markov_bound(epsilon: float, n: int) -> LogProbability:
     """
     as_real(epsilon, "epsilon", 0, open_lo=True)
     as_real(n, "n", 1)
-    scale = epsilon**2 * n
+    scale = square(epsilon) * n
     if scale == 0.0:  # eps^2 n underflows; its log does not
         return LogProbability.from_log(math.log(4.0) - 2.0 * math.log(epsilon) - math.log(n))
     return LogProbability.from_log(math.log(4.0) - math.log(scale))

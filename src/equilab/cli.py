@@ -166,6 +166,7 @@ class _Param:
     convert: object
     required: bool = False
     default: object = None
+    law: str | None = None  # the law of a position/momentum block the key belongs to
 
 
 _COMMON = {
@@ -175,16 +176,16 @@ _COMMON = {
 
 _POSITION_BLOCK = {
     "position": _Param(_conv_choice("uniform", "point"), default="uniform"),
-    "position_region": _Param(_conv_region),
-    "position_point": _Param(_conv_list(_conv_float)),
+    "position_region": _Param(_conv_region, law="uniform"),
+    "position_point": _Param(_conv_list(_conv_float), law="point"),
 }
 
 _MOMENTUM_BLOCK = {
     "momentum": _Param(_conv_choice("gaussian", "tabulated"), default="gaussian"),
-    "sigma": _Param(_conv_float),
-    "mean_speed": _Param(_conv_float),
-    "momentum_grid": _Param(_conv_list(_conv_float)),
-    "momentum_density": _Param(_conv_list(_conv_float)),
+    "sigma": _Param(_conv_float, law="gaussian"),
+    "mean_speed": _Param(_conv_float, law="gaussian"),
+    "momentum_grid": _Param(_conv_list(_conv_float), law="tabulated"),
+    "momentum_density": _Param(_conv_list(_conv_float), law="tabulated"),
 }
 
 
@@ -195,7 +196,12 @@ def _check_measure(params) -> list:
     as a side effect.  The laws themselves are built, and checked, by the
     run (:func:`_gas_inputs`).
     """
-    errors = []
+    errors = [  # a key of the law that was not chosen
+        f"{key}: only valid with {family} = {param.law}"
+        for family, block in (("position", _POSITION_BLOCK), ("momentum", _MOMENTUM_BLOCK))
+        for key, param in block.items()
+        if param.law not in (None, params[family]) and params.get(key) is not None
+    ]
     if params["position"] == "point":
         if params.get("position_point") is None:
             errors.append("position_point: required when position = point")
@@ -206,8 +212,6 @@ def _check_measure(params) -> list:
             errors.append("sigma: give either sigma or mean_speed, not both")
         if params.get("sigma") is None and params.get("mean_speed") is None:
             params["mean_speed"] = 1.0
-        if params.get("momentum_grid") is not None or params.get("momentum_density") is not None:
-            errors.append("momentum_grid: only valid with momentum = tabulated")
     else:
         for key in ("momentum_grid", "momentum_density"):
             if params.get(key) is None:

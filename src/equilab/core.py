@@ -96,6 +96,14 @@ def as_real(value, name: str, lo=-math.inf, hi=math.inf, *, open_lo=False, open_
     raise ParameterError(name, f"must {rule}, got {value}")
 
 
+def square(x: float) -> float:
+    """x**2 as a float, or inf past float range, where ``**`` or the int conversion raises."""
+    try:
+        return float(x**2)
+    except OverflowError:
+        return math.inf
+
+
 def format_float(x: float) -> str:
     """Locale-independent float formatting with 17 significant digits.
 

@@ -41,11 +41,12 @@ Philox word is at most :func:`marker_limit`, the verdicts of numpy's
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LogProbability, ParameterError, RngStream, as_int, as_real
+from .core import LogProbability, ParameterError, RngStream, as_int, as_real, square
 
 __all__ = [
     "KacConfiguration",
@@ -545,8 +546,11 @@ class RingBoundSchedule:
 
     def _log_per_time(self, n_sites: int) -> float:
         n_sites = as_int(n_sites, "n_sites", 1)
-        half_sq = 0.5 * self.epsilon**2
-        return math.log(2.0) + half_sq - half_sq * n_sites ** (1.0 - self.alpha)
+        half_sq = 0.5 * square(self.epsilon)
+        scale = n_sites ** (1.0 - self.alpha)
+        if math.isinf(half_sq):  # (eps^2/2)(1 - N^(1-alpha)) is 0 at N = 1, -inf past it
+            return math.log(2.0) if scale == 1.0 else -math.inf
+        return math.log(2.0) + half_sq - half_sq * scale
 
     def per_time_bound(self, n_sites: int) -> LogProbability:
         return LogProbability.from_log(self._log_per_time(n_sites))
@@ -576,8 +580,11 @@ def ring_bound_schedule(epsilon: float, alpha: float, mu: float) -> RingBoundSch
     elif lam == 1.0:
         exact = math.inf
     else:
-        exact = math.log(epsilon / 4.0) / math.log(lam)
-    t_start = math.inf if math.isinf(exact) else float(max(1, math.ceil(exact)))
+        quarter = epsilon / 4.0  # below float_info.min it loses bits, or is 0; log eps does not
+        exact = (math.log(quarter) if quarter >= sys.float_info.min
+                 else math.log(epsilon) - math.log(4.0)) / math.log(lam)
+    # Every exact time below 1, -inf (eps = inf) among them, still waits one step.
+    t_start = math.inf if exact == math.inf else float(math.ceil(max(exact, 1.0)))
     return RingBoundSchedule(
         epsilon=epsilon,
         alpha=alpha,

@@ -18,7 +18,6 @@ from equilab import analytic
 from equilab.core import LogProbability, ParameterError, RngStream, TorusRegion
 from equilab.analytic import (
     DecayEstimate,
-    _tabulated_char,
     decay_bound_check,
     equilibration_time,
     expected_fraction,
@@ -283,9 +282,9 @@ def test_tabulated_char_matches_power_series():
     sweep[1::2] *= -1.0
     u = np.concatenate([[0.0, 1e-300, 1e-7, -9e-6, 1.9e-5, 0.3, -1.7, 3.0], sweep])
     want = np.array([_two_p_series(x) for x in u])
-    got = _tabulated_char(law, u)
+    got = law.characteristic(u)
     assert np.max(np.abs(got - want)) <= 1e-15
-    assert _tabulated_char(law, 0.3) == got[5]
+    assert law.characteristic(0.3) == got[5]
 
 
 def test_expected_fraction_tabulated_momenta_against_monte_carlo():
@@ -313,7 +312,7 @@ def test_expected_fraction_cuts_a_run_that_crosses_a_block_edge():
     spec = InitialMeasureSpec(UniformPositions(region), _EDGE_LAW)
     t, w, tol = 0.02021484375, 0.5, 1e-12
     ells = np.arange(1, 5001, dtype=float)
-    phi = _tabulated_char(_EDGE_LAW, 2.0 * math.pi * ells * t)
+    phi = _EDGE_LAW.characteristic(2.0 * math.pi * ells * t)
     chi_env = np.minimum(w, 1.0 / (math.pi * ells))
     nu_env = np.minimum(1.0, 1.0 / (math.pi * ells * w))
     small = chi_env * nu_env * np.abs(phi) < tol
@@ -407,7 +406,7 @@ def test_expected_fraction_batch_gives_up_past_the_term_limit(monkeypatch):
 
 def test_expected_fraction_batch_caps_each_phi_call(monkeypatch):
     sizes = []
-    original = analytic._momentum_char
+    original = TabulatedMomenta.characteristic
 
     def recorded(law, u):
         sizes.append(np.size(u))
@@ -416,7 +415,7 @@ def test_expected_fraction_batch_caps_each_phi_call(monkeypatch):
     spec, region, _ = _BATCH_CASES["block_edge"]
     times = list(np.linspace(0.003, 2.0, 101))
     want = expected_fraction(spec, region, times)
-    monkeypatch.setattr(analytic, "_momentum_char", recorded)
+    monkeypatch.setattr(TabulatedMomenta, "characteristic", recorded)
     assert expected_fraction(spec, region, times).tolist() == want.tolist()
     assert max(sizes) <= analytic._BLOCK + 2
     assert max(sizes) > analytic._PREFIXES[0] + 2  # several times share a call
@@ -620,6 +619,14 @@ def test_markov_bound_where_eps_squared_n_underflows():
     )
 
 
+@pytest.mark.parametrize("epsilon", [1e200, 10**200, math.inf])
+def test_bounds_where_eps_squared_overflows(epsilon: float):
+    # eps^2 = 1e400 once raised OverflowError out of each of these.
+    assert hoeffding_tail(epsilon, 1).log_value == -math.inf
+    assert markov_bound(epsilon, 1).log_value == -math.inf
+    assert log_sequence_capacity(epsilon, 1) == math.inf
+
+
 @pytest.mark.parametrize("u", [5.0, 10.0, 100.0])
 def test_hoeffding_beats_markov_once_exponent_is_large(u: float):
     # At eps^2 n = u >= 5: 2 exp(-2u) <= 4/u.
@@ -773,12 +780,24 @@ def test_fit_decay_refuses_mismatched_times_and_deviations(ts, devs):
         fit_decay(ts, devs)
 
 
-def test_expected_fraction_refuses_an_unsupported_position_law():
-    class Oddball:
-        pass
+class _Oddball:
+    """A law that samples but owns no transform."""
 
-    spec = InitialMeasureSpec(Oddball(), GaussianMomenta(1.0))
-    with pytest.raises(ValueError, match="^unsupported position law Oddball$"):
+    dim = 1
+
+    def sample(self, n, dim, gen):
+        return gen.random((n, dim))
+
+
+def test_expected_fraction_refuses_an_unsupported_position_law():
+    spec = InitialMeasureSpec(_Oddball(), GaussianMomenta(1.0))
+    with pytest.raises(ValueError, match="^unsupported position law _Oddball$"):
+        expected_fraction(spec, TorusRegion.interval(0.0, 0.5), 1.0)
+
+
+def test_expected_fraction_refuses_an_unsupported_momentum_law():
+    spec = InitialMeasureSpec(PointPositions((0.2,)), _Oddball())
+    with pytest.raises(ValueError, match="^unsupported momentum law _Oddball$"):
         expected_fraction(spec, TorusRegion.interval(0.0, 0.5), 1.0)
 
 

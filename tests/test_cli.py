@@ -138,6 +138,16 @@ def test_region_converter_handles_boxes():
         ("[gas-trace]\nn=10\nregion=0,0.5\ndt=1\nk_count=2\nmomentum=tabulated\n", "momentum_grid"),
         ("[gas-trace]\nn=10\nregion=0,0.5\ndt=1\nk_count=2\nmomentum=tabulated\nmomentum_grid=0,1\nmomentum_density=-1,1\n", "momentum_grid"),
         ("[gas-trace]\nn=10\nregion=0,0.5\ndt=1\nk_count=2\nmomentum_grid=0,1\n", "momentum_grid"),
+        # The keys of a law that was not chosen are refused, not ignored.
+        ("[gas-trace]\nn=10\nregion=0,0.5\ndt=1\nk_count=2\nposition_point=0.3\n", "position_point"),
+        ("[gas-trace]\nn=10\nregion=0,0.5\ndt=1\nk_count=2\nposition=point\nposition_point=0.3\n"
+         "position_region=0,0.5\n", "position_region"),
+        ("[gas-trace]\nn=10\nregion=0,0.5\ndt=1\nk_count=2\nmomentum=tabulated\nmomentum_grid=0,1\n"
+         "momentum_density=1,1\nsigma=1\n", "sigma"),
+        ("[gas-trace]\nn=10\nregion=0,0.5\ndt=1\nk_count=2\nmomentum=tabulated\nmomentum_grid=0,1\n"
+         "momentum_density=1,1\nmean_speed=1\n", "mean_speed"),
+        ("[gas-trace]\nn=10\nregion=0,0.5\ndt=1\nk_count=2\nmomentum=tabulated\nmomentum_grid=0,1\n"
+         "momentum_density=1,1\nsigma=1\nmean_speed=1\n", "sigma"),
         ("[gas-reverse]\nn=10\nregion=0,0.5\nreverse_time=1.0\ndt=0.3\n", "reverse_time"),
         ("[kac-trace]\nn=16\nmu=0.25\nt_max=33\n", "t_max"),
         ("[kac-trace]\nn=16\nmu=0\nt_max=8\n", "mu"),
@@ -859,9 +869,12 @@ _PARITY = {
         _kac_ensemble_library,
         {"n": [100, 4, 0], "mu": [1.0, 0.0, 1.5],
          "histories": [1, 0, (10**12, {"n": 4096})], "t_max": [32, 33, -1],
-         "epsilon": [0.999, 1.0, 1.5, 0.0],
+         # eps = 1e200 squares past floats in the bounds, and 5e-324 / 4 is 0.0,
+         # whose t_start = 814 the window of N = 4096 never reaches; both once
+         # exited 3 before the library's refusal.
+         "epsilon": [0.999, 1.0, 1.5, 0.0, (1e200, {"alpha": 0.5, "n": 4096})],
          "alpha": [(0.5, {"n": 4096}), (0.5, {"n": 16}), (0.0, {"n": 4096}),
-                   (1.0, {"n": 4096})],
+                   (1.0, {"n": 4096}), (0.5, {"epsilon": 5e-324, "n": 4096})],
          "workers": [0]},
     ),
     "kac-brute": (

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import equilab
+from equilab import sampler
 from equilab.core import (
     GasMicrostate,
     LogProbability,
@@ -23,6 +24,7 @@ from equilab.core import (
     fractional_part,
     as_int,
     as_real,
+    square,
     stream_generators,
     write_csv,
 )
@@ -232,6 +234,12 @@ def test_log_probability_clamps_and_flags_vacuous():
     q = LogProbability.from_log(-0.5)
     assert not q.vacuous
     assert q.raw_log == q.log_value
+
+
+def test_square_is_inf_past_float_range():
+    # 1e200 ** 2 raises OverflowError; the square the bounds need is inf.
+    assert square(1e200) == square(10**200) == square(math.inf) == math.inf
+    assert square(0.15) == 0.15**2 and square(1e-200) == 0.0
 
 
 @pytest.mark.parametrize("exponent", [-1e6, -1500.0, -10.0, -1e-6])
@@ -486,6 +494,34 @@ def test_no_private_names_cross_package_modules():
         if (names := _private_imports(path.read_text(encoding="utf-8")))
     }
     assert private == {}
+
+
+def _imported_laws(source: str) -> list:
+    """Law classes (sampler classes that sample) a module imports from the sampler."""
+    laws = {name for name, obj in vars(sampler).items()
+            if isinstance(obj, type) and hasattr(obj, "sample")}
+    return sorted(
+        f"{alias.name} (line {node.lineno})"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("sampler")
+        for alias in node.names
+        if alias.name in laws or alias.name == "*"
+    )
+
+
+def test_imported_laws_detector():
+    source = (
+        "from .sampler import InitialMeasureSpec, check_dim, TabulatedMomenta\n"
+        "from equilab.sampler import *\nfrom .core import TorusRegion\n"
+    )
+    assert _imported_laws(source) == ["* (line 2)", "TabulatedMomenta (line 1)"]
+
+
+def test_analytic_imports_no_law_class():
+    # Each law owns its transform (characteristic or components), so the
+    # series code has no law type to switch on.
+    source = (pathlib.Path(equilab.__file__).parent / "analytic.py").read_text(encoding="utf-8")
+    assert _imported_laws(source) == []
 
 
 def test_no_unused_imports_in_package():

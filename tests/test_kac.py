@@ -834,6 +834,28 @@ def test_ring_bound_schedule_bound_arithmetic():
     assert seq.vacuous and seq.log_value == 0.0
 
 
+@pytest.mark.parametrize("epsilon", [1e200, 10**200, math.inf])
+def test_ring_bound_schedule_bounds_where_eps_squared_overflows(epsilon: float):
+    # eps^2 = 1e400 once raised OverflowError, and inf - inf made a NaN log.
+    sched = ring_bound_schedule(epsilon, 0.5, 0.3)
+    assert sched.per_time_bound(4096).log_value == -math.inf
+    assert sched.sequence_bound(4096).log_value == -math.inf
+    # At N = 1 the exponent (eps^2/2)(1 - N^(1-alpha)) is 0 for every eps.
+    assert sched.per_time_bound(1).raw_log == math.log(2.0)
+
+
+def test_ring_bound_schedule_start_time_at_the_epsilon_extremes():
+    # eps / 4 = 5e-324 / 4 is 0.0 in floats, whose log once raised "math domain error".
+    tiny = ring_bound_schedule(5e-324, 0.5, 0.3)
+    want = (math.log(5e-324) - math.log(4.0)) / math.log(0.4)
+    assert tiny.t_start_exact == pytest.approx(want, rel=1e-15)
+    assert tiny.t_start == 814.0
+    # An epsilon above 4 needs no step of its own, eps = inf included.
+    assert ring_bound_schedule(8.0, 0.5, 0.3).t_start == 1.0
+    huge = ring_bound_schedule(math.inf, 0.5, 0.3)
+    assert (huge.t_start_exact, huge.t_start) == (-math.inf, 1.0)
+
+
 def test_ring_bound_schedule_tightens_with_n():
     sched = ring_bound_schedule(0.15, 0.5, 0.3)
     big = sched.per_time_bound(10**8)

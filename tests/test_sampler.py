@@ -260,3 +260,22 @@ def test_position_laws_carry_their_dimension():
     assert UniformPositions(TorusRegion((0.0, 0.0), (0.5, 1.0))).dim == 2
     assert PointPositions((0.25, 0.5, 0.75)).dim == 3
     assert PointMixturePositions(((0.25,), (0.5,)), (0.5, 0.5)).dim == 1
+
+
+def test_position_laws_list_their_components():
+    # Weighted per-axis (lo, hi) pieces; a point a is the piece (a, a).
+    box = UniformPositions(TorusRegion((0.2, 0.5), (0.7, 0.9)))
+    assert box.components == ((1.0, ((0.2, 0.7), (0.5, 0.9))),)
+    assert PointPositions((0.25, 0.5)).components == ((1.0, ((0.25, 0.25), (0.5, 0.5))),)
+    mix = PointMixturePositions(((0.1,), (0.6,)), (0.3, 0.7))
+    assert mix.components == ((0.3, ((0.1, 0.1),)), (0.7, ((0.6, 0.6),)))
+
+
+def test_momentum_characteristics_are_one_at_zero_and_vanish_far_out():
+    u = np.array([0.0, 1e6, np.inf])
+    gauss = GaussianMomenta(0.5).characteristic(u)
+    assert gauss.tolist() == [1.0, 0.0, 0.0]
+    tab = TabulatedMomenta((-1.0, 0.0, 1.0), (0.0, 1.0, 0.0)).characteristic(u[:2])
+    assert tab[0] == pytest.approx(1.0, abs=1e-15)
+    # The triangle's transform is (2 - 2 cos u) / u^2, about 2e-12 at u = 1e6.
+    assert abs(tab[1]) < 1e-11
