@@ -35,7 +35,6 @@ from .core import (
 from .sampler import (
     GaussianMomenta,
     InitialMeasureSpec,
-    PointMixturePositions,
     PointPositions,
     TabulatedMomenta,
     UniformPositions,
@@ -106,7 +105,6 @@ __all__ = [
     # sampler
     "GaussianMomenta",
     "InitialMeasureSpec",
-    "PointMixturePositions",
     "PointPositions",
     "TabulatedMomenta",
     "UniformPositions",

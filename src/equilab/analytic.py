@@ -8,14 +8,14 @@ position law and phi the momentum characteristic function,
 
 evaluated per axis (product laws and product regions factorize).  Each law
 owns its transform in :mod:`equilab.sampler` (phi is the momentum law's
-``characteristic``, nu_l comes from the position law's ``components``), so
+``characteristic``, nu_l comes from the position law's ``intervals``), so
 this module never asks a law's type.  Each term has the envelope
 |chi_l| |nu_l| |phi| with the monotone bounds |chi_l| <= min(|I|, 1/(pi l))
-and, for a piece of width w > 0, |nu_l| <= min(1, 1/(pi l w)).  The series
-stops before the first run of three envelopes below ``tail_tol``, or before
-the first phi-free envelope |chi_l| |nu_l| below it, whichever comes first.  The envelope form matters:
-individual coefficients can vanish (every even one does for [0, 0.5)), so
-stopping on a raw small term would truncate too early.  This is a per-term
+and, for an interval of width w > 0, |nu_l| <= min(1, 1/(pi l w)).  The
+series has one stopping rule: it stops before the first run of three
+envelopes below ``tail_tol``.  The envelope form matters: individual
+coefficients can vanish (every even one does for [0, 0.5)), so stopping on
+a raw small term would truncate too early.  This is a per-term
 rule, not a certified bound on the tail: phi of a tabulated law need not
 decrease, and a later term may rise above ``tail_tol`` again.
 
@@ -74,7 +74,7 @@ def _interval_transform(a: float, b: float, ells: np.ndarray) -> np.ndarray:
 
 
 def _position_transform(lo: float, hi: float, ells: np.ndarray):
-    """(nu_l, envelope) at the given l >= 1 for one axis piece, a point if lo == hi."""
+    """(nu_l, envelope) at the given l >= 1 for one axis interval, a point if lo == hi."""
     if lo == hi:
         return np.exp(1j * _TWO_PI * ells * lo), np.ones_like(ells)
     width = hi - lo
@@ -83,7 +83,7 @@ def _position_transform(lo: float, hi: float, ells: np.ndarray):
 
 
 def _overlap_1d(lo: float, hi: float, a: float, b: float) -> float:
-    """P(x in [a, b)) under one axis piece of the position law, exact (used at t=0)."""
+    """P(x in [a, b)) under one axis interval of the position law, exact (used at t=0)."""
     if lo == hi:
         return 1.0 if a <= lo < b else 0.0
     return max(0.0, min(b, hi) - max(a, lo)) / (hi - lo)
@@ -97,8 +97,14 @@ _PREFIXES = (64, 256, 1024, _BLOCK)
 _MAX_TERMS = 10_000_000
 
 
-def _series_1d(piece, a, b, momentum, ts: np.ndarray, tail_tol) -> np.ndarray:
+def _series_1d(interval, a, b, momentum, ts: np.ndarray, tail_tol) -> np.ndarray:
     """One-axis expected indicator at each time t > 0 of ``ts``, stopped as the module says.
+
+    The one rule is enough because every momentum law has |phi| <= 1 and
+    the phi-free envelope |chi_l| |nu_l| never increases in l: once it is
+    below ``tail_tol`` at some l, so are the full envelopes at l, l+1 and
+    l+2, and the run of three stops there.  A zero-width box has coef = 0
+    and envelope 0, so it stops at once with the value 0.
 
     Each block reads two terms past its end, so a run that starts in it is
     seen whole.  Only a whole block, or the part before the stop, is ever
@@ -109,8 +115,6 @@ def _series_1d(piece, a, b, momentum, ts: np.ndarray, tail_tol) -> np.ndarray:
     a result either.
     """
     length = b - a
-    if length <= 0.0:
-        return np.zeros(ts.size)
     totals = np.full(ts.size, length)
     running = np.arange(ts.size)
     sizes = itertools.chain(_PREFIXES, itertools.repeat(_BLOCK))
@@ -123,10 +127,9 @@ def _series_1d(piece, a, b, momentum, ts: np.ndarray, tail_tol) -> np.ndarray:
         size = next(sizes)
         ells = np.arange(start, start + size + 2, dtype=float)
         u = _TWO_PI * ells
-        nu, nu_env = _position_transform(*piece, ells)
+        nu, nu_env = _position_transform(*interval, ells)
         coef = np.conj(_interval_transform(a, b, ells)) * nu
         hard = np.minimum(length, 1.0 / (math.pi * ells)) * nu_env
-        env_stop = hard[:-2] < tail_tol
         group, going = (_BLOCK + 2) // ells.size, []
         for i in range(0, running.size, group):
             rows = running[i : i + group]
@@ -141,7 +144,7 @@ def _series_1d(piece, a, b, momentum, ts: np.ndarray, tail_tol) -> np.ndarray:
             phi = phi.reshape(rows.size, -1)
             terms = 2.0 * np.real(coef * phi)
             small = hard * np.abs(phi) < tail_tol
-            stops = (small[:, :-2] & small[:, 1:-1] & small[:, 2:]) | env_stop
+            stops = small[:, :-2] & small[:, 1:-1] & small[:, 2:]
             for row, row_terms, row_stops in zip(rows, terms, stops):
                 stop = row_stops.argmax()
                 if row_stops[stop]:
@@ -166,11 +169,11 @@ def expected_fraction(
 
     ``t`` is one time, giving a float, or a 1-d sequence of times, giving an
     array with one mean per time; each mean is the same float either way.
-    Sums the Fourier series per axis and per mixture component up to the
-    stop named in the module docstring; t = 0 is evaluated exactly as an
-    overlap so the degenerate (slowly converging) series never runs.  The
-    result is clamped to [0, 1].  ``tail_tol`` must be finite and > 0; a
-    series with no stop within ``_MAX_TERMS`` terms raises RuntimeError.
+    Sums the Fourier series per axis up to the stop named in the module
+    docstring; t = 0 is evaluated exactly as an overlap so the degenerate
+    (slowly converging) series never runs.  The result is clamped to [0, 1].
+    ``tail_tol`` must be finite and > 0; a series with no stop within
+    ``_MAX_TERMS`` terms raises RuntimeError.
     """
     times = np.asarray(t)
     # asarray makes 1.0 of a bool among real times, so a sequence is checked
@@ -187,21 +190,19 @@ def expected_fraction(
     momentum, positions = initial.momenta, initial.positions
     if not hasattr(momentum, "characteristic"):
         raise ValueError(f"unsupported momentum law {type(momentum).__name__}")
-    if not hasattr(positions, "components"):
+    if not hasattr(positions, "intervals"):
         raise ValueError(f"unsupported position law {type(positions).__name__}")
     check_dim(positions, region.dim)
-    total = np.zeros(ts.size)
-    # Mixtures expand by linearity before the per-axis factorization.
-    for weight, pieces in positions.components:
-        value = np.ones(ts.size)
-        for piece, a, b in zip(pieces, region.lower, region.upper):
-            # A time whose product is already 0 skips the remaining axes.
-            live = np.flatnonzero(value != 0.0)
-            moving = live[ts[live] > 0.0]
-            value[live[ts[live] == 0.0]] *= _overlap_1d(*piece, a, b)
-            value[moving] *= _series_1d(piece, a, b, momentum, ts[moving], tail_tol)
-        total += weight * value
-    means = np.minimum(1.0, np.maximum(0.0, total))
+    value = np.ones(ts.size)
+    for interval, a, b in zip(positions.intervals, region.lower, region.upper):
+        # A time whose product is already 0 skips the remaining axes.
+        live = np.flatnonzero(value != 0.0)
+        moving = live[ts[live] > 0.0]
+        value[live[ts[live] == 0.0]] *= _overlap_1d(*interval, a, b)
+        value[moving] *= _series_1d(interval, a, b, momentum, ts[moving], tail_tol)
+    # np.maximum(0.0, -0.0) keeps -0.0, which is written "-0"; adding the
+    # product onto +0.0 turns a -0.0 into +0.0 first.
+    means = np.minimum(1.0, np.maximum(0.0, 0.0 + value))
     return float(means[0]) if times.ndim == 0 else means
 
 
@@ -316,8 +317,12 @@ def equilibration_time(decay: DecayEstimate, epsilon: float, eta: float = 0.5) -
     """Smallest t with c_mu t^(-2r) <= eta eps, (c_mu/(eta eps))^(1/2r), or inf past floats."""
     as_real(epsilon, "epsilon", 0, open_lo=True)
     as_real(eta, "eta", 0, 1, open_lo=True, open_hi=True)
+    scale = eta * epsilon
     try:
-        return (decay.c_mu / (eta * epsilon)) ** (1.0 / (2.0 * decay.r))
+        if scale == 0.0:  # eta eps underflows; its log does not
+            log_t = math.log(decay.c_mu) - math.log(eta) - math.log(epsilon)
+            return math.exp(log_t / (2.0 * decay.r))
+        return (decay.c_mu / scale) ** (1.0 / (2.0 * decay.r))
     except OverflowError:
         return math.inf
 

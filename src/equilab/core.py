@@ -25,6 +25,7 @@ import math
 import numbers
 import operator
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,8 @@ UNDERFLOW_LINEAR = 1e-300
 _UNDERFLOW_LOG = math.log(UNDERFLOW_LINEAR)
 
 _TWO64 = 2**64
+#: The largest float: ``float()`` of an int past it raises OverflowError.
+FLOAT_MAX = sys.float_info.max
 
 
 class ParameterError(ValueError):
@@ -65,6 +68,15 @@ class ParameterError(ValueError):
         return f"{self.name} {self.rule}"
 
 
+def _shown(value):
+    """``value`` as a refusal shows it: an int past 17 digits in .6e form."""
+    if isinstance(value, numbers.Integral) and abs(value) >= 10**17:
+        from decimal import Decimal  # kept off the import time of every run
+
+        return format(Decimal(int(value)), ".6e")
+    return value
+
+
 def as_int(value, name: str, lo=0, hi=math.inf) -> int:
     try:
         if isinstance(value, bool):  # an int subclass; numpy refuses np.bool_ too
@@ -73,11 +85,7 @@ def as_int(value, name: str, lo=0, hi=math.inf) -> int:
     except TypeError:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
     if not (lo <= value <= hi):
-        if abs(value) >= 10**17:  # past 17 digits, show the leading ones and the exponent
-            from decimal import Decimal  # kept off the import time of every run
-
-            value = format(Decimal(value), ".6e")
-        raise ParameterError(name, f"must lie in [{lo}, {hi}], got {value}")
+        raise ParameterError(name, f"must lie in [{lo}, {hi}], got {_shown(value)}")
     return value
 
 
@@ -85,15 +93,19 @@ def as_real(value, name: str, lo=-math.inf, hi=math.inf, *, open_lo=False, open_
             finite=False) -> None:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError(f"{name} must be a real number, got {value!r}")
-    above = lo < value if open_lo else lo <= value
-    below = value < hi if open_hi else value <= hi
-    if above and below and not (finite and math.isinf(value)):
-        return
+    if isinstance(value, numbers.Integral) and abs(value) > FLOAT_MAX:
+        # Every use turns the value into a float, which this int cannot be.
+        lo, hi = max(lo, -FLOAT_MAX), min(hi, FLOAT_MAX)
+    else:
+        above = lo < value if open_lo else lo <= value
+        below = value < hi if open_hi else value <= hi
+        if above and below and not (finite and math.isinf(value)):
+            return
     if hi < math.inf:
         rule = f"lie in {'(' if open_lo else '['}{lo}, {hi}{')' if open_hi else ']'}"
     else:
         rule = f"be {'finite and ' if finite else ''}{'>' if open_lo else '>='} {lo}"
-    raise ParameterError(name, f"must {rule}, got {value}")
+    raise ParameterError(name, f"must {rule}, got {_shown(value)}")
 
 
 def square(x: float) -> float:

@@ -37,7 +37,7 @@ from .core import (
 )
 from .gas import BoxCounter, ObservableSeries, trace
 from .kac import RingStepper, marker_limit
-from .sampler import InitialMeasureSpec, sample_microstate
+from .sampler import InitialMeasureSpec, check_dim, sample_microstate
 
 __all__ = [
     "ScalingExperimentSpec",
@@ -109,6 +109,7 @@ class ScalingExperimentSpec:
         object.__setattr__(self, "master_seed", as_int(self.master_seed, "master_seed", -math.inf))
         # |f - |I|| <= 1, so epsilon >= 1 would count no deviation at all.
         as_real(self.epsilon, "epsilon", 0, 1, open_lo=True, open_hi=True)
+        check_dim(self.initial.positions, self.region.dim)
 
 
 @dataclass(frozen=True)
@@ -206,8 +207,10 @@ def run_gas_scaling(spec: ScalingExperimentSpec, workers: int = 1) -> ScalingRes
     disjoint stream ids).  The chunks of every n go through one worker pool.
     """
     workers = as_int(workers, "workers", 1)
-    # Grid times past the largest K can reach no result.
-    times = tuple(spec.grid.times[: spec.k_values[-1]].tolist())
+    # Grid times past the largest K can reach no result, so they are never
+    # built: each instant is t0 + k dt on its own, the same float either way.
+    grid = spec.grid
+    times = tuple(TimeGrid(grid.t0, grid.dt, spec.k_values[-1]).times.tolist())
     dim = spec.region.dim
     m = spec.histories
     payloads, owners = [], []

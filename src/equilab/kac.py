@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LogProbability, ParameterError, RngStream, as_int, as_real, square
+from .core import FLOAT_MAX, LogProbability, ParameterError, RngStream, as_int, as_real, square
 
 __all__ = [
     "KacConfiguration",
@@ -532,7 +532,7 @@ class RingBoundSchedule:
     t_start_exact: float
 
     def window_end(self, n_sites: int) -> float:
-        return 0.5 * as_int(n_sites, "n_sites", 1) ** self.alpha
+        return 0.5 * as_int(n_sites, "n_sites", 1, FLOAT_MAX) ** self.alpha
 
     def window(self, n_sites: int) -> tuple:
         """(t_start, N^alpha / 2), refused if it never opens or closes first."""
@@ -545,7 +545,7 @@ class RingBoundSchedule:
         return self.t_start, end
 
     def _log_per_time(self, n_sites: int) -> float:
-        n_sites = as_int(n_sites, "n_sites", 1)
+        n_sites = as_int(n_sites, "n_sites", 1, FLOAT_MAX)  # n ** float needs a float n
         half_sq = 0.5 * square(self.epsilon)
         scale = n_sites ** (1.0 - self.alpha)
         if math.isinf(half_sq):  # (eps^2/2)(1 - N^(1-alpha)) is 0 at N = 1, -inf past it

@@ -1,16 +1,15 @@
 """Initial-condition sampling for the free gas.
 
 An initial measure is a product: a position law on the torus times an i.i.d.
-momentum law per particle.  Position laws cover the cases used throughout
-the package (uniform on a box, a single point, a finite mixture of points);
-momentum laws are an isotropic Gaussian or a tabulated one-dimensional
+momentum law per particle.  Position laws are uniform on a box or a single
+point; momentum laws are an isotropic Gaussian or a tabulated one-dimensional
 density applied independently per component.  Each position law carries
 its dimension as ``dim``, and :func:`check_dim` is the one rule that it
 matches the dimension asked for.
 
 Each law owns the Fourier data :mod:`equilab.analytic` sums: a momentum law
 its ``characteristic(u)`` = E exp(i u p) per component, a position law its
-``components``, weighted per-axis (lo, hi) pieces with a point a as (a, a).
+``intervals``, the per-axis (lo, hi) pairs with a point a written (a, a).
 
 Every draw goes through an :class:`~equilab.core.RngStream`, so a sampled
 microstate is a pure function of (law, n, dim, master_seed, stream_id).
@@ -28,7 +27,6 @@ from .core import GasMicrostate, RngStream, TorusRegion, as_int, as_real
 __all__ = [
     "UniformPositions",
     "PointPositions",
-    "PointMixturePositions",
     "GaussianMomenta",
     "TabulatedMomenta",
     "InitialMeasureSpec",
@@ -68,8 +66,8 @@ class UniformPositions:
         return self.region.dim
 
     @property
-    def components(self) -> tuple:
-        return ((1.0, tuple(zip(self.region.lower, self.region.upper))),)
+    def intervals(self) -> tuple:
+        return tuple(zip(self.region.lower, self.region.upper))
 
     def sample(self, n: int, dim: int, gen: np.random.Generator) -> np.ndarray:
         check_dim(self, dim)
@@ -96,48 +94,12 @@ class PointPositions:
         return len(self.point)
 
     @property
-    def components(self) -> tuple:
-        return ((1.0, tuple((a, a) for a in self.point)),)
+    def intervals(self) -> tuple:
+        return tuple((a, a) for a in self.point)
 
     def sample(self, n: int, dim: int, gen: np.random.Generator) -> np.ndarray:
         check_dim(self, dim)
         return np.tile(np.asarray(self.point, dtype=float), (n, 1))
-
-
-@dataclass(frozen=True)
-class PointMixturePositions:
-    """Each particle picks one of finitely many points with given weights."""
-
-    points: tuple
-    weights: tuple
-
-    def __post_init__(self):
-        pts = tuple(PointPositions(p).point for p in self.points)
-        wts = tuple(float(w) for w in self.weights)
-        if len(pts) != len(wts) or not pts:
-            raise ValueError("points and weights must be non-empty and match in length")
-        if any(w < 0 for w in wts):
-            raise ValueError("mixture weights must be >= 0")
-        if abs(sum(wts) - 1.0) > 1e-12:
-            raise ValueError(f"mixture weights sum to {sum(wts)}, expected 1")
-        dims = {len(p) for p in pts}
-        if len(dims) != 1:
-            raise ValueError("all mixture points must share one dimension")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "weights", wts)
-
-    @property
-    def dim(self) -> int:
-        return len(self.points[0])
-
-    @property
-    def components(self) -> tuple:
-        return tuple((w, tuple((a, a) for a in pt)) for pt, w in zip(self.points, self.weights))
-
-    def sample(self, n: int, dim: int, gen: np.random.Generator) -> np.ndarray:
-        check_dim(self, dim)
-        idx = gen.choice(len(self.points), size=n, p=np.asarray(self.weights))
-        return np.asarray(self.points, dtype=float)[idx]
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,6 @@ from equilab.analytic import (
 from equilab.sampler import (
     GaussianMomenta,
     InitialMeasureSpec,
-    PointMixturePositions,
     PointPositions,
     TabulatedMomenta,
     UniformPositions,
@@ -67,11 +66,6 @@ def _oracle_fraction(position_law, sigma: float, region: TorusRegion, t: float) 
     scale = sigma * t
     if isinstance(position_law, PointPositions):
         return _wrapped_gaussian_prob(position_law.point[0], scale, a, b)
-    if isinstance(position_law, PointMixturePositions):
-        return sum(
-            w * _wrapped_gaussian_prob(p[0], scale, a, b)
-            for p, w in zip(position_law.points, position_law.weights)
-        )
     lo, hi = position_law.region.lower[0], position_law.region.upper[0]
     nodes, weights = np.polynomial.legendre.leggauss(500)
     xs = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
@@ -135,7 +129,7 @@ def test_box_coeff_envelope(seed: int):
         PointPositions((0.0,)),
         UniformPositions(TorusRegion.interval(0.0, 0.5)),
         UniformPositions(TorusRegion.interval(0.3, 0.9)),
-        PointMixturePositions(((0.1,), (0.6,)), (0.3, 0.7)),
+        PointPositions((0.6,)),
     ],
 )
 @pytest.mark.parametrize("t", [0.05, 0.3, 1.0, 5.0])
@@ -168,7 +162,6 @@ def test_expected_fraction_t_zero_is_overlap():
         (PointPositions((0.7,)), 0.0),  # half-open: the upper face is out
         (PointPositions((0.2,)), 1.0),
         (UniformPositions(TorusRegion.interval(0.0, 0.5)), 0.6),
-        (PointMixturePositions(((0.3,), (0.9,)), (0.25, 0.75)), 0.25),
     ]
     for law, want in cases:
         got = expected_fraction(InitialMeasureSpec(law, momenta), region, 0.0)
@@ -231,22 +224,6 @@ def test_expected_fraction_2d_factorizes():
         region_1d = TorusRegion.interval(region_2d.lower[k], region_2d.upper[k])
         per_axis.append(expected_fraction(spec_1d, region_1d, t))
     assert got == pytest.approx(per_axis[0] * per_axis[1], rel=1e-10)
-
-
-def test_expected_fraction_mixture_linearity():
-    momenta = GaussianMomenta(1.1)
-    region = TorusRegion.interval(0.3, 0.8)
-    t = 0.6
-    pts = ((0.05,), (0.45,), (0.95,))
-    wts = (0.5, 0.2, 0.3)
-    mixture = expected_fraction(
-        InitialMeasureSpec(PointMixturePositions(pts, wts), momenta), region, t
-    )
-    parts = sum(
-        w * expected_fraction(InitialMeasureSpec(PointPositions(p), momenta), region, t)
-        for p, w in zip(pts, wts)
-    )
-    assert mixture == pytest.approx(parts, rel=1e-12)
 
 
 @pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
@@ -361,13 +338,6 @@ _BATCH_CASES = {
         InitialMeasureSpec(UniformPositions(_BOX_2D), GaussianMomenta(0.4)),
         _BOX_2D,
         [0.0, 0.2, 1.0, 0.05, 4.0],
-    ),
-    "point_mixture": (
-        InitialMeasureSpec(
-            PointMixturePositions(((0.2,), (0.7,)), (0.3, 0.7)), _EDGE_LAW
-        ),
-        TorusRegion.interval(0.1, 0.4),
-        [0.0, 0.3, 0.02, 2.0, 0.3],
     ),
 }
 
@@ -525,6 +495,22 @@ def test_equilibration_time_past_float_range_is_inf(c_mu, r):
     # (1 / (0.5 * 1e-3))^(1 / 0.01) = 2000^100 once raised OverflowError.
     assert equilibration_time(DecayEstimate(c_mu, r), 1e-3) == math.inf
     assert equilibration_time(DecayEstimate(1.0, 0.01), 1e-3) == pytest.approx(2000.0**50)
+
+
+@pytest.mark.parametrize(
+    "c_mu, r, epsilon, eta, want",
+    [(0.5, 1.0, 5e-324, 0.5, 4.4989e161), (0.5, 1.0, 0.04, 5e-324, 1.5906e162),
+     (2.0, 1.0, 1e-200, 1e-200, math.sqrt(2.0) * 1e200), (0.5, 1e-3, 5e-324, 0.5, math.inf)],
+    ids=["epsilon", "eta", "both", "past_float_range"],
+)
+def test_equilibration_time_where_eta_epsilon_underflows(c_mu, r, epsilon, eta, want):
+    # eta * eps is 0.0 here, and c_mu / (eta * eps) raised ZeroDivisionError.
+    assert eta * epsilon == 0.0
+    got = equilibration_time(DecayEstimate(c_mu, r), epsilon, eta)
+    assert got == pytest.approx(want, rel=1e-4)
+    if math.isfinite(want):  # c_mu t^(-2r) = eta eps, in logs
+        log_bound = math.log(c_mu) - 2.0 * r * math.log(got)
+        assert log_bound == pytest.approx(math.log(eta) + math.log(epsilon), rel=1e-12)
 
 
 def test_equilibration_time_rejects_nan_epsilon():
@@ -699,9 +685,8 @@ def test_macro_estimator_refuses_a_particle_count_past_float_range(n0, cell_volu
     [
         UniformPositions(TorusRegion((0.0, 0.0), (0.5, 1.0))),
         PointPositions((0.25, 0.5)),
-        PointMixturePositions(((0.25, 0.5), (0.5, 0.75)), (0.5, 0.5)),
     ],
-    ids=["uniform", "point", "mixture"],
+    ids=["uniform", "point"],
 )
 def test_position_law_dimension_must_match_the_region(law):
     initial = InitialMeasureSpec(law, GaussianMomenta(1.0))
@@ -807,3 +792,14 @@ def test_expected_fraction_of_a_zero_width_region_is_zero(t):
     spec = InitialMeasureSpec(law, GaussianMomenta(1.0))
     assert np.all(expected_fraction(spec, TorusRegion.interval(0.3, 0.3), t) == 0.0)
 
+
+def test_expected_fraction_returns_no_negative_zero():
+    # The first axis sums to -2.0e-13 here and the zero-width second axis
+    # to 0.0, so the product is -0.0, which np.maximum(0.0, .) keeps and a
+    # CSV would write as "-0".
+    spec = InitialMeasureSpec(PointPositions((0.9, 0.5)), GaussianMomenta(1.0))
+    region = TorusRegion((0.2, 0.3), (0.5, 0.3))
+    t = 0.0001268961003167922
+    assert analytic._series_1d((0.9, 0.9), 0.2, 0.5, spec.momenta, np.array([t]), 1e-12) < 0.0
+    for got in (expected_fraction(spec, region, t), *expected_fraction(spec, region, [t, 0.5])):
+        assert math.copysign(1.0, got) == 1.0

@@ -840,7 +840,8 @@ _PARITY = {
          "fit_eta": 0.5},
         _gas_mean_library,
         {"t_values": [(0.0, 1.0, 2.0), (1.0, -1.0)], "tail_tol": [1e-6, 0.0, -1e-12],
-         "fit_epsilon": [2.0, 0.0, -0.1], "fit_eta": [0.99, 1.0, 0.0, 1.5]},
+         # At 5e-324, eta * eps underflows to 0.0, which once divided c_mu.
+         "fit_epsilon": [2.0, 0.0, -0.1, 5e-324], "fit_eta": [0.99, 1.0, 0.0, 1.5, 5e-324]},
     ),
     "gas-scaling": (
         "region = 0,0.5\nposition_region = 0,1\n",
@@ -867,7 +868,8 @@ _PARITY = {
     "kac-ensemble": (
         "", {"n": 16, "mu": 0.3, "histories": 20, "t_max": 8, "epsilon": 0.2, "workers": 1},
         _kac_ensemble_library,
-        {"n": [100, 4, 0], "mu": [1.0, 0.0, 1.5],
+        # N = 10^400 once raised OverflowError from N^alpha.
+        {"n": [100, 4, 0, (10**400, {"alpha": 0.5})], "mu": [1.0, 0.0, 1.5],
          "histories": [1, 0, (10**12, {"n": 4096})], "t_max": [32, 33, -1],
          # eps = 1e200 squares past floats in the bounds, and 5e-324 / 4 is 0.0,
          # whose t_start = 814 the window of N = 4096 never reaches; both once
@@ -884,9 +886,12 @@ _PARITY = {
     "bounds": (
         "", {"epsilon": 0.1, "n": 100, "k_count": 1.0, "eta": 0.5, "l_count": 1},
         _bounds_library,
-        {"epsilon": [0.999, 1.0, 0.0], "n": [1, 0], "k_count": [2.5, 0.5],
+        # n = 10^400 once raised OverflowError as a float, and eta * eps = 0.0
+        # once divided c_mu.
+        {"epsilon": [0.999, 1.0, 0.0], "n": [1, 0, 10**400], "k_count": [2.5, 0.5],
          "eta": [0.9, 1.0, 0.0], "l_count": [5, 0],
-         "c_mu": [(0.5, {"r": 1.0}), (0.0, {"r": 1.0})],
+         "c_mu": [(0.5, {"r": 1.0}), (0.0, {"r": 1.0}), (0.5, {"r": 1.0, "epsilon": 5e-324}),
+                  (0.5, {"r": 1.0, "eta": 5e-324})],
          "r": [(2.0, {"c_mu": 0.5}), (-1.0, {"c_mu": 0.5})]},
     ),
     "macro": (

@@ -14,6 +14,7 @@ import pytest
 import equilab
 from equilab import sampler
 from equilab.core import (
+    FLOAT_MAX,
     GasMicrostate,
     LogProbability,
     ParameterError,
@@ -395,6 +396,13 @@ def test_write_csv_failure_leaves_no_partial_file(tmp_path):
         (lambda: as_int(10**17, "k", hi=10), "k", "must lie in [0, 10], got 1.000000e+17"),
         (lambda: as_int(-(10**17), "k"), "k", "must lie in [0, inf], got -1.000000e+17"),
         (lambda: as_int(10**400, "k", hi=10), "k", "must lie in [0, 10], got 1.000000e+400"),
+        # An int that float() cannot hold is refused by the float range.
+        (lambda: as_real(10**400, "n", 1), "n",
+         "must lie in [1, 1.7976931348623157e+308], got 1.000000e+400"),
+        (lambda: as_real(-(10**400), "t_lo"), "t_lo", "must lie in "
+         "[-1.7976931348623157e+308, 1.7976931348623157e+308], got -1.000000e+400"),
+        (lambda: as_real(10**400, "epsilon", 0, 1, open_lo=True, open_hi=True),
+         "epsilon", "must lie in (0, 1), got 1.000000e+400"),
         # 3 * 1e308 overflows; at t0 = 1e20 the float spacing is 16384, so dt = 1
         # adds nothing to t0 and the instants collapse.
         (lambda: TimeGrid(0.0, 1e308, 3), "dt", "must keep t0 + k_count * dt finite, got 1e+308"),
@@ -408,6 +416,13 @@ def test_range_failures_raise_parameter_error(call, name, rule):
     assert (info.value.name, info.value.rule) == (name, rule)
     assert str(info.value) == f"{name} {rule}"
     assert isinstance(info.value, ValueError)
+
+
+def test_as_real_takes_every_int_a_float_holds():
+    as_real(int(FLOAT_MAX), "n", 1)
+    as_real(-int(FLOAT_MAX), "t_lo")
+    with pytest.raises(ParameterError, match=r"^n must lie in \[1, 1.79"):
+        as_real(int(FLOAT_MAX) + 1, "n", 1)
 
 
 def test_parameter_error_pickles():
@@ -518,7 +533,7 @@ def test_imported_laws_detector():
 
 
 def test_analytic_imports_no_law_class():
-    # Each law owns its transform (characteristic or components), so the
+    # Each law owns its transform (characteristic or intervals), so the
     # series code has no law type to switch on.
     source = (pathlib.Path(equilab.__file__).parent / "analytic.py").read_text(encoding="utf-8")
     assert _imported_laws(source) == []

@@ -49,6 +49,8 @@ _EQUILIBRIUM = InitialMeasureSpec(
 class _ConstantLaw:
     """Duck-typed position or momentum law: every coordinate equals ``value``."""
 
+    dim = 1  # a position law's dimension, that of every region it meets here
+
     def __init__(self, value: float):
         self.value = value
 
@@ -94,6 +96,33 @@ def test_scaling_spec_refuses_epsilon_of_one_and_more(epsilon):
     with pytest.raises(ParameterError, match="^epsilon must lie in \\(0, 1\\), got ") as info:
         dataclasses.replace(_small_spec(0.04), epsilon=epsilon)
     assert (info.value.name, info.value.rule) == ("epsilon", f"must lie in (0, 1), got {epsilon}")
+
+
+def test_scaling_spec_refuses_a_position_law_of_another_dimension():
+    # It was found only in the first chunk, after a pool of workers had started.
+    initial = InitialMeasureSpec(PointPositions((0.2, 0.3)), GaussianMomenta(1.0))
+    with pytest.raises(
+        ValueError, match="^position law dimension 2 does not match region dimension 1$"
+    ):
+        dataclasses.replace(_small_spec(0.04), initial=initial)
+
+
+def test_scaling_builds_no_grid_instant_past_the_largest_k():
+    # The 10^7 instants of the whole grid are 80 MB; only the first K = 2
+    # are read, and they are the same floats as the grid's own.
+    grid = TimeGrid(0.25, 0.1, 10**7)
+    spec = ScalingExperimentSpec((50,), (1, 2), 16, 0.1, grid, _REGION, _EQUILIBRIUM, 0)
+    short = dataclasses.replace(spec, grid=TimeGrid(0.25, 0.1, 2))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        res = run_gas_scaling(spec)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 << 20, f"peak {peak / 2**20:.2f} MiB"
+    assert res.deviations.tolist() == run_gas_scaling(short).deviations.tolist()
+    assert TimeGrid(0.25, 0.1, 2).times.tolist() == grid.times[:2].tolist()
 
 
 @pytest.mark.parametrize("name", ["n_values", "k_values"])

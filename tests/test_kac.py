@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from equilab import kac
-from equilab.core import ParameterError, RngStream
+from equilab.core import FLOAT_MAX, ParameterError, RngStream
 from equilab.kac import (
     KacConfiguration,
     _as_pm_one,
@@ -818,6 +818,20 @@ def test_ring_bound_schedule_window_refusals(mu, n, name, rule):
     with pytest.raises(ParameterError) as info:
         ring_bound_schedule(0.2, 0.5, mu).window(n)
     assert (info.value.name, info.value.rule) == (name, rule)
+
+
+def test_ring_bound_schedule_refuses_a_ring_past_float_range():
+    # N^alpha of such an int raised OverflowError, "int too large to convert to float".
+    sched = ring_bound_schedule(0.1, 0.5, 0.3)
+    rule = "must lie in [1, 1.7976931348623157e+308], got 1.000000e+400"
+    for call in (sched.window_end, sched.window, sched.per_time_bound, sched.sequence_bound):
+        with pytest.raises(ParameterError) as info:
+            call(10**400)
+        assert (info.value.name, info.value.rule) == ("n_sites", rule)
+    assert sched.window_end(int(FLOAT_MAX)) == 0.5 * math.sqrt(FLOAT_MAX)
+    half_sq = 0.5 * 0.1**2
+    assert sched.per_time_bound(int(FLOAT_MAX)).log_value == pytest.approx(
+        math.log(2.0) + half_sq - half_sq * math.sqrt(FLOAT_MAX), rel=1e-12)
 
 
 def test_ring_bound_schedule_bound_arithmetic():

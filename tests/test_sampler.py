@@ -1,17 +1,18 @@
 """Statistical marginals and determinism of the initial-condition sampler."""
 from __future__ import annotations
 
+import inspect
 import math
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from equilab import sampler
 from equilab.core import RngStream, TorusRegion
 from equilab.sampler import (
     GaussianMomenta,
     InitialMeasureSpec,
-    PointMixturePositions,
     PointPositions,
     TabulatedMomenta,
     UniformPositions,
@@ -69,25 +70,6 @@ def test_point_positions_are_exact():
     spec = InitialMeasureSpec(PointPositions((0.2, 0.8)), GaussianMomenta(2.0))
     state = sample_microstate(spec, 50, 2, RngStream(0, 0))
     assert np.all(state.positions == np.array([0.2, 0.8]))
-
-
-def test_point_mixture_frequencies_match_weights():
-    law = PointMixturePositions(((0.1,), (0.5,), (0.9,)), (0.2, 0.3, 0.5))
-    gen = RngStream(3, 0).generator()
-    x = law.sample(10**5, 1, gen)[:, 0]
-    for point, weight in zip((0.1, 0.5, 0.9), (0.2, 0.3, 0.5)):
-        freq = np.mean(x == point)
-        tol = 4.0 * math.sqrt(weight * (1 - weight) / 10**5)
-        assert abs(freq - weight) < tol
-    # Nothing outside the atom set.
-    assert set(np.unique(x)) == {0.1, 0.5, 0.9}
-
-
-def test_point_mixture_validates_weights():
-    with pytest.raises(ValueError):
-        PointMixturePositions(((0.1,), (0.5,)), (0.6, 0.5))
-    with pytest.raises(ValueError):
-        PointMixturePositions(((0.1,), (0.5,)), (1.1, -0.1))
 
 
 def test_gaussian_momenta_moments():
@@ -227,10 +209,8 @@ def test_sample_microstate_accepts_numpy_integer_counts():
          "position law dimension 2 does not match region dimension 1"),
         (PointPositions((0.25, 0.5)),
          "position law dimension 2 does not match region dimension 1"),
-        (PointMixturePositions(((0.25, 0.5), (0.5, 0.75)), (0.5, 0.5)),
-         "position law dimension 2 does not match region dimension 1"),
     ],
-    ids=["uniform", "point", "mixture"],
+    ids=["uniform", "point"],
 )
 def test_position_laws_refuse_another_dimension(law, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -241,15 +221,12 @@ def test_position_laws_refuse_another_dimension(law, message):
 def test_point_laws_refuse_points_off_the_torus(point):
     with pytest.raises(ValueError, match="point coordinates must lie in \\[0, 1\\)"):
         PointPositions(point)
-    # The mixture checks each of its points through PointPositions.
-    with pytest.raises(ValueError, match="point coordinates must lie in \\[0, 1\\)"):
-        PointMixturePositions(((0.5,) * len(point), point), (0.5, 0.5))
 
 
 @pytest.mark.parametrize(
     "build",
-    [lambda: PointPositions(()), lambda: PointMixturePositions(((),), (1.0,))],
-    ids=["point", "mixture"],
+    [lambda: PointPositions(())],
+    ids=["point"],
 )
 def test_point_laws_refuse_an_empty_point_when_built(build):
     with pytest.raises(ValueError, match="^point must not be empty$"):
@@ -259,16 +236,13 @@ def test_point_laws_refuse_an_empty_point_when_built(build):
 def test_position_laws_carry_their_dimension():
     assert UniformPositions(TorusRegion((0.0, 0.0), (0.5, 1.0))).dim == 2
     assert PointPositions((0.25, 0.5, 0.75)).dim == 3
-    assert PointMixturePositions(((0.25,), (0.5,)), (0.5, 0.5)).dim == 1
 
 
-def test_position_laws_list_their_components():
-    # Weighted per-axis (lo, hi) pieces; a point a is the piece (a, a).
+def test_position_laws_list_their_intervals():
+    # Per-axis (lo, hi) pairs; a point a is the pair (a, a).
     box = UniformPositions(TorusRegion((0.2, 0.5), (0.7, 0.9)))
-    assert box.components == ((1.0, ((0.2, 0.7), (0.5, 0.9))),)
-    assert PointPositions((0.25, 0.5)).components == ((1.0, ((0.25, 0.25), (0.5, 0.5))),)
-    mix = PointMixturePositions(((0.1,), (0.6,)), (0.3, 0.7))
-    assert mix.components == ((0.3, ((0.1, 0.1),)), (0.7, ((0.6, 0.6),)))
+    assert box.intervals == ((0.2, 0.7), (0.5, 0.9))
+    assert PointPositions((0.25, 0.5)).intervals == ((0.25, 0.25), (0.5, 0.5))
 
 
 def test_momentum_characteristics_are_one_at_zero_and_vanish_far_out():
@@ -279,3 +253,35 @@ def test_momentum_characteristics_are_one_at_zero_and_vanish_far_out():
     assert tab[0] == pytest.approx(1.0, abs=1e-15)
     # The triangle's transform is (2 - 2 cos u) / u^2, about 2e-12 at u = 1e6.
     assert abs(tab[1]) < 1e-11
+
+
+_GAUSS_NODES = np.linspace(-4.0, 4.0, 81)
+_MOMENTUM_EXAMPLES = {
+    "GaussianMomenta": [GaussianMomenta(1.0), GaussianMomenta(1e-3), GaussianMomenta(30.0)],
+    "TabulatedMomenta": [
+        TabulatedMomenta((-1.0, 0.0, 1.0), (0.0, 1.0, 0.0)),
+        TabulatedMomenta((-3.0, -1.0, 0.0, 1.0, 3.0), (0.0, 0.5, 1.0, 0.5, 0.0)),
+        TabulatedMomenta((0.0, 0.3, 2.0), (1.0, 0.2, 0.7)),
+        TabulatedMomenta(tuple(_GAUSS_NODES), tuple(np.exp(-0.5 * _GAUSS_NODES**2))),
+    ],
+}
+
+
+def test_every_momentum_characteristic_stays_within_one():
+    # The mean-curve series stops on its run-of-three rule alone because
+    # |phi| <= 1 as a float: then |chi_l| |nu_l| |phi| <= |chi_l| |nu_l|.
+    # A new momentum law in sampler must add examples here.
+    laws = {
+        name for name in sampler.__all__
+        if inspect.isclass(obj := getattr(sampler, name)) and hasattr(obj, "characteristic")
+    }
+    assert laws == set(_MOMENTUM_EXAMPLES)
+    ramp = np.logspace(-300, 3, 1000)
+    dense = np.concatenate([np.linspace(-1e3, 1e3, 20001), [0.0, 1e-300], ramp, -ramp])
+    for law in (law for examples in _MOMENTUM_EXAMPLES.values() for law in examples):
+        u = dense
+        if isinstance(law, TabulatedMomenta):
+            # Both sides of the series switch |u h| = 0.25 of every segment width.
+            switch = sampler._TAYLOR_SWITCH / np.unique(np.diff(law.grid))
+            u = np.concatenate([dense, np.outer(switch, 1.0 + np.arange(-4, 5) * 2.0**-52).ravel()])
+        assert np.abs(law.characteristic(u)).max() <= 1.0, law
